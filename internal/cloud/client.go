@@ -195,6 +195,23 @@ const maxErrorBodyBytes = 4096
 // profile is well under 1 MiB).
 const maxResponseBodyBytes = 8 << 20
 
+// maxEmissionsBodyBytes caps the emission table, which grows with the
+// network: the car table at 40 km/h measured 25.7 MiB on the 100× country
+// network, and the cap leaves 2.5× headroom over that.
+const maxEmissionsBodyBytes = 64 << 20
+
+// decodeCapped decodes one JSON value from r into v, reading at most limit
+// bytes. A body that reaches the cap fails with an error naming the cap,
+// not with the decoder's bare "unexpected EOF" on the truncated value.
+func decodeCapped(r io.Reader, limit int64, v any) error {
+	lr := &io.LimitedReader{R: r, N: limit}
+	err := json.NewDecoder(lr).Decode(v)
+	if lr.N <= 0 {
+		return fmt.Errorf("response body reached the client's %d MiB cap", limit>>20)
+	}
+	return err
+}
+
 // drainClose discards at most maxErrorBodyBytes of the remaining body and
 // closes it, on every path, so the transport can reuse the connection and a
 // hostile body cannot grow without bound.
@@ -431,7 +448,7 @@ func (c *Client) FetchProfile(ctx context.Context, roadID string) (*fusion.Profi
 		return nil, err
 	}
 	var dto ProfileDTO
-	if err := json.NewDecoder(io.LimitReader(body, maxResponseBodyBytes)).Decode(&dto); err != nil {
+	if err := decodeCapped(body, maxResponseBodyBytes, &dto); err != nil {
 		return nil, fmt.Errorf("cloud: decoding profile: %w", err)
 	}
 	return dto.toProfile()
@@ -461,7 +478,7 @@ func (c *Client) Route(ctx context.Context, from, to int, objective string, spee
 	if resp.StatusCode != http.StatusOK {
 		return dto, fmt.Errorf("cloud: route failed: %s", readError(resp))
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxResponseBodyBytes)).Decode(&dto); err != nil {
+	if err := decodeCapped(resp.Body, maxResponseBodyBytes, &dto); err != nil {
 		return dto, fmt.Errorf("cloud: decoding route: %w", err)
 	}
 	return dto, nil
@@ -493,7 +510,7 @@ func (c *Client) FetchEmissions(ctx context.Context, vehicle string, speedKmh fl
 	if resp.StatusCode != http.StatusOK {
 		return dto, fmt.Errorf("cloud: emissions fetch failed: %s", readError(resp))
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxResponseBodyBytes)).Decode(&dto); err != nil {
+	if err := decodeCapped(resp.Body, maxEmissionsBodyBytes, &dto); err != nil {
 		return dto, fmt.Errorf("cloud: decoding emissions: %w", err)
 	}
 	return dto, nil
@@ -512,7 +529,7 @@ func (c *Client) ListRoads(ctx context.Context) ([]RoadStatus, error) {
 		return nil, fmt.Errorf("cloud: list failed: %s", readError(resp))
 	}
 	var out []RoadStatus
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxResponseBodyBytes)).Decode(&out); err != nil {
+	if err := decodeCapped(resp.Body, maxResponseBodyBytes, &out); err != nil {
 		return nil, fmt.Errorf("cloud: decoding road list: %w", err)
 	}
 	return out, nil
@@ -685,7 +702,7 @@ func (c *Client) submitBatchOnce(ctx context.Context, batch []BatchItem) ([]Batc
 		return nil, 0, err
 	}
 	var dto batchResponseDTO
-	if err := json.NewDecoder(io.LimitReader(rb, maxResponseBodyBytes)).Decode(&dto); err != nil {
+	if err := decodeCapped(rb, maxResponseBodyBytes, &dto); err != nil {
 		return nil, 0, fmt.Errorf("cloud: decoding batch response: %w", err)
 	}
 	return dto.Results, retryAfter, nil

@@ -21,7 +21,6 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"roadgrade/internal/ecoroute"
 	"roadgrade/internal/fusion"
@@ -119,10 +118,12 @@ type Server struct {
 	// through per-shard write coalescing with admission control.
 	coal *coalescer
 
-	// totalGen counts accepted submissions across all roads. It is the O(1)
-	// staleness signal the eco-routing engine polls: unchanged counter means
-	// no road's fused profile can have changed.
-	totalGen atomic.Uint64
+	// feed counts accepted submissions across all roads and logs which
+	// roads each fold changed. Its counter is the O(1) staleness signal the
+	// eco-routing engine polls (unchanged counter means no road's fused
+	// profile can have changed); its ring tells the engine which roads to
+	// recost when the counter moved.
+	feed changeFeed
 
 	// router, when set via EnableRouting, serves GET /v1/route;
 	// routeQueries counts answered queries labeled by the engine's search
@@ -236,18 +237,27 @@ func (s *Server) SubmitDevice(roadID, deviceID string, p *fusion.Profile) error 
 	}
 	rs := s.roadFor(roadID)
 	rs.mu.Lock()
-	defer rs.mu.Unlock()
 	if _, err := rs.addLocked(p, de); err != nil {
+		rs.mu.Unlock()
 		return fmt.Errorf("cloud: road %s: %w", roadID, err)
 	}
 	rs.gen++ // invalidates the fused snapshot and encoded caches
-	s.totalGen.Add(1)
+	rs.mu.Unlock()
+	s.feed.record(1, roadID)
 	return nil
 }
 
 // StoreGeneration returns the count of accepted submissions — the O(1)
 // staleness signal for generation-keyed consumers (ecoroute.CloudStore).
-func (s *Server) StoreGeneration() uint64 { return s.totalGen.Load() }
+func (s *Server) StoreGeneration() uint64 { return s.feed.gen.Load() }
+
+// ChangedSince returns the roads whose fused profiles changed after store
+// generation gen, and the generation that brings the caller up to date
+// (ecoroute.CloudStore). ok is false once the change feed has dropped a
+// change made after gen; the caller must then rescan every road.
+func (s *Server) ChangedSince(gen uint64) (roadIDs []string, now uint64, ok bool) {
+	return s.feed.since(gen)
+}
 
 // FusedGeneration returns the road's fused snapshot and the submission
 // generation it reflects (ecoroute.CloudStore). Unlike Fused it serves the

@@ -340,9 +340,11 @@ func (s *Server) foldShard(sh *shard, items []*pendingItem) {
 	var accepted uint64
 	var robust fusion.FoldReport
 	var rejectedKeys []string
+	changed := make([]string, 0, len(order)) // roads with an accepted item
 	for _, road := range order {
 		group := groups[road]
 		rs := s.roadFor(road)
+		before := accepted
 		rs.mu.Lock()
 		for _, it := range group {
 			var de *deviceEntry
@@ -366,6 +368,9 @@ func (s *Server) foldShard(sh *shard, items []*pendingItem) {
 			accepted++
 		}
 		rs.mu.Unlock()
+		if accepted > before {
+			changed = append(changed, road)
+		}
 	}
 	if len(rejectedKeys) > 0 {
 		sh.mu.Lock()
@@ -375,7 +380,7 @@ func (s *Server) foldShard(sh *shard, items []*pendingItem) {
 		sh.mu.Unlock()
 	}
 	if accepted > 0 {
-		s.totalGen.Add(accepted)
+		s.feed.record(accepted, changed...)
 	}
 	var dups, rejected int
 	for _, it := range items {

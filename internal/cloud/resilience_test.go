@@ -2,6 +2,9 @@ package cloud
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -168,5 +171,52 @@ func TestServerRejectsCorruptProfiles(t *testing.T) {
 				t.Error("corrupt DTO passed validation")
 			}
 		})
+	}
+}
+
+// TestClientResponseBodyCaps: the emission table has its own cap, above the
+// shared one (a country-scale table is tens of MiB), and a body that reaches
+// a cap fails with an error naming it instead of a bare decode EOF.
+func TestClientResponseBodyCaps(t *testing.T) {
+	// ~10 MiB of emission rows: past the shared 8 MiB cap.
+	table := EmissionTableDTO{Vehicle: "car", SpeedKmh: 40, Roads: make([]EmissionRoadDTO, 40000)}
+	for i := range table.Roads {
+		table.Roads[i] = EmissionRoadDTO{
+			RoadID: fmt.Sprintf("road-%06d", i), Class: "arterial", LengthM: 450.125, MeanGradeDeg: -1.75,
+			Provenance: "fused", COGPerKm: 1.2345678901234, NOxGPerKm: 0.12345678901234,
+			HCGPerKm: 0.012345678901234, PM25GPerKm: 0.0012345678901234,
+		}
+	}
+	tableJSON, err := json.Marshal(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tableJSON) <= maxResponseBodyBytes {
+		t.Fatalf("table is %d bytes, want more than the shared %d-byte cap", len(tableJSON), maxResponseBodyBytes)
+	}
+	// A profile that never ends: the body runs past the shared cap.
+	endless := strings.NewReader(`{"spacing_m":5,"grade_rad":[` + strings.Repeat("0,", maxResponseBodyBytes/2))
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/emissions":
+			_, _ = w.Write(tableJSON)
+		default:
+			_, _ = io.Copy(w, endless)
+		}
+	}))
+	defer srv.Close()
+	c := fastClient(t, srv.URL, srv.Client())
+
+	got, err := c.FetchEmissions(context.Background(), "car", 40)
+	if err != nil {
+		t.Fatalf("fetching a %d-byte table: %v", len(tableJSON), err)
+	}
+	if len(got.Roads) != len(table.Roads) || got.Roads[len(got.Roads)-1] != table.Roads[len(table.Roads)-1] {
+		t.Fatalf("fetched %d roads, want %d", len(got.Roads), len(table.Roads))
+	}
+
+	_, err = c.FetchProfile(context.Background(), "r")
+	if err == nil || !strings.Contains(err.Error(), "8 MiB cap") {
+		t.Fatalf("oversized profile body: got %v, want an error naming the 8 MiB cap", err)
 	}
 }

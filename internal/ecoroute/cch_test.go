@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -291,4 +293,172 @@ func TestParseAlgorithm(t *testing.T) {
 	if _, err := NewEngine(net, TruthSource{}, Config{Algorithm: "astar"}); err == nil {
 		t.Error("NewEngine with bad algorithm: want error")
 	}
+}
+
+// TestCCHPredecessorRecycling pins the array reuse of re-customization: with
+// no reader left on a slot's predecessor, a tick derives the successor in
+// the predecessor's own arrays; a reader still holding the predecessor
+// forces fresh arrays and keeps its view untouched.
+func TestCCHPredecessorRecycling(t *testing.T) {
+	net, err := road.GenerateNetwork(43, road.NetworkConfig{TargetStreetKM: 12})
+	if err != nil {
+		t.Fatalf("network: %v", err)
+	}
+	store := newFakeStore()
+	eng, err := NewEngine(net, CloudSource{Store: store}, Config{Algorithm: AlgCCH, SpeedsKmh: []float64{40}})
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	// acquire returns the fuel table for the current snapshot, one reader
+	// reference held.
+	acquire := func() *cchWeights {
+		tb, err := eng.fresh()
+		if err != nil {
+			t.Fatalf("fresh: %v", err)
+		}
+		return eng.cchWeightsFor(Fuel, 0, tb)
+	}
+	tick := func() *cchWeights {
+		store.submit(t, net.Edges[rng.Intn(len(net.Edges))].Road, 0.05*rng.Float64())
+		w := acquire()
+		w.release()
+		return w
+	}
+	sameArrays := func(a, b *cchWeights) bool { return &a.up[0] == &b.up[0] && &a.viaDn[0] == &b.viaDn[0] }
+
+	w0 := tick() // full customization
+	w1 := tick() // no predecessor yet: copies into fresh arrays
+	if sameArrays(w1, w0) {
+		t.Fatal("first re-customization wrote into the current table's arrays")
+	}
+	w2 := tick()
+	if !sameArrays(w2, w0) {
+		t.Fatal("re-customization did not recycle the drained predecessor's arrays")
+	}
+
+	held := acquire() // == w2, now pinned by a reader
+	view := append([]float64(nil), held.up...)
+	w3 := tick() // predecessor w1 drained: recycled
+	if !sameArrays(w3, w1) {
+		t.Fatal("re-customization did not recycle the drained predecessor's arrays")
+	}
+	w4 := tick() // predecessor w2 still held: fresh arrays
+	if sameArrays(w4, w2) || sameArrays(w4, w3) {
+		t.Fatal("re-customization wrote into a table a reader still holds")
+	}
+	sameBits(t, "held table", held.up, view)
+	held.release()
+	if w5 := tick(); !sameArrays(w5, w3) {
+		t.Fatal("re-customization did not recycle the drained predecessor's arrays")
+	}
+}
+
+// TestCCHRecycleConcurrentReaders runs readers across many ticks while the
+// engine recycles predecessor tables. One reader holds its table across two
+// ticks, which forces the copy fallback rather than a write under it. Every
+// route must match Dijkstra on the same snapshot, bit for bit; run it under
+// -race -count=10.
+func TestCCHRecycleConcurrentReaders(t *testing.T) {
+	net, err := road.GenerateNetwork(43, road.NetworkConfig{TargetStreetKM: 12})
+	if err != nil {
+		t.Fatalf("network: %v", err)
+	}
+	store := newFakeStore()
+	for i, ed := range net.Edges {
+		if i%2 == 0 {
+			store.submit(t, ed.Road, 0.01*float64(i%7))
+		}
+	}
+	eng, err := NewEngine(net, CloudSource{Store: store}, Config{Algorithm: AlgCCH, SpeedsKmh: []float64{30, 50}})
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	kinds := []routeKind{{Fuel, 30}, {NOx, 50}, {Fuel, 50}}
+	const nTicks = 40
+	done := make([]chan struct{}, nTicks)
+	for k := range done {
+		done[k] = make(chan struct{})
+	}
+	var finished atomic.Int32
+	stop := make(chan struct{})
+	// The other readers report each answered query; the writer waits for a
+	// few after every tick so ticks interleave with reads. Reports beyond
+	// the buffer are dropped.
+	progress := make(chan struct{}, 16)
+
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				tb, err := eng.fresh()
+				if err != nil {
+					t.Errorf("reader %d: fresh: %v", r, err)
+					return
+				}
+				k := kinds[rng.Intn(len(kinds))]
+				bucket, _ := eng.bucketFor(k.kmh)
+				w := eng.cchWeightsFor(k.obj, bucket, tb)
+				if r == 0 {
+					// Hold the table until two more ticks have superseded it.
+					if n := int(finished.Load()); n+1 < nTicks {
+						select {
+						case <-done[n+1]:
+						case <-stop:
+						}
+					}
+				}
+				s, d := int32(rng.Intn(len(eng.ids))), int32(rng.Intn(len(eng.ids)))
+				path, ok := eng.searchCCHWeights(w, s, d)
+				w.release()
+				ref, refOK := eng.searchDijkstra(eng.costRow(k.obj, bucket, tb), s, d)
+				if ok != refOK {
+					t.Errorf("reader %d: %s@%v %d→%d: cch found %v, Dijkstra %v", r, k.obj, k.kmh, s, d, ok, refOK)
+					continue
+				}
+				if !ok || s == d {
+					continue // no path, or nothing to compare
+				}
+				from, to := eng.ids[s], eng.ids[d]
+				got := eng.buildPlan(k.obj, bucket, tb, from, to, path).Cost
+				want := eng.buildPlan(k.obj, bucket, tb, from, to, ref).Cost
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("reader %d: %s@%v %d→%d: cch %.17g, Dijkstra %.17g", r, k.obj, k.kmh, from, to, got, want)
+				}
+				if r > 0 {
+					select {
+					case progress <- struct{}{}:
+					default:
+					}
+				}
+			}
+		}(r)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for k := 0; k < nTicks; k++ {
+		store.submit(t, net.Edges[rng.Intn(len(net.Edges))].Road, 0.08*(rng.Float64()-0.5))
+		tb, err := eng.fresh()
+		if err != nil {
+			t.Fatalf("tick %d: fresh: %v", k, err)
+		}
+		for _, kind := range kinds {
+			bucket, _ := eng.bucketFor(kind.kmh)
+			eng.cchWeightsFor(kind.obj, bucket, tb).release()
+		}
+		finished.Store(int32(k + 1))
+		close(done[k])
+		for n := 0; n < 4; n++ {
+			<-progress
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -97,9 +97,14 @@ func (g *cch) cchBackward(w *cchWeights, sc *cchScratch, tu int32, visit func(u 
 // caller re-sums costs over those edges, so the result is bit-identical to
 // the Dijkstra reference's for the same path.
 func (e *Engine) searchCCH(metric Objective, bucket int, tb *tables, s, t int32) ([]int32, bool) {
-	g := e.cchGraph()
 	w := e.cchWeightsFor(metric, bucket, tb)
 	defer w.release()
+	return e.searchCCHWeights(w, s, t)
+}
+
+// searchCCHWeights is searchCCH over a weight table the caller holds.
+func (e *Engine) searchCCHWeights(w *cchWeights, s, t int32) ([]int32, bool) {
+	g := e.cchGraph()
 	sc := e.cchScratchGet()
 	defer e.cchScratchPut(sc)
 

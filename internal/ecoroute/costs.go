@@ -1,6 +1,7 @@
 package ecoroute
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,6 +20,7 @@ var (
 	obsCostRecomp   = obs.Default.Counter("ecoroute_cost_cache_misses_total")
 	obsSnapshotHits = obs.Default.Counter("ecoroute_snapshot_hits_total")
 	obsRefreshes    = obs.Default.Counter("ecoroute_refreshes_total")
+	obsFullScans    = obs.Default.Counter("ecoroute_refresh_full_scans_total")
 	obsRefreshSecs  = obs.Default.Histogram("ecoroute_refresh_seconds", obs.LatencyBuckets)
 	obsLandmarkRuns = obs.Default.Counter("ecoroute_landmark_builds_total")
 
@@ -46,7 +48,7 @@ func observeRoute(obj Objective) func() {
 
 // tables is one immutable cost-table snapshot. Queries read it lock-free;
 // refreshes derive the next snapshot from the previous one (copying rows and
-// updating only stale edges) and swap the pointer.
+// updating only the edges the change feed names) and swap the pointer.
 type tables struct {
 	// gen is the source generation the snapshot reflects.
 	gen uint64
@@ -70,15 +72,9 @@ type tables struct {
 
 	// Pollutant cost rows (emis[b][sp][e], grams) are built lazily per
 	// bucket — one integration pass fills all four species — so fuel-only
-	// users never pay for them. emisPrev/emisPrevGen carry the previous
-	// snapshot's built rows: an edge whose stamp is unchanged copies its
-	// four values instead of re-integrating (bit-identical — the
-	// integration is deterministic in the grade data the stamp names).
-	emisOnce    []sync.Once
-	emisBuilt   []atomic.Bool
-	emis        [][][]float64
-	emisPrev    [][][]float64
-	emisPrevGen []uint64
+	// users never pay for them (emissions.go).
+	emisOnce []sync.Once
+	emis     [][][]float64
 }
 
 // co2Row lazily scales the fuel row into grams; built at most once per
@@ -123,55 +119,53 @@ func (e *Engine) fresh() (*tables, error) {
 	return next, nil
 }
 
-// rebuild derives the next snapshot from prev, re-integrating only edges
-// whose grade-data stamp changed. O(edges) stamp compares, O(changed ×
-// buckets × length/step) integration.
+// rebuild derives the next snapshot from prev. Rows, stamps and grade
+// closures are carried by bulk copy; only the edges the source's change
+// feed names are re-read, and only those whose stamp moved re-integrate.
+// The first build, a wrapped feed and a source without one fall back to
+// re-reading every edge.
 func (e *Engine) rebuild(prev *tables, gen uint64) *tables {
 	nEdges := len(e.edges)
 	nBuckets := len(e.cfg.SpeedsKmh)
 	next := &tables{
-		gen:       gen,
-		edgeGen:   make([]uint64, nEdges),
-		fuel:      make([][]float64, nBuckets),
-		gradeAt:   make([]func(float64) float64, nEdges),
-		co2Once:   make([]sync.Once, nBuckets),
-		co2:       make([][]float64, nBuckets),
-		emisOnce:  make([]sync.Once, nBuckets),
-		emisBuilt: make([]atomic.Bool, nBuckets),
-		emis:      make([][][]float64, nBuckets),
-		emisPrev:  make([][][]float64, nBuckets),
+		gen:      gen,
+		edgeGen:  make([]uint64, nEdges),
+		fuel:     make([][]float64, nBuckets),
+		gradeAt:  make([]func(float64) float64, nEdges),
+		co2Once:  make([]sync.Once, nBuckets),
+		co2:      make([][]float64, nBuckets),
+		emisOnce: make([]sync.Once, nBuckets),
+		emis:     make([][][]float64, nBuckets),
 	}
 	for b := 0; b < nBuckets; b++ {
 		next.fuel[b] = make([]float64, nEdges)
-		if prev != nil {
+	}
+	var stale []int32
+	full := true
+	if prev != nil {
+		for b := 0; b < nBuckets; b++ {
 			copy(next.fuel[b], prev.fuel[b])
 		}
-	}
-	if prev != nil {
 		copy(next.edgeGen, prev.edgeGen)
+		copy(next.gradeAt, prev.gradeAt)
 		next.version = prev.version
-		// Carry the previous snapshot's materialized pollutant rows so the
-		// lazy build only re-integrates stamped edges. The carry is one
-		// level deep: prev's rows are keyed by prev.edgeGen, so only rows
-		// prev actually built (not rows it merely carried) are usable. A
-		// bucket mid-build right now reads as not-built — correct, merely
-		// a full integration pass later.
-		next.emisPrevGen = prev.edgeGen
-		for b := 0; b < nBuckets; b++ {
-			if prev.emisBuilt[b].Load() {
-				next.emisPrev[b] = prev.emis[b]
-			}
+		stale, next.gen, full = e.changedEdges(prev.gen, gen)
+	}
+	if full {
+		obsFullScans.Inc()
+		stale = make([]int32, nEdges)
+		for i := range stale {
+			stale[i] = int32(i)
 		}
 	}
 	changed := 0
-	for i, ed := range e.edges {
-		eg := e.src.Edge(ed.Road, e.siblingRoad(i))
+	for _, i := range stale {
+		ed := e.edges[i]
+		eg := e.src.Edge(ed.Road, e.siblingRoad(int(i)))
 		next.gradeAt[i] = eg.At
 		if prev != nil && eg.Gen == next.edgeGen[i] {
-			obsCostReused.Inc()
 			continue
 		}
-		obsCostRecomp.Inc()
 		next.edgeGen[i] = eg.Gen
 		for b := 0; b < nBuckets; b++ {
 			v := e.cfg.SpeedsKmh[b] / 3.6 * e.cfg.classFactor(ed.Road.Class())
@@ -179,10 +173,33 @@ func (e *Engine) rebuild(prev *tables, gen uint64) *tables {
 		}
 		changed++
 	}
+	obsCostRecomp.Add(uint64(changed))
+	obsCostReused.Add(uint64(nEdges - changed))
 	if changed > 0 {
 		next.version++
 	}
 	return next
+}
+
+// changedEdges lists, in ascending order, the edges whose grades may have
+// moved since the snapshot built at generation since, and the generation
+// the list brings a snapshot to. full is true when the source cannot say —
+// it has no change feed, or the feed wrapped — and every edge must be
+// re-read at gen.
+func (e *Engine) changedEdges(since, gen uint64) (edges []int32, now uint64, full bool) {
+	feed, ok := e.src.(changeFeed)
+	if !ok {
+		return nil, gen, true
+	}
+	roads, now, ok := feed.ChangedSince(since)
+	if !ok {
+		return nil, gen, true
+	}
+	for _, id := range roads {
+		edges = append(edges, e.roadEdges[id]...)
+	}
+	slices.Sort(edges)
+	return slices.Compact(edges), now, false
 }
 
 // siblingRoad returns the opposite-direction road of edge i, or nil.

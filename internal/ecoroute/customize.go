@@ -14,7 +14,9 @@ import (
 // edges whose grades changed (tables.edgeGen, the PR 5 invalidation signal),
 // re-customization after a tick is incremental: only arcs carrying a stamped
 // edge are re-derived, and changes propagate through the dependents index to
-// just the triangles that can feel them.
+// just the triangles that can feel them. Each table records the arcs it
+// changed, so the next tick can bring the table before it up to date by
+// replaying that delta instead of copying every arc.
 
 var (
 	obsCCHCustFull = obs.Default.Counter("ecoroute_cch_customizations_total", obs.L("kind", "full"))
@@ -38,30 +40,33 @@ type cchWeights struct {
 	// snapshot's row yields exactly the dirty edges.
 	edgeGen []uint64
 	version uint64
+	// changed lists the arcs whose weights differ from the table this one
+	// was derived from (empty after a full customization). Replaying them
+	// into that table's arrays turns it into this one.
+	changed []int32
 	// refs counts in-flight readers. cchWeightsFor increments it under the
-	// cache mutex before handing the table out; every reader releases when its
-	// search ends. A superseded table whose count has drained to zero can have
-	// its ~24 bytes/arc of arrays recycled into the next customization —
-	// without recycling, the copy-on-write allocation (fresh pages, faulted in
-	// during the copy) costs more than re-deriving the dirty arcs themselves.
+	// cache mutex before handing the table out; every reader releases when
+	// its search ends. Once a table's successor has itself been superseded,
+	// a count of zero lets the next re-customization write into its arrays.
 	refs atomic.Int32
 }
 
 // release marks the end of one reader's use of the table.
 func (w *cchWeights) release() { w.refs.Add(-1) }
 
-// newCCHWeights returns a weight table over spare's arrays when one is
-// available (recycled, already-faulted memory) or freshly allocated ones.
-func newCCHWeights(nArcs int, edgeGen []uint64, version uint64, spare *cchWeights) *cchWeights {
-	w := spare
-	if w == nil {
-		w = &cchWeights{
-			up: make([]float64, nArcs), dn: make([]float64, nArcs),
-			viaUp: make([]int32, nArcs), viaDn: make([]int32, nArcs),
-		}
+// newCCHWeights allocates a weight table over nArcs arcs.
+func newCCHWeights(nArcs int) *cchWeights {
+	return &cchWeights{
+		up: make([]float64, nArcs), dn: make([]float64, nArcs),
+		viaUp: make([]int32, nArcs), viaDn: make([]int32, nArcs),
 	}
-	w.edgeGen, w.version = edgeGen, version
-	return w
+}
+
+// cchSlot is one (metric, bucket)'s customizations: the current table and
+// pred, the table it was derived from. pred is out of reach of new readers,
+// so once its count drains it is the next re-customization's spare.
+type cchSlot struct {
+	cur, pred *cchWeights
 }
 
 // cchCustStats records how the most recent customization ran, for tests and
@@ -136,145 +141,174 @@ func (g *cch) computeArc(w *cchWeights, cost []float64, a int32) bool {
 	return changed
 }
 
-// customize runs the full basic customization: every arc, ascending. spare,
-// when non-nil, is a drained retired table whose arrays are reused.
-func (g *cch) customize(cost []float64, edgeGen []uint64, version uint64, spare *cchWeights) *cchWeights {
-	nArcs := len(g.arcLo)
-	w := newCCHWeights(nArcs, edgeGen, version, spare)
-	for a := int32(0); a < int32(nArcs); a++ {
+// customize runs the full basic customization into w: every arc, ascending.
+func (g *cch) customize(w *cchWeights, cost []float64) {
+	for a := int32(0); a < int32(len(g.arcLo)); a++ {
 		g.computeArc(w, cost, a)
 	}
-	return w
+	w.changed = w.changed[:0]
 }
 
 // recustomize derives a successor weight table from old after a generation
 // tick: diff the stamp rows for dirty edges, re-derive their arcs ascending,
 // and fan actual changes out through the dependents index. Arc indices only
-// grow along dependency edges, so one ascending sweep settles everything.
-// old is never mutated — in-flight queries keep reading it. spare, when
-// non-nil, supplies recycled arrays for the successor (it must not alias old).
-// Returns the new table and the number of arcs re-derived.
-func (g *cch) recustomize(old *cchWeights, cost []float64, edgeGen []uint64, version uint64, spare *cchWeights) (*cchWeights, int) {
-	nArcs := len(g.arcLo)
-	w := newCCHWeights(nArcs, edgeGen, version, spare)
-	copy(w.up, old.up)
-	copy(w.dn, old.dn)
-	copy(w.viaUp, old.viaUp)
-	copy(w.viaDn, old.viaDn)
-	dirty := make([]bool, nArcs)
-	any := false
+// grow along dependency edges, so popping the worklist in ascending order
+// settles each arc once. old is never mutated — in-flight queries keep
+// reading it.
+//
+// spare, when non-nil, is the table old was derived from, with no readers
+// left: replaying old.changed into its arrays makes them equal old's, and
+// the successor is derived there. Without one the successor copies old's
+// arrays into fresh ones. Returns the new table and the number of arcs
+// re-derived.
+func (g *cch) recustomize(old, spare *cchWeights, cost []float64, edgeGen []uint64, version uint64, work *arcWorklist) (*cchWeights, int) {
+	w := spare
+	if w != nil {
+		for _, a := range old.changed {
+			w.up[a], w.dn[a] = old.up[a], old.dn[a]
+			w.viaUp[a], w.viaDn[a] = old.viaUp[a], old.viaDn[a]
+		}
+	} else {
+		w = newCCHWeights(len(g.arcLo))
+		copy(w.up, old.up)
+		copy(w.dn, old.dn)
+		copy(w.viaUp, old.viaUp)
+		copy(w.viaDn, old.viaDn)
+	}
+	w.edgeGen, w.version = edgeGen, version
+	if len(work.queued) != len(g.arcLo) {
+		work.queued = make([]bool, len(g.arcLo))
+	}
 	for i, gen := range edgeGen {
 		if old.edgeGen[i] != gen {
 			if a := g.edgeArc[i]; a >= 0 {
-				dirty[a] = true
-				any = true
+				work.push(a)
 			}
 		}
 	}
-	if !any {
-		return w, 0
-	}
+	changed := w.changed[:0]
 	recomputed := 0
-	for a := int32(0); a < int32(nArcs); a++ {
-		if !dirty[a] {
-			continue
-		}
+	for len(work.heap) > 0 {
+		a := work.pop()
 		recomputed++
 		if g.computeArc(w, cost, a) {
+			changed = append(changed, a)
 			for k := g.depOff[a]; k < g.depOff[a+1]; k++ {
-				dirty[g.depArc[k]] = true
+				work.push(g.depArc[k])
 			}
 		}
 	}
+	w.changed = changed
 	return w, recomputed
 }
 
-// cchRetiredCap bounds the freelist of drained superseded tables; beyond it
-// the GC takes them (each is ~24 bytes per arc).
-const cchRetiredCap = 4
-
-// cchRetire queues a table no longer reachable from the cache for recycling.
-// Caller holds cchWMu.
-func (e *Engine) cchRetire(w *cchWeights) {
-	if len(e.cchRetired) < cchRetiredCap {
-		e.cchRetired = append(e.cchRetired, w)
-	}
+// arcWorklist is the sparse worklist of re-customization: a binary min-heap
+// of arc indices plus a per-arc queued flag, so an arc that several changed
+// arcs feed is queued once. Popping clears the flag, which leaves every
+// flag false between uses; the work a tick costs follows the arcs it
+// dirties, not the graph.
+type arcWorklist struct {
+	heap   []int32
+	queued []bool
 }
 
-// cchSpare pops a retired table with no remaining readers, or nil. Caller
-// holds cchWMu; because readers only acquire tables under that mutex and a
-// retired table is out of the cache map, refs==0 here is final.
-func (e *Engine) cchSpare() *cchWeights {
-	for i, w := range e.cchRetired {
-		if w.refs.Load() == 0 {
-			e.cchRetired = append(e.cchRetired[:i], e.cchRetired[i+1:]...)
-			return w
-		}
+func (q *arcWorklist) push(a int32) {
+	if q.queued[a] {
+		return
 	}
-	return nil
+	q.queued[a] = true
+	h := append(q.heap, a)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	q.heap = h
+}
+
+func (q *arcWorklist) pop() int32 {
+	h := q.heap
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && h[r] < h[m] {
+			m = r
+		}
+		if h[i] <= h[m] {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	q.heap = h
+	q.queued[top] = false
+	return top
 }
 
 // cchWeightsFor returns (customizing if needed) the weight table for a metric
 // and bucket on the given snapshot, under the same cache key discipline as
 // the ALT landmark tables: Distance ignores the bucket, Distance/Time never
-// invalidate, grade-dependent metrics (Fuel and the pollutants) are keyed to
+// invalidate, grade-dependent metrics (Fuel and the pollutants) are tied to
 // the snapshot's cost version. A superseded grade-dependent table is not
-// discarded — it seeds the incremental re-customization, then joins the
-// retired freelist so its arrays back a later customization.
+// discarded — it seeds the incremental re-customization and stays as the
+// slot's predecessor, whose arrays the tick after next writes into once its
+// readers have drained.
 //
 // The returned table has one reader reference held for the caller, who must
 // release() it when the search is done.
 func (e *Engine) cchWeightsFor(metric Objective, bucket int, tb *tables) *cchWeights {
 	g := e.cchGraph()
 	key := lmKey{metric: metric, bucket: bucket}
+	var version uint64
 	switch {
 	case metric == Distance:
 		key.bucket = 0 // distance costs are bucket-independent
 	case gradeDependent(metric):
-		key.version = tb.version
+		version = tb.version
 	}
 	e.cchWMu.Lock()
 	defer e.cchWMu.Unlock()
-	if w, ok := e.cchW[key]; ok {
-		w.refs.Add(1)
-		return w
+	sl := e.cchW[key]
+	if sl != nil && sl.cur.version == version {
+		sl.cur.refs.Add(1)
+		return sl.cur
 	}
 	cost := e.costRow(metric, bucket, tb)
 	stats := cchCustStats{totalArcs: len(g.arcLo)}
 	var w *cchWeights
-	if gradeDependent(metric) {
-		// The freshest superseded version for this metric and bucket seeds
-		// the incremental path; it and any older ones are retired for
-		// recycling.
-		var prev *cchWeights
-		for k, old := range e.cchW {
-			if k.metric == metric && k.bucket == key.bucket {
-				if prev == nil || old.version > prev.version {
-					if prev != nil {
-						e.cchRetire(prev)
-					}
-					prev = old
-				} else {
-					e.cchRetire(old)
-				}
-				delete(e.cchW, k)
-			}
-		}
-		if prev != nil {
-			w, stats.recomputedArcs = g.recustomize(prev, cost, tb.edgeGen, tb.version, e.cchSpare())
-			e.cchRetire(prev)
-			obsCCHCustIncr.Inc()
-		}
-	}
-	if w == nil {
-		w = g.customize(cost, tb.edgeGen, tb.version, e.cchSpare())
+	if sl == nil {
+		w = newCCHWeights(len(g.arcLo))
+		g.customize(w, cost)
+		w.edgeGen, w.version = tb.edgeGen, version
+		sl = &cchSlot{}
+		e.cchW[key] = sl
 		stats.full = true
 		stats.recomputedArcs = stats.totalArcs
 		obsCCHCustFull.Inc()
+	} else {
+		// Readers acquire only the current table and only under cchWMu, so
+		// a predecessor's zero count is final. A reader still holding it
+		// forces a copy into fresh arrays instead.
+		spare := sl.pred
+		if spare != nil && spare.refs.Load() != 0 {
+			spare = nil
+		}
+		w, stats.recomputedArcs = g.recustomize(sl.cur, spare, cost, tb.edgeGen, version, &e.cchWork)
+		sl.pred = sl.cur
+		obsCCHCustIncr.Inc()
 	}
+	sl.cur = w
 	obsCCHArcs.Add(uint64(stats.recomputedArcs))
 	e.lastCust = stats
-	e.cchW[key] = w
 	w.refs.Add(1)
 	return w
 }

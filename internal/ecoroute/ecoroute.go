@@ -27,6 +27,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"roadgrade/internal/emission"
 	"roadgrade/internal/fuel"
@@ -214,18 +215,22 @@ type Engine struct {
 	// Adjacency is flat CSR (offsets + one edge-index array per direction)
 	// so searches stream through contiguous memory instead of chasing
 	// per-node slice headers.
-	idx      map[int]int // node ID → dense index
-	ids      []int       // dense index → node ID
-	outOff   []int32     // CSR offsets: edges leaving dense node v are outArc[outOff[v]:outOff[v+1]]
-	outArc   []int32
-	inOff    []int32 // CSR offsets of incoming edges
-	inArc    []int32
-	edges    []*road.Edge
-	tail     []int32 // per edge: dense From
-	head     []int32 // per edge: dense To
-	lengthM  []float64
-	sibling  []int32          // opposite-direction edge index, -1 if none
-	roadEdge map[string]int32 // road ID → edge index (PlanEmissions lookup)
+	idx     map[int]int // node ID → dense index
+	ids     []int       // dense index → node ID
+	outOff  []int32     // CSR offsets: edges leaving dense node v are outArc[outOff[v]:outOff[v+1]]
+	outArc  []int32
+	inOff   []int32 // CSR offsets of incoming edges
+	inArc   []int32
+	edges   []*road.Edge
+	tail    []int32 // per edge: dense From
+	head    []int32 // per edge: dense To
+	lengthM []float64
+	sibling []int32 // opposite-direction edge index, -1 if none
+	// roadEdges maps a road ID to the edges whose grades read the road: its
+	// own edge first, then each opposite-direction edge that falls back on
+	// its profile. The change feed names roads; these are what a refresh
+	// recosts for them.
+	roadEdges map[string][]int32
 
 	// timeS[b][e] is edge e's traversal seconds at bucket b's class-adjusted
 	// speed; fixed at construction (grades don't change time in this model).
@@ -234,21 +239,27 @@ type Engine struct {
 	mu  sync.Mutex // serializes refresh and landmark builds
 	cur atomicTables
 
+	// emisNewest[b] is the newest pollutant rows any snapshot built for
+	// bucket b, with the stamp row they were built against: the next build
+	// of that bucket, in whichever snapshot, starts from them.
+	emisNewest []atomic.Pointer[emisRows]
+
 	lmNodes []int32 // landmark node set (picked once, on the distance metric)
 	lmMu    sync.Mutex
 	lmCache map[lmKey]*landmarkTable
 
 	// Customizable contraction hierarchy (Algorithm == AlgCCH): the
 	// metric-independent contraction is built once on first use; customized
-	// weight tables are cached per (metric, bucket, cost version) like the
-	// ALT landmark tables, but re-fusions re-customize incrementally.
-	cchOnce    sync.Once
-	cchG       *cch
-	cchWMu     sync.Mutex
-	cchW       map[lmKey]*cchWeights
-	cchRetired []*cchWeights // superseded tables awaiting array recycling
-	cchPool    sync.Pool     // *cchScratch
-	lastCust   cchCustStats  // most recent customization's stats (tests, metrics)
+	// weight tables are cached per (metric, bucket) — cchW keys leave the
+	// version 0 — like the ALT landmark tables, but re-fusions re-customize
+	// incrementally.
+	cchOnce  sync.Once
+	cchG     *cch
+	cchWMu   sync.Mutex
+	cchW     map[lmKey]*cchSlot
+	cchWork  arcWorklist  // re-customization worklist, reused under cchWMu
+	cchPool  sync.Pool    // *cchScratch
+	lastCust cchCustStats // most recent customization's stats (tests, metrics)
 }
 
 // NewEngine indexes the network and prepares (but does not yet fill) the
@@ -277,7 +288,9 @@ func NewEngine(net *road.Network, src GradeSource, cfg Config) (*Engine, error) 
 		idx:     make(map[int]int, len(net.Nodes)),
 		ids:     make([]int, len(net.Nodes)),
 		lmCache: make(map[lmKey]*landmarkTable),
-		cchW:    make(map[lmKey]*cchWeights),
+		cchW:    make(map[lmKey]*cchSlot),
+
+		emisNewest: make([]atomic.Pointer[emisRows], len(cfg.SpeedsKmh)),
 	}
 	for i, n := range net.Nodes {
 		if _, dup := e.idx[n.ID]; dup {
@@ -292,7 +305,7 @@ func NewEngine(net *road.Network, src GradeSource, cfg Config) (*Engine, error) 
 	e.head = make([]int32, len(net.Edges))
 	e.lengthM = make([]float64, len(net.Edges))
 	e.sibling = make([]int32, len(net.Edges))
-	e.roadEdge = make(map[string]int32, len(net.Edges))
+	e.roadEdges = make(map[string][]int32, len(net.Edges))
 	edgeAt := make(map[*road.Edge]int32, len(net.Edges))
 	for i, ed := range net.Edges {
 		from, ok := e.idx[ed.From]
@@ -308,7 +321,7 @@ func NewEngine(net *road.Network, src GradeSource, cfg Config) (*Engine, error) 
 		e.head[i] = int32(to)
 		e.lengthM[i] = ed.Road.Length()
 		e.sibling[i] = -1
-		e.roadEdge[ed.Road.ID()] = int32(i)
+		e.roadEdges[ed.Road.ID()] = append(e.roadEdges[ed.Road.ID()], int32(i))
 		edgeAt[ed] = int32(i)
 	}
 	// Adjacency comes from the network's own forward and reverse indices so
@@ -346,6 +359,12 @@ func NewEngine(net *road.Network, src GradeSource, cfg Config) (*Engine, error) 
 				e.sibling[j] = int32(i)
 				break
 			}
+		}
+	}
+	for i, s := range e.sibling {
+		if s >= 0 {
+			id := e.edges[s].Road.ID()
+			e.roadEdges[id] = append(e.roadEdges[id], int32(i))
 		}
 	}
 	// Travel times are grade-independent: fix them now, one row per bucket.

@@ -11,8 +11,11 @@ import (
 // into the cost-table machinery. Pollutant rows live inside the same
 // immutable snapshots as the fuel rows but are built lazily — one
 // integration pass per bucket fills all four species — and incrementally:
-// an edge whose generation stamp is unchanged from the previous snapshot
-// copies its values instead of re-integrating.
+// a build starts from the newest rows any snapshot built for the bucket and
+// re-integrates only the edges whose stamp differs from theirs. An edge's
+// values are a deterministic function of the grade data its stamp names, so
+// the copy is bit-identical to re-integrating, however many snapshots ago
+// the rows were built.
 
 var (
 	obsEmisBuilds = obs.Default.Counter("ecoroute_emission_row_builds_total")
@@ -46,34 +49,52 @@ func gradeDependent(metric Objective) bool {
 	return ok
 }
 
+// emisRows is one bucket's built pollutant rows (rows[sp][e], grams), the
+// stamp row they were built against, and the generation of the snapshot
+// that built them.
+type emisRows struct {
+	gen     uint64
+	edgeGen []uint64
+	rows    [][]float64
+}
+
 // emissionRow returns the per-edge gram cost slice of one pollutant at one
 // bucket, materializing the bucket's four rows on first use.
 func (e *Engine) emissionRow(sp emission.Pollutant, bucket int, tb *tables) []float64 {
 	tb.emisOnce[bucket].Do(func() {
 		nEdges := len(e.edges)
+		base := e.emisNewest[bucket].Load()
 		rows := make([][]float64, emission.NumPollutants)
 		for p := range rows {
 			rows[p] = make([]float64, nEdges)
+			if base != nil {
+				copy(rows[p], base.rows[p])
+			}
 		}
-		prev := tb.emisPrev[bucket]
+		recomputed := 0
 		for i, ed := range e.edges {
-			if prev != nil && tb.emisPrevGen[i] == tb.edgeGen[i] {
-				for p := range rows {
-					rows[p][i] = prev[p][i]
-				}
-				obsEmisReused.Inc()
+			if base != nil && base.edgeGen[i] == tb.edgeGen[i] {
 				continue
 			}
-			obsEmisRecomp.Inc()
+			recomputed++
 			v := e.cfg.SpeedsKmh[bucket] / 3.6 * e.cfg.classFactor(ed.Road.Class())
 			g := edgeEmissionGrams(e.cfg.Emission, tb.gradeAt[i], e.lengthM[i], v, e.cfg.SampleStepM)
 			for p := range rows {
 				rows[p][i] = g[p]
 			}
 		}
+		obsEmisRecomp.Add(uint64(recomputed))
+		obsEmisReused.Add(uint64(nEdges - recomputed))
 		tb.emis[bucket] = rows
-		tb.emisBuilt[bucket].Store(true)
 		obsEmisBuilds.Inc()
+		// Publish unless a newer snapshot already has; a late build on an
+		// old snapshot must not push the next build further back.
+		built := &emisRows{gen: tb.gen, edgeGen: tb.edgeGen, rows: rows}
+		for cur := base; cur == nil || cur.gen < tb.gen; cur = e.emisNewest[bucket].Load() {
+			if e.emisNewest[bucket].CompareAndSwap(cur, built) {
+				break
+			}
+		}
 	})
 	return tb.emis[bucket][sp]
 }
@@ -122,11 +143,11 @@ func (e *Engine) PlanEmissions(p Plan) (emission.Grams, error) {
 	for _, sp := range emission.Pollutants() {
 		row := e.emissionRow(sp, bucket, tb)
 		for _, id := range p.RoadIDs {
-			i, ok := e.roadEdge[id]
+			edges, ok := e.roadEdges[id]
 			if !ok {
 				return emission.Grams{}, fmt.Errorf("ecoroute: plan road %q not in network", id)
 			}
-			out[sp] += row[i]
+			out[sp] += row[edges[0]]
 		}
 	}
 	return out, nil

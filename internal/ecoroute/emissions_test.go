@@ -168,15 +168,15 @@ func TestEmissionRowsLazyAndIncremental(t *testing.T) {
 		t.Fatalf("fuel route: %v", err)
 	}
 	tb1 := eng.cur.p.Load()
-	if tb1.emisBuilt[0].Load() {
+	if tb1.emis[0] != nil {
 		t.Fatal("fuel-only query materialized pollutant rows — they must stay lazy")
 	}
 	rowsBefore := make(map[emission.Pollutant][]float64)
 	for _, sp := range emission.Pollutants() {
 		rowsBefore[sp] = eng.emissionRow(sp, 0, tb1)
 	}
-	if !tb1.emisBuilt[0].Load() {
-		t.Fatal("emissionRow did not mark the bucket built")
+	if tb1.emis[0] == nil {
+		t.Fatal("emissionRow did not store the bucket's rows")
 	}
 
 	src.gen++
@@ -187,8 +187,8 @@ func TestEmissionRowsLazyAndIncremental(t *testing.T) {
 	if tb2 == tb1 {
 		t.Fatal("tick did not produce a new snapshot")
 	}
-	if tb2.emisPrev[0] == nil {
-		t.Fatal("new snapshot did not carry the built pollutant rows")
+	if base := eng.emisNewest[0].Load(); base == nil || base.gen != tb1.gen {
+		t.Fatal("the built pollutant rows were not kept for the next snapshot")
 	}
 	changedEdge := -1
 	for _, sp := range emission.Pollutants() {

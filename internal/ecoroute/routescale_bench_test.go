@@ -106,19 +106,19 @@ func BenchmarkRouteScaleCCHCustomizeFull100x(b *testing.B) {
 		b.Fatalf("tables: %v", err)
 	}
 	cost := eng.costRow(Fuel, 1, tb)
-	// Steady state recycles a retired table's arrays (the engine's freelist);
-	// the spare ping-pongs so every op writes into already-faulted memory.
-	var spare *cchWeights
+	// Every op writes into the same table, so this times the pass itself
+	// over already-faulted memory, not page faults.
+	w := newCCHWeights(len(g.arcLo))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		spare = g.customize(cost, tb.edgeGen, tb.version, spare)
+		g.customize(w, cost)
 	}
 }
 
-// BenchmarkRouteScaleCCHRecustomizeTick100x re-customizes after a one-road
-// fusion tick: one edge's stamp and cost changed, everything else clean. The
-// acceptance bar is ≥5× cheaper than the full pass above.
+// BenchmarkRouteScaleCCHRecustomizeTick100x re-customizes after one-road
+// fusion ticks: each tick changes one edge's stamp and cost, everything else
+// is clean. The acceptance bar is ≥5× cheaper than the full pass above.
 func BenchmarkRouteScaleCCHRecustomizeTick100x(b *testing.B) {
 	eng := rsEngine(b, AlgCCH, 100)
 	g := eng.cchGraph()
@@ -127,19 +127,31 @@ func BenchmarkRouteScaleCCHRecustomizeTick100x(b *testing.B) {
 		b.Fatalf("tables: %v", err)
 	}
 	cost := eng.costRow(Fuel, 1, tb)
-	old := g.customize(cost, tb.edgeGen, tb.version, nil)
-	// A tick that moved one road's estimate: new stamp, new cost.
+	// Ticks alternate between two rows that differ in one edge: a tick that
+	// moved one road's estimate, then one that moved it back.
 	nextGen := append([]uint64(nil), tb.edgeGen...)
 	nextGen[0]++
 	nextCost := append([]float64(nil), cost...)
 	nextCost[0] *= 1.5
-	// As above: the spare models the engine recycling the table the tick
-	// superseded, which is the steady state of generation-keyed re-fusion.
-	var spare *cchWeights
+	gens := [2][]uint64{tb.edgeGen, nextGen}
+	costs := [2][]float64{cost, nextCost}
+	cur := newCCHWeights(len(g.arcLo))
+	g.customize(cur, cost)
+	cur.edgeGen = tb.edgeGen
+	// The engine's steady state with no reader holding the predecessor: each
+	// tick replays the current table's delta into the predecessor's arrays
+	// and re-derives there. The first tick, with no predecessor yet, copies
+	// and runs before the timer starts.
+	var work arcWorklist
+	next, _ := g.recustomize(cur, nil, costs[1], gens[1], 1, &work)
+	pred := cur
+	cur = next
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		spare, _ = g.recustomize(old, nextCost, nextGen, tb.version+1, spare)
+		k := i % 2
+		next, _ = g.recustomize(cur, pred, costs[k], gens[k], uint64(i+2), &work)
+		pred, cur = cur, next
 	}
 }
 

@@ -50,6 +50,14 @@ func (FlatSource) Edge(_, _ *road.Road) EdgeGrades {
 	return EdgeGrades{Gen: 1, At: func(float64) float64 { return 0 }}
 }
 
+// changeFeed is a GradeSource that can list the roads whose grades changed
+// since a generation. The engine then recosts only the edges that read
+// those roads; a source without one (TruthSource, FlatSource) is rescanned
+// edge by edge on every refresh.
+type changeFeed interface {
+	ChangedSince(gen uint64) (roadIDs []string, now uint64, ok bool)
+}
+
 // CloudStore is the slice of the cloud fusion server the engine consumes;
 // *cloud.Server implements it. Returned profiles must be immutable snapshots
 // (the cloud store's are: writers replace, never mutate).
@@ -59,6 +67,12 @@ type CloudStore interface {
 	// FusedGeneration returns the road's fused profile and the road's
 	// generation counter, or an error when the road has no submissions.
 	FusedGeneration(roadID string) (*fusion.Profile, uint64, error)
+	// ChangedSince returns the roads whose fused profiles changed after
+	// store generation gen, and the generation that brings the caller up
+	// to date. Every road counted in a generation StoreGeneration has
+	// reported must be listed. ok is false when the store no longer holds
+	// every change made after gen; the caller must then rescan every road.
+	ChangedSince(gen uint64) (roadIDs []string, now uint64, ok bool)
 }
 
 // CloudSource sources grades from crowd-fused cloud profiles. A road nobody
@@ -74,6 +88,13 @@ type CloudSource struct {
 
 // Generation mirrors the store's global submission counter.
 func (c CloudSource) Generation() uint64 { return c.Store.StoreGeneration() }
+
+// ChangedSince forwards the store's change feed. An edge's grades read only
+// its own road and its opposite-direction sibling, so the roads listed name
+// every edge whose stamp can have moved.
+func (c CloudSource) ChangedSince(gen uint64) ([]string, uint64, bool) {
+	return c.Store.ChangedSince(gen)
+}
 
 // Edge stamps are disjoint by provenance — 3g+1 for a forward profile at
 // road generation g, 3g+2 for a reverse fallback, 0 for no data — so an edge

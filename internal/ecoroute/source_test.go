@@ -3,26 +3,46 @@ package ecoroute
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"roadgrade/internal/fusion"
 	"roadgrade/internal/road"
 )
 
-// fakeStore is an in-memory CloudStore for invalidation tests.
+// fakeStore is an in-memory CloudStore for invalidation tests. Like
+// cloud.Server it logs the roads each fold changed, and keep, when positive,
+// bounds the log to that many folds so a test can make the feed wrap.
 type fakeStore struct {
+	mu       sync.Mutex
 	gen      uint64
 	profiles map[string]*fusion.Profile
 	roadGen  map[string]uint64
+	log      []feedFold
+	keep     int
+	dropped  uint64 // generation of the newest fold the log dropped
+}
+
+// feedFold is one logged fold: the generation it brought the store to and
+// the roads it changed.
+type feedFold struct {
+	gen   uint64
+	roads []string
 }
 
 func newFakeStore() *fakeStore {
 	return &fakeStore{profiles: map[string]*fusion.Profile{}, roadGen: map[string]uint64{}}
 }
 
-func (f *fakeStore) StoreGeneration() uint64 { return f.gen }
+func (f *fakeStore) StoreGeneration() uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.gen
+}
 
 func (f *fakeStore) FusedGeneration(roadID string) (*fusion.Profile, uint64, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	p, ok := f.profiles[roadID]
 	if !ok {
 		return nil, 0, fmt.Errorf("no submissions for %s", roadID)
@@ -30,10 +50,42 @@ func (f *fakeStore) FusedGeneration(roadID string) (*fusion.Profile, uint64, err
 	return p, f.roadGen[roadID], nil
 }
 
-// submit installs a constant-grade fused profile for one road and bumps both
-// the road and store generations, as cloud.Server.Submit does.
-func (f *fakeStore) submit(t *testing.T, r *road.Road, gradeRad float64) {
-	t.Helper()
+func (f *fakeStore) ChangedSince(gen uint64) ([]string, uint64, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.dropped > gen {
+		return nil, f.gen, false
+	}
+	var roads []string
+	for _, fold := range f.log {
+		if fold.gen > gen {
+			roads = append(roads, fold.roads...)
+		}
+	}
+	return roads, f.gen, true
+}
+
+// fold installs fused profiles for several roads as one accepted fold:
+// one generation bump per road, one log entry for the fold.
+func (f *fakeStore) fold(roads []*road.Road, profiles []*fusion.Profile) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	ids := make([]string, len(roads))
+	for i, r := range roads {
+		ids[i] = r.ID()
+		f.profiles[ids[i]] = profiles[i]
+		f.roadGen[ids[i]]++
+	}
+	f.gen += uint64(len(roads))
+	f.log = append(f.log, feedFold{gen: f.gen, roads: ids})
+	for f.keep > 0 && len(f.log) > f.keep {
+		f.dropped = f.log[0].gen
+		f.log = f.log[1:]
+	}
+}
+
+// constProfile is a fused profile of one constant grade covering r.
+func constProfile(r *road.Road, gradeRad float64) *fusion.Profile {
 	n := int(math.Ceil(r.Length()/5)) + 1
 	s := make([]float64, n)
 	g := make([]float64, n)
@@ -43,9 +95,14 @@ func (f *fakeStore) submit(t *testing.T, r *road.Road, gradeRad float64) {
 		g[i] = gradeRad
 		vr[i] = 1e-4
 	}
-	f.profiles[r.ID()] = &fusion.Profile{SpacingM: 5, S: s, GradeRad: g, Var: vr}
-	f.roadGen[r.ID()]++
-	f.gen++
+	return &fusion.Profile{SpacingM: 5, S: s, GradeRad: g, Var: vr}
+}
+
+// submit installs a constant-grade fused profile for one road and bumps both
+// the road and store generations, as cloud.Server.Submit does.
+func (f *fakeStore) submit(t *testing.T, r *road.Road, gradeRad float64) {
+	t.Helper()
+	f.fold([]*road.Road{r}, []*fusion.Profile{constProfile(r, gradeRad)})
 }
 
 // TestCloudSourceInvalidation drives the generation-keyed cost cache: the

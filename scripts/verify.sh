@@ -40,11 +40,16 @@ go test -race -count=1 -run 'TestRobust|TestDevice' ./internal/fusion ./internal
 
 echo "== go test -race (contraction / customization gate) =="
 # The CCH splits work across one-time contraction, per-metric customization
-# (copy-on-write weight tables with refcounted recycling behind cchWMu), and
-# lock-free query reads; the road CSR build feeds the node ordering. Run the
-# CCH and determinism tests uncached and concurrently so a torn weight table
-# or a non-deterministic ordering fails with a focused report.
+# and lock-free query reads; the road CSR build feeds the node ordering. Each
+# (metric, bucket) keeps its current weight table and the predecessor it was
+# derived from; a tick replays the current table's delta into the
+# predecessor's arrays once its reader count (checked under cchWMu) has
+# drained, and copies into fresh arrays while a reader still holds it. Run
+# the CCH and determinism tests uncached and concurrently so a torn weight
+# table or a non-deterministic ordering fails with a focused report, and the
+# recycling tests ten times over, since their interleavings vary run to run.
 go test -race -count=1 -run 'TestCCH|TestMatrixCtx|Deterministic|TestNetworkCSR' ./internal/ecoroute ./internal/road
+go test -race -count=10 -run 'TestCCHPredecessorRecycling|TestCCHRecycleConcurrentReaders' ./internal/ecoroute
 
 echo "== go test -race (observability gate) =="
 # The tracer ring, the tail-sampling trace store (late-span merge, linked-in
@@ -67,5 +72,10 @@ go test -race -count=1 -run 'TestOpMode|TestTripEmissions|TestEmission|TestRate|
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== benchmark module =="
+# bench/ is a nested module, so the root ./... patterns above never build or
+# test it.
+(cd bench && go vet ./... && go test ./...)
 
 echo "verify: OK"
