@@ -18,7 +18,9 @@
 //	                               bias) under a robust -fusion-policy
 //	GET  /v1/route                 eco-routing over the fused map (needs -route-km)
 //	GET  /v1/emissions             city-wide per-road pollutant intensity table
-//	                               over the fused map (needs -route-km -emissions)
+//	                               over the fused map (needs -route-km -emissions);
+//	                               ?since=&epoch= of a held table gets only the
+//	                               rows changed since
 //	GET  /v1/debug/traces          tail-sampled trace directory; ?id= renders
 //	                               one trace as Chrome trace_event JSON
 //	                               (needs -trace-sample > 0)

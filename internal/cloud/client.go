@@ -15,9 +15,13 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"net/url"
+	"slices"
 	"strconv"
+	"sync"
 	"time"
 
+	"roadgrade/internal/emission"
 	"roadgrade/internal/fusion"
 	"roadgrade/internal/obs"
 )
@@ -56,6 +60,12 @@ type Client struct {
 
 	// tracer emits client spans; nil shares obs.DefaultTracer.
 	tracer *obs.Tracer
+
+	// emis holds the last emission table fetched per (vehicle class,
+	// snapped speed), at most 12, patched in place under emisMu;
+	// FetchEmissions asks the server only for the rows changed since.
+	emisMu sync.Mutex
+	emis   map[emisKey]*EmissionTableDTO
 }
 
 // tr returns the client's span tracer (the process default unless WithTracer
@@ -398,9 +408,9 @@ func (c *Client) SubmitProfile(ctx context.Context, roadID string, p *fusion.Pro
 	if err != nil {
 		return err
 	}
-	url := fmt.Sprintf("%s/v1/roads/%s/profiles", c.base, roadID)
+	u := c.base + "/v1/roads/" + url.PathEscape(roadID) + "/profiles"
 	resp, err := c.do(ctx, func(ctx context.Context) (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(wire))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(wire))
 		if err != nil {
 			return nil, err
 		}
@@ -425,9 +435,9 @@ func (c *Client) SubmitProfile(ctx context.Context, roadID string, p *fusion.Pro
 func (c *Client) FetchProfile(ctx context.Context, roadID string) (*fusion.Profile, error) {
 	ctx, root := c.startRoot(ctx, "client:fetch", obs.L("road", roadID))
 	defer root.End()
-	url := fmt.Sprintf("%s/v1/roads/%s/profile", c.base, roadID)
+	u := c.base + "/v1/roads/" + url.PathEscape(roadID) + "/profile"
 	resp, err := c.do(ctx, func(ctx context.Context) (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -460,16 +470,17 @@ func (c *Client) FetchProfile(ctx context.Context, roadID string) (*fusion.Profi
 func (c *Client) Route(ctx context.Context, from, to int, objective string, speedKmh float64) (RouteDTO, error) {
 	ctx, root := c.startRoot(ctx, "client:route", obs.L("objective", objective))
 	defer root.End()
-	url := fmt.Sprintf("%s/v1/route?from=%d&to=%d", c.base, from, to)
+	q := url.Values{"from": {strconv.Itoa(from)}, "to": {strconv.Itoa(to)}}
 	if objective != "" {
-		url += "&objective=" + objective
+		q.Set("objective", objective)
 	}
 	if speedKmh > 0 {
-		url += fmt.Sprintf("&speed_kmh=%g", speedKmh)
+		q.Set("speed_kmh", strconv.FormatFloat(speedKmh, 'g', -1, 64))
 	}
+	u := c.base + "/v1/route?" + q.Encode()
 	var dto RouteDTO
 	resp, err := c.do(ctx, func(ctx context.Context) (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+		return http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	})
 	if err != nil {
 		return dto, fmt.Errorf("cloud: routing: %w", err)
@@ -487,33 +498,126 @@ func (c *Client) Route(ctx context.Context, from, to int, objective string, spee
 // FetchEmissions asks GET /v1/emissions for the city-wide per-road emission
 // table of one vehicle class ("" = car) at a cruise speed (0 = the server
 // default). The server must have emissions enabled.
+//
+// The client keeps the last table it fetched per vehicle class and snapped
+// speed, and asks for the rows changed since it; a delta answer is merged
+// into a copy, so the table returned is the caller's to keep and equals a
+// full fetch at its generation. A server without delta responses always
+// answers with the full table.
 func (c *Client) FetchEmissions(ctx context.Context, vehicle string, speedKmh float64) (EmissionTableDTO, error) {
 	ctx, root := c.startRoot(ctx, "client:emissions", obs.L("vehicle", vehicle))
 	defer root.End()
-	url := c.base + "/v1/emissions"
-	sep := "?"
+	q := url.Values{}
 	if vehicle != "" {
-		url += sep + "vehicle=" + vehicle
-		sep = "&"
+		q.Set("vehicle", vehicle)
 	}
 	if speedKmh > 0 {
-		url += fmt.Sprintf("%sspeed_kmh=%g", sep, speedKmh)
+		q.Set("speed_kmh", strconv.FormatFloat(speedKmh, 'g', -1, 64))
 	}
-	var dto EmissionTableDTO
+	key, keyed := clientEmissionKey(vehicle, speedKmh)
+	var held *EmissionTableDTO
+	if keyed {
+		c.emisMu.Lock()
+		if held = c.emis[key]; held != nil && held.Epoch != "" {
+			q.Set("since", strconv.FormatUint(held.Generation, 10))
+			q.Set("epoch", held.Epoch)
+		}
+		c.emisMu.Unlock()
+	}
+	u := c.base + "/v1/emissions"
+	if len(q) > 0 {
+		u += "?" + q.Encode()
+	}
 	resp, err := c.do(ctx, func(ctx context.Context) (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+		return http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	})
 	if err != nil {
-		return dto, fmt.Errorf("cloud: fetching emissions: %w", err)
+		return EmissionTableDTO{}, fmt.Errorf("cloud: fetching emissions: %w", err)
 	}
 	defer drainClose(resp)
 	if resp.StatusCode != http.StatusOK {
-		return dto, fmt.Errorf("cloud: emissions fetch failed: %s", readError(resp))
+		return EmissionTableDTO{}, fmt.Errorf("cloud: emissions fetch failed: %s", readError(resp))
 	}
-	if err := decodeCapped(resp.Body, maxEmissionsBodyBytes, &dto); err != nil {
-		return dto, fmt.Errorf("cloud: decoding emissions: %w", err)
+	var wire emissionResponseDTO
+	if err := decodeCapped(resp.Body, maxEmissionsBodyBytes, &wire); err != nil {
+		return EmissionTableDTO{}, fmt.Errorf("cloud: decoding emissions: %w", err)
 	}
-	return dto, nil
+	if !keyed {
+		if wire.Base != nil {
+			return EmissionTableDTO{}, errEmissionDelta
+		}
+		return wire.EmissionTableDTO, nil
+	}
+	return c.keepEmissions(key, held, &wire)
+}
+
+// clientEmissionKey names the server table a FetchEmissions request reads,
+// snapping the speed the way the server does. ok is false for a request
+// the server will refuse.
+func clientEmissionKey(vehicle string, speedKmh float64) (emisKey, bool) {
+	class, err := emission.ParseVehicleClass(vehicle)
+	if err != nil {
+		return emisKey{}, false
+	}
+	if !(speedKmh > 0) {
+		speedKmh = defaultEmissionSpeedKmh
+	}
+	key, err := emissionKey(class, speedKmh)
+	return key, err == nil
+}
+
+// errEmissionDelta reports a delta that does not fit the held table.
+var errEmissionDelta = errors.New("cloud: emission delta does not apply to the held table")
+
+// keepEmissions folds resp into the key's held table and returns the
+// caller's copy of the result; asked is the held table the request named,
+// if any.
+//
+// A full table replaces the held one unless a concurrent fetch already
+// holds a newer one: generations order tables from one server instance, and
+// a table from another instance replaces only the table its own request was
+// made against. A delta is patched into the held table in place. That is
+// right for any held generation from the delta's base to its own, since the
+// rows it leaves out did not change in between; a held table already past
+// the delta, or from another instance, is returned as it is.
+func (c *Client) keepEmissions(key emisKey, asked *EmissionTableDTO, resp *emissionResponseDTO) (EmissionTableDTO, error) {
+	got := resp.EmissionTableDTO
+	c.emisMu.Lock()
+	defer c.emisMu.Unlock()
+	cur := c.emis[key]
+	if resp.Base == nil {
+		newer := cur == nil || cur.Epoch == got.Epoch && cur.Generation < got.Generation ||
+			cur.Epoch != got.Epoch && cur == asked
+		if !newer || got.Vehicle != key.vehicle.String() || got.SpeedKmh != key.speed {
+			return got, nil
+		}
+		if c.emis == nil {
+			c.emis = make(map[emisKey]*EmissionTableDTO)
+		}
+		kept := got
+		c.emis[key] = &kept
+	} else {
+		if cur == nil || cur.Epoch == got.Epoch && *resp.Base > cur.Generation {
+			return EmissionTableDTO{}, errEmissionDelta
+		}
+		if cur.Epoch == got.Epoch && cur.Generation < got.Generation {
+			if got.Vehicle != cur.Vehicle || got.SpeedKmh != cur.SpeedKmh || len(resp.Index) != len(got.Roads) {
+				return EmissionTableDTO{}, errEmissionDelta
+			}
+			for _, i := range resp.Index {
+				if i < 0 || i >= len(cur.Roads) {
+					return EmissionTableDTO{}, fmt.Errorf("cloud: emission delta row %d outside the %d-row table", i, len(cur.Roads))
+				}
+			}
+			for k, i := range resp.Index {
+				cur.Roads[i] = got.Roads[k]
+			}
+			cur.Generation = got.Generation
+		}
+		got = *cur
+	}
+	got.Roads = slices.Clone(got.Roads)
+	return got, nil
 }
 
 // ListRoads fetches the submission summary.

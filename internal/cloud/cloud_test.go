@@ -3,7 +3,9 @@ package cloud
 import (
 	"context"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -131,6 +133,80 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if len(roads) != 1 || roads[0].Submissions != 2 {
 		t.Errorf("roads = %+v", roads)
 	}
+}
+
+// TestClientEscapesCallerStrings: a road ID reaches the path, and an
+// objective or vehicle the query, escaped. A road whose ID holds '/', '?',
+// '#', '%' or a space — which the batch door accepts — submits, reads back
+// and lists like any other, and no value can add a query parameter.
+func TestClientEscapesCallerStrings(t *testing.T) {
+	s := NewServer()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	client, err := NewClient(srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	ids := []string{"a/b", "why?", "lane#2", "100%", "a%2Fb", "main street", "x/y?z=1#w%20 v"}
+	for i, id := range ids {
+		want := profileOf(5, []float64{0.01 * float64(i+1)}, 1e-4)
+		if err := client.SubmitProfile(ctx, id, want); err != nil {
+			t.Fatalf("submitting %q: %v", id, err)
+		}
+		got, err := client.FetchProfile(ctx, id)
+		if err != nil {
+			t.Fatalf("fetching %q: %v", id, err)
+		}
+		if math.Abs(got.GradeRad[0]-want.GradeRad[0]) > 1e-12 {
+			t.Errorf("road %q read back grade %v, want %v", id, got.GradeRad[0], want.GradeRad[0])
+		}
+	}
+	batched := "batch/one?#% x"
+	if _, err := client.SubmitBatch(ctx, []BatchItem{{RoadID: batched, Profile: profileOf(5, []float64{0.05}, 1e-4)}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.FetchProfile(ctx, batched); err != nil {
+		t.Errorf("batch-submitted road %q does not read back: %v", batched, err)
+	}
+	roads, err := client.ListRoads(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(roads) != len(ids)+1 {
+		t.Errorf("roads = %+v, want %d roads with one submission each", roads, len(ids)+1)
+	}
+	for _, r := range roads {
+		if r.Submissions != 1 {
+			t.Errorf("road %q has %d submissions, want 1", r.RoadID, r.Submissions)
+		}
+	}
+
+	var mu sync.Mutex
+	var query url.Values
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		query = r.URL.Query()
+		mu.Unlock()
+		http.Error(w, "stub", http.StatusBadRequest)
+	}))
+	defer stub.Close()
+	sc, err := NewClient(stub.URL, stub.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = sc.Route(ctx, 1, 2, "fuel&from=9#x", 40)
+	mu.Lock()
+	if query.Get("objective") != "fuel&from=9#x" || len(query["from"]) != 1 || query.Get("from") != "1" {
+		t.Errorf("route query arrived as %v", query)
+	}
+	mu.Unlock()
+	_, _ = sc.FetchEmissions(ctx, "car&since=5", 40)
+	mu.Lock()
+	if query.Get("vehicle") != "car&since=5" || query.Has("since") {
+		t.Errorf("emissions query arrived as %v", query)
+	}
+	mu.Unlock()
 }
 
 func TestHTTPErrors(t *testing.T) {

@@ -253,10 +253,10 @@ func BenchmarkEmissionTableBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Dropping the cache forces the prev==nil full-build path without
+		// Dropping the cache forces the first-build path without
 		// re-priming the fused store.
 		em.mu.Lock()
-		em.cache = make(map[emisKey]*emisEntry)
+		em.cache = make(map[emisKey]*emisTable)
 		em.mu.Unlock()
 		if _, err := s.EmissionTable(emission.Car, 40); err != nil {
 			b.Fatal(err)
@@ -289,7 +289,7 @@ func BenchmarkEmissionTableIncremental(b *testing.B) {
 }
 
 // BenchmarkEmissionTableWarm is the cache-hit path GET /v1/emissions serves
-// from: unchanged store generation, pre-encoded JSON bytes.
+// a full table from: unchanged store generation, already-encoded JSON bytes.
 func BenchmarkEmissionTableWarm(b *testing.B) {
 	s, _ := benchEmissionServer(b)
 	if _, err := s.EmissionTable(emission.Car, 40); err != nil {
@@ -298,7 +298,7 @@ func BenchmarkEmissionTableWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.emissionEntry(emission.Car, 40); err != nil {
+		if _, err := s.emissionBody(emission.Car, 40, false, 0, ""); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -69,6 +69,16 @@ echo "== go test -race (emission / pollutant routing gate) =="
 # focused report.
 go test -race -count=1 -run 'TestOpMode|TestTripEmissions|TestEmission|TestRate|TestPollutant|TestPlanEmissions|TestMinNOx|TestObjective' \
     ./internal/emission ./internal/fuel ./internal/ecoroute ./internal/cloud
+# Each city table is refreshed in place from the change feed and served to
+# clients as deltas merged into their own copies; two clients' fetchers, a
+# folder and EmissionTable readers race in TestEmissionDeltaConcurrent, whose
+# interleavings vary run to run, so run it ten times over.
+go test -race -count=10 -run 'TestEmissionDeltaConcurrent' ./internal/cloud
+
+echo "== fuzz (emission query parameters) =="
+# Raw vehicle/speed_kmh/since/epoch values through the handler, from the
+# seed corpus in internal/cloud/testdata/fuzz/FuzzEmissionsQuery.
+go test -run '^$' -fuzz '^FuzzEmissionsQuery$' -fuzztime=10s ./internal/cloud
 
 echo "== go test -race =="
 go test -race ./...
