@@ -102,8 +102,8 @@ type RoadStatus struct {
 //
 // State is split across a power-of-two number of shards keyed by FNV-1a of
 // the road id; each shard has its own RWMutex and idempotency ring, and each
-// road keeps an incremental fusion.Accumulator plus generation-stamped fused
-// caches. A GET therefore costs O(cells) worst case (first read after a
+// road keeps an incremental fusion.RobustAccumulator plus generation-stamped
+// fused caches. A GET therefore costs O(cells) worst case (first read after a
 // submission) and a cache hit otherwise, independent of how many submissions
 // the road has — the batch FuseProfiles never runs on the read path.
 type Server struct {
@@ -211,8 +211,8 @@ func NewServerWithShards(n int) *Server {
 	return s
 }
 
-// Submit stores one anonymous profile for a road. The profile is retained by
-// reference and must not be mutated by the caller afterwards.
+// Submit folds one anonymous profile into a road's fused map. The server
+// keeps no reference to p once Submit returns.
 func (s *Server) Submit(roadID string, p *fusion.Profile) error {
 	return s.SubmitDevice(roadID, "", p)
 }

@@ -8,7 +8,7 @@ package cloud
 // road-lock hold per road group — instead of the per-request
 // lock/bump/unlock the direct path pays. Fusion output is bit-identical to
 // the direct path: within a road, queued submissions fold in FIFO arrival
-// order, which is the same Accumulator.Add order Submit would have used.
+// order, which is the same RobustAccumulator.Add order Submit would have used.
 //
 // The queue is also the admission controller. Enqueue never blocks: when a
 // shard's queue is full the item is shed, the handler answers 429 with
@@ -233,19 +233,24 @@ func (s *Server) coalesceWorker(i int) {
 	defer c.wg.Done()
 	q := c.queues[i]
 	buf := make([]*pendingItem, 0, c.cfg.BatchMax)
+	fold := func(it *pendingItem) {
+		buf = s.collect(append(buf[:0], it), q)
+		s.foldShard(&s.shards[i], buf)
+		// A stale pointer left in buf would pin its request's items, and
+		// every profile they carry, until a later batch overwrites it.
+		clear(buf)
+	}
 	for {
 		select {
 		case it := <-q:
-			buf = s.collect(append(buf[:0], it), q)
-			s.foldShard(&s.shards[i], buf)
+			fold(it)
 		case <-c.quit:
 			// Drain what made it into the queue before the close; enqueue
 			// is excluded by c.mu, so an empty queue here is final.
 			for {
 				select {
 				case it := <-q:
-					buf = s.collect(append(buf[:0], it), q)
-					s.foldShard(&s.shards[i], buf)
+					fold(it)
 				default:
 					return
 				}
@@ -276,8 +281,8 @@ func (s *Server) collect(buf []*pendingItem, q chan *pendingItem) []*pendingItem
 //  3. one shard-lock hold releases the keys of rejected submissions so
 //     they stay retryable.
 //
-// The per-cell arithmetic is exactly Accumulator.Add in the same order the
-// direct path would have run, so the fused output is bit-identical.
+// The per-cell arithmetic is exactly RobustAccumulator.Add in the same order
+// the direct path would have run, so the fused output is bit-identical.
 //
 // When any folded item carries a span context, the whole pass is wrapped in
 // a fold span — its own single-span trace, always kept by the tail sampler

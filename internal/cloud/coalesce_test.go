@@ -6,10 +6,13 @@ import (
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
+	"roadgrade/internal/fusion"
 	"roadgrade/internal/obs"
 )
 
@@ -34,9 +37,10 @@ func newCoalescedServer(t *testing.T, cfg CoalesceConfig, maxPerRoad int) (*Serv
 // serving property test: the same submission sequence pushed through the
 // coalesced batch path and through the direct Submit path must produce
 // fused profiles with identical Float64bits — including after retention
-// evictions force accumulator rebuilds.
+// evictions force accumulator rebuilds, and at the default window of 64
+// after every road's plane ring has wrapped twice.
 func TestCoalescedFusionBitIdentical(t *testing.T) {
-	for _, window := range []int{0, 1, 3, 8} {
+	for _, window := range []int{0, 1, 3, 8, 64} {
 		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
 			srv, ts := newCoalescedServer(t, CoalesceConfig{}, window)
 			direct := NewServerWithShards(4)
@@ -50,14 +54,20 @@ func TestCoalescedFusionBitIdentical(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(int64(41 + window)))
 			roads := []string{"r-a", "r-b", "r-c"}
+			batches := 6
+			if window == 64 {
+				batches = 120
+			}
+			perRoad := make(map[string]int)
 			seq := 0
-			for batch := 0; batch < 6; batch++ {
+			for batch := 0; batch < batches; batch++ {
 				n := 3 + rng.Intn(6)
 				items := make([]BatchItem, n)
 				for i := range items {
 					road := roads[rng.Intn(len(roads))]
 					p := realisticProfile(rng, 40+rng.Intn(30))
 					items[i] = BatchItem{RoadID: road, Key: fmt.Sprintf("k-%d", seq), Profile: p}
+					perRoad[road]++
 					seq++
 				}
 				res, err := cli.SubmitBatch(context.Background(), items)
@@ -86,6 +96,9 @@ func TestCoalescedFusionBitIdentical(t *testing.T) {
 				}
 			}
 			for _, road := range roads {
+				if window == 64 && perRoad[road] < 3*window {
+					t.Fatalf("%s took %d submissions; the ring needs %d to wrap twice", road, perRoad[road], 3*window)
+				}
 				got, err := srv.Fused(road)
 				if err != nil {
 					t.Fatalf("coalesced %s: %v", road, err)
@@ -108,6 +121,75 @@ func TestCoalescedFusionBitIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCoalescerReleasesFoldedBatches: once a fold has answered its
+// submitters, the server holds no submitted profile — not in a road's
+// retained window, and not through the coalescer's reused batch buffer,
+// whose stale pointers would pin a whole request's items.
+func TestCoalescerReleasesFoldedBatches(t *testing.T) {
+	srv := NewServerWithShards(1)
+	srv.EnableCoalescing(CoalesceConfig{})
+	defer srv.Close()
+
+	rng := rand.New(rand.NewSource(31))
+	var sent []weak.Pointer[fusion.Profile]
+	// Shrinking batches: a buffer reused without clearing keeps the tail of
+	// every earlier, longer batch.
+	for _, n := range []int{24, 12, 6, 3, 1} {
+		sent = append(sent, enqueueAndWait(t, srv, rng, n)...)
+	}
+	for i := 0; i < 3; i++ {
+		p := realisticProfile(rng, 30)
+		sent = append(sent, weak.Make(p))
+		if err := srv.Submit("r-direct", p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A worker answers a batch's submitters before it clears its buffer, so
+	// give it until the deadline to get back to its queue.
+	reachable := len(sent)
+	for deadline := time.Now().Add(2 * time.Second); reachable > 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		runtime.GC()
+		reachable = 0
+		for _, w := range sent {
+			if w.Value() != nil {
+				reachable++
+			}
+		}
+	}
+	if reachable > 0 {
+		t.Errorf("%d of %d submitted profiles still reachable after their folds", reachable, len(sent))
+	}
+}
+
+// enqueueAndWait queues n fresh profiles the way the batch handler does (one
+// backing array per request), waits for their fold, and returns weak
+// pointers to them.
+func enqueueAndWait(t *testing.T, srv *Server, rng *rand.Rand, n int) []weak.Pointer[fusion.Profile] {
+	t.Helper()
+	var done sync.WaitGroup
+	done.Add(n)
+	results := make([]BatchItemResult, n)
+	backing := make([]pendingItem, n)
+	pend := make([]*pendingItem, n)
+	sent := make([]weak.Pointer[fusion.Profile], n)
+	for i := range backing {
+		p := realisticProfile(rng, 30)
+		sent[i] = weak.Make(p)
+		backing[i] = pendingItem{roadID: fmt.Sprintf("r-%d", i%4), p: p, out: &results[i], done: &done}
+		pend[i] = &backing[i]
+	}
+	if shed := srv.enqueue(pend); shed != 0 {
+		t.Fatalf("%d of %d items shed", shed, n)
+	}
+	done.Wait()
+	for i, r := range results {
+		if r.Status != statusAccepted {
+			t.Fatalf("item %d: %+v", i, r)
+		}
+	}
+	return sent
 }
 
 // TestBatchedSubmitZeroFuseProfiles asserts the write-side mirror of the

@@ -18,10 +18,13 @@ import (
 // Fusion instrumentation: how many tracks survived to be fused, how many
 // were quarantined (broken down by the CheckTrack verdict category), and how
 // long a fuse takes. Quarantine counters are pre-created per category so the
-// fuse path never builds label strings.
+// fuse path never builds label strings. Every batch FuseProfiles call is
+// counted, so a serving deployment can verify that fused reads come from the
+// incremental accumulator (the counter must stay flat while reads flow).
 var (
-	obsFuseSeconds = obs.Default.Histogram("fusion_fuse_seconds", obs.LatencyBuckets)
-	obsFusedTracks = obs.Default.Counter("fusion_tracks_fused_total")
+	obsFuseSeconds  = obs.Default.Histogram("fusion_fuse_seconds", obs.LatencyBuckets)
+	obsFusedTracks  = obs.Default.Counter("fusion_tracks_fused_total")
+	obsProfileFuses = obs.Default.Counter("fusion_profile_batch_fuses_total")
 
 	obsQuarantined = map[string]*obs.Counter{
 		reasonEmpty:       obs.Default.Counter("fusion_tracks_quarantined_total", obs.L("reason", reasonEmpty)),

@@ -17,10 +17,12 @@ func benchSubmissions(n, cells int) []*Profile {
 	return out
 }
 
-// benchRobustAdd measures one submission fold (Accumulator.AddDevice) under
-// the given policy. The accumulator is recreated every 512 adds so memory
-// stays bounded without paying windowed-eviction rebuilds every op — the
-// number under test is the per-submission fold itself.
+// benchRobustAdd measures one submission fold (RobustAccumulator.AddDevice)
+// under the given policy on an unbounded window, which never evicts — the
+// number under test is the per-submission fold itself;
+// BenchmarkFusionAccAddWindowed times the evicting fold. The accumulator is
+// recreated every 512 adds, as when BENCH_PR7.json was recorded, so the
+// numbers stay comparable with it.
 func benchRobustAdd(b *testing.B, policy Policy) {
 	subs := benchSubmissions(64, 240)
 	devs := make([]*DeviceState, 16)
@@ -41,24 +43,46 @@ func benchRobustAdd(b *testing.B, policy Policy) {
 	}
 }
 
-// BenchmarkFusionAccAddPlain is the PR 4 baseline: the non-robust
-// Accumulator's fold, against which the ≤3× robust-overhead criterion is
-// checked.
-func BenchmarkFusionAccAddPlain(b *testing.B) {
-	subs := benchSubmissions(64, 240)
-	var acc *Accumulator
+func BenchmarkFusionAccAddRobustNaive(b *testing.B)   { benchRobustAdd(b, PolicyNaive) }
+func BenchmarkFusionAccAddRobustHuber(b *testing.B)   { benchRobustAdd(b, PolicyHuber) }
+func BenchmarkFusionAccAddRobustTrimmed(b *testing.B) { benchRobustAdd(b, PolicyTrimmed) }
+
+// BenchmarkFusionAccAddWindowed times the steady-state evicting fold of the
+// fleet ingest path: 706 road accumulators (the city network's roads, ~98
+// cells each on average) with full 64-submission windows under huber, fed
+// round-robin by 512 devices. Every op replaces a road's oldest row and
+// re-adds its window, and the 706 windows (tens of MB) keep the working set
+// far beyond L2, as on a server folding a fleet's uploads.
+func BenchmarkFusionAccAddWindowed(b *testing.B) {
+	const roads, window, variants = 706, 64, 4
+	pol := FusionPolicy{Policy: PolicyHuber}.WithDefaults()
+	rng := rand.New(rand.NewSource(77))
+	devs := make([]*DeviceState, 512)
+	for i := range devs {
+		devs[i] = NewDeviceState()
+	}
+	accs := make([]*RobustAccumulator, roads)
+	pool := make([][]*Profile, roads)
+	for r := range accs {
+		cells := 90 + r%17
+		for v := 0; v < variants; v++ {
+			bias := 0.002 * float64(v%3-1)
+			pool[r] = append(pool[r], syntheticProfile(cells, 5, bias, 0.002+0.001*float64(v), rng))
+		}
+		// One fold past the window, so the planes exist before timing.
+		accs[r] = NewRobustAccumulator(window, pol)
+		for k := 0; k <= window; k++ {
+			if err := accs[r].AddDevice(pool[r][k%variants], devs[(r+k)%len(devs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%512 == 0 {
-			acc = NewAccumulator(0)
-		}
-		if err := acc.Add(subs[i%len(subs)]); err != nil {
+		r := i % roads
+		if err := accs[r].AddDevice(pool[r][(i/roads)%variants], devs[i%len(devs)]); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkFusionAccAddRobustNaive(b *testing.B)   { benchRobustAdd(b, PolicyNaive) }
-func BenchmarkFusionAccAddRobustHuber(b *testing.B)   { benchRobustAdd(b, PolicyHuber) }
-func BenchmarkFusionAccAddRobustTrimmed(b *testing.B) { benchRobustAdd(b, PolicyTrimmed) }

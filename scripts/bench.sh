@@ -10,8 +10,9 @@
 #     cost, and the warm /v1/route serving path (PR 5 baseline), and
 #   - the ingest benchmarks — per-submission cost of single-JSON vs batched
 #     JSON/binary submits, plus wire-batch decode (PR 6 baseline), and
-#   - the fusion accumulator benchmarks — plain Accumulator.Add vs the
-#     robust policies (naive/huber/trimmed) on the same workload
+#   - the fusion accumulator benchmarks — the fold under each policy
+#     (naive/huber/trimmed) on a growing window, and the steady-state
+#     evicting fold over a city's worth of full 64-submission windows
 #     (PR 7 baseline), and
 #   - the traced-ingest benchmarks — the mixed ingest path with tracing off,
 #     1% head-sampled, and fully sampled, interleaved round-robin and

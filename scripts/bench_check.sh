@@ -22,10 +22,12 @@
 #                                 decode); end-to-end HTTP benches are
 #                                 noisy, so the default is looser (30)
 #   BENCH_FUSION_TOLERANCE_PCT    allowed ns/op regression for the fusion
-#                                 accumulator family (PR 7: plain vs robust
-#                                 Add); the loops churn a fresh window slice
-#                                 per op and are cache-sensitive, so the
-#                                 default is looser (30)
+#                                 accumulator family (BENCH_PR7.json: the
+#                                 fold per policy, and the evicting fold over
+#                                 706 full windows); the windowed loop streams
+#                                 tens of MB per pass and is cache- and
+#                                 memory-bandwidth-sensitive, so the default
+#                                 is looser (30)
 #   BENCH_OBS_TOLERANCE_PCT       allowed ns/op regression for the traced
 #                                 ingest family (PR 8: tracing off / 1% /
 #                                 full); end-to-end HTTP benches are noisy,
