@@ -245,8 +245,8 @@ func benchEmissionServer(b *testing.B) (*Server, *road.Network) {
 
 // BenchmarkEmissionTableBuild pays the full city-table integration on every
 // iteration: a fresh server has no cached entry, so all roads integrate all
-// four pollutants over their 5 m cells. scripts/bench.sh snapshots this to
-// BENCH_PR10.json; bench_check.sh gates the build cost.
+// four pollutants over their 5 m cells. The emission family in BENCH.json
+// gates the build cost (scripts/bench.sh).
 func BenchmarkEmissionTableBuild(b *testing.B) {
 	s, _ := benchEmissionServer(b)
 	em := s.emis

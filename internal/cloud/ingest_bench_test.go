@@ -13,7 +13,7 @@ import (
 )
 
 // The ingest benchmark family (BenchmarkIngest*) backs the PR 6 acceptance
-// claims, snapshotted by scripts/bench.sh into BENCH_PR6.json:
+// claims; the ingest family in BENCH.json gates it (scripts/bench.sh):
 //
 //   - BenchmarkIngestSingleJSON vs BenchmarkIngestBatch*: per-submission
 //     wall cost through a real HTTP server. Every op is ONE submission, so

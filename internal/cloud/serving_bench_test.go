@@ -1,25 +1,20 @@
 package cloud
 
-// Serving benchmarks for the sharded, incrementally-fused store, plus a
-// faithful reimplementation of the pre-sharding server (one mutex over one
-// map, FuseProfiles re-run on every read) as the baseline the rework is
-// measured against. scripts/bench.sh snapshots this family to BENCH_PR4.json
-// and scripts/bench_check.sh gates regressions against it.
+// Serving benchmarks for the sharded, incrementally-fused store: the write
+// path at a full window, a fused read, the mixed serving load, and the HTTP
+// read path. The serving family in BENCH.json gates them (scripts/bench.sh).
 //
-// The headline comparison is BenchmarkServerMixedLoad vs
-// BenchmarkServerMixedLoadLegacy: 8+ goroutines, 16 roads at the default
-// 64-submission window, 95% fused reads / 5% submits — the acceptance
-// workload for the ≥10× throughput criterion. The read-heavy mix mirrors the
-// paper's serving story: the fused network is consumed by every eco-routing
-// query, while a vehicle uploads a profile once per completed drive.
+// BenchmarkServerMixedLoad is the serving acceptance workload (EXPERIMENTS.md
+// records its ≥10× throughput over the pre-sharding server): 8+ goroutines,
+// 16 roads at the default 64-submission window, 95% fused reads / 5%
+// submits. The read-heavy mix mirrors the paper's serving story: the fused
+// network is consumed by every eco-routing query, while a vehicle uploads a
+// profile once per completed drive.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http/httptest"
-	"sync"
 	"testing"
 
 	"roadgrade/internal/fusion"
@@ -31,36 +26,6 @@ const (
 	benchRoads    = 16
 	benchReadFrac = 0.95 // fused fetches per eco-routing query vs one upload per drive
 )
-
-// legacyServer reproduces the pre-change serving architecture exactly: a
-// single mutex over one map of submission slices, with the fused profile
-// recomputed from every stored submission on every read.
-type legacyServer struct {
-	mu    sync.Mutex
-	roads map[string][]*fusion.Profile
-	max   int
-}
-
-func newLegacyServer() *legacyServer {
-	return &legacyServer{roads: make(map[string][]*fusion.Profile), max: benchWindow}
-}
-
-func (l *legacyServer) submit(roadID string, p *fusion.Profile) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	list := append(l.roads[roadID], p)
-	if len(list) > l.max {
-		list = list[len(list)-l.max:]
-	}
-	l.roads[roadID] = list
-}
-
-func (l *legacyServer) fused(roadID string) (*fusion.Profile, error) {
-	l.mu.Lock()
-	list := append([]*fusion.Profile(nil), l.roads[roadID]...)
-	l.mu.Unlock()
-	return fusion.FuseProfiles(list)
-}
 
 // benchProfiles pre-generates distinct submissions so the measured loop does
 // no generation work.
@@ -112,30 +77,11 @@ func BenchmarkServerFused(b *testing.B) {
 	}
 }
 
-// BenchmarkServerFusedLegacy is the same read against the pre-change
-// architecture: FuseProfiles over all 64 submissions per call.
-func BenchmarkServerFusedLegacy(b *testing.B) {
-	l := newLegacyServer()
-	for _, p := range benchProfiles(benchWindow) {
-		l.submit("r", p)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.fused("r"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// mixedLoad drives the acceptance workload against either serving path: 16
-// roads prefilled to the 64-submission window, then a 95/5 read/write mix
-// from parallel goroutines. The read callback must perform what the
-// respective GET handler performs — for the legacy server that includes the
-// per-read refusion and JSON encode, for the sharded server the pre-encoded
-// cache lookup — so the two benchmarks compare the real serving cost.
-func mixedLoad(b *testing.B, submit func(string, *fusion.Profile), read func(string) error) {
-	b.Helper()
+// BenchmarkServerMixedLoad prefills the roads to the window, then runs the
+// 95/5 read/write mix from parallel goroutines. A read is what handleFused
+// does: a generation-checked lookup of the pre-encoded response.
+func BenchmarkServerMixedLoad(b *testing.B) {
+	s := NewServer()
 	ids := make([]string, benchRoads)
 	for r := range ids {
 		ids[r] = fmt.Sprintf("road-%02d", r)
@@ -143,7 +89,9 @@ func mixedLoad(b *testing.B, submit func(string, *fusion.Profile), read func(str
 	profs := benchProfiles(256)
 	for r, id := range ids {
 		for i := 0; i < benchWindow; i++ {
-			submit(id, profs[(r*benchWindow+i)%len(profs)])
+			if err := s.Submit(id, profs[(r*benchWindow+i)%len(profs)]); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	// ≥ 8 concurrent clients regardless of GOMAXPROCS.
@@ -155,46 +103,15 @@ func mixedLoad(b *testing.B, submit func(string, *fusion.Profile), read func(str
 		for pb.Next() {
 			id := ids[rng.Intn(len(ids))]
 			if rng.Float64() < benchReadFrac {
-				if err := read(id); err != nil {
+				if _, err := s.fusedJSON(id); err != nil {
 					b.Error(err)
 					return
 				}
-			} else {
-				submit(id, profs[rng.Intn(len(profs))])
+			} else if err := s.Submit(id, profs[rng.Intn(len(profs))]); err != nil {
+				b.Error(err)
+				return
 			}
 		}
-	})
-}
-
-// BenchmarkServerMixedLoad is the acceptance benchmark: ns/op here vs the
-// Legacy variant below is the serving-throughput ratio recorded in
-// EXPERIMENTS.md. A read is what handleFused does now: a generation-checked
-// lookup of the pre-encoded response.
-func BenchmarkServerMixedLoad(b *testing.B) {
-	s := NewServer()
-	mixedLoad(b,
-		func(id string, p *fusion.Profile) {
-			if err := s.Submit(id, p); err != nil {
-				b.Fatal(err)
-			}
-		},
-		func(id string) error {
-			_, err := s.fusedJSON(id)
-			return err
-		})
-}
-
-// BenchmarkServerMixedLoadLegacy runs the identical workload against the
-// pre-change serving path: single mutex, FuseProfiles over all submissions
-// and a fresh JSON encode on every read (what the old handleFused did).
-func BenchmarkServerMixedLoadLegacy(b *testing.B) {
-	l := newLegacyServer()
-	mixedLoad(b, l.submit, func(id string) error {
-		prof, err := l.fused(id)
-		if err != nil {
-			return err
-		}
-		return json.NewEncoder(io.Discard).Encode(FromProfile(prof))
 	})
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // The traced-ingest benchmark family (BenchmarkTracedIngest*) backs the PR 8
-// overhead claim, snapshotted by scripts/bench.sh into BENCH_PR8.json: the
+// overhead claim, gated by the traced-ingest family in BENCH.json: the
 // same mixed ingest path (batched binary submits through the coalescer plus a
 // fused read per flush) measured with tracing off, head-sampled at 1%, and
 // fully sampled with the tail-store attached. One op is one submission, so

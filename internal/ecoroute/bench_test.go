@@ -3,9 +3,8 @@ package ecoroute
 // The ecoroute benchmark family: warm point-to-point query latency (with the
 // p95 the acceptance criterion reads), cold-start cost (full cost-table +
 // landmark build), and the incremental invalidation cost after a single-road
-// re-fusion. All run on the 164.8 km Charlottesville-scale network.
-// scripts/bench.sh snapshots this family to BENCH_PR5.json and
-// scripts/bench_check.sh gates regressions against it.
+// re-fusion. All run on the 164.8 km Charlottesville-scale network. The
+// ecoroute family in BENCH.json gates them (scripts/bench.sh).
 
 import (
 	"math"
@@ -190,7 +189,7 @@ func BenchmarkEcoRouteInvalidate(b *testing.B) {
 // per-bucket emission rows are primed by the first query). The reported
 // p95-ns metric must stay under the same 1 ms bar as the fuel objective —
 // pollutant rows ride the identical search machinery, only the edge weights
-// differ. scripts/bench.sh snapshots this to BENCH_PR10.json.
+// differ. The emission family in BENCH.json gates that p95 as a bar.
 func BenchmarkEmissionRouteQuery(b *testing.B) {
 	net := charlottesville(b)
 	eng, err := NewEngine(net, TruthSource{}, Config{})

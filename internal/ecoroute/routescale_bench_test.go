@@ -9,9 +9,9 @@ import (
 	"roadgrade/internal/road"
 )
 
-// The BENCH_PR9 routescale sweep: graph size (1×/10×/100× the paper's
-// 164.8 km network, the 100× point being the ≥10⁵-directed-edge country
-// scale) × objective (fuel, distance) × engine (alt, cch), plus the
+// The routescale sweep, a BENCH.json family: graph size (1×/10×/100× the
+// paper's 164.8 km network, the 100× point being the ≥10⁵-directed-edge
+// country scale) × objective (fuel, distance) × engine (alt, cch), plus the
 // customization cost pair (full vs generation-tick incremental) and the
 // 50×50 many-to-many grids. Networks and engines are built once per process
 // and shared across benchmarks — benchmarks run sequentially, so plain maps

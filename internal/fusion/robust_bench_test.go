@@ -21,8 +21,8 @@ func benchSubmissions(n, cells int) []*Profile {
 // under the given policy on an unbounded window, which never evicts — the
 // number under test is the per-submission fold itself;
 // BenchmarkFusionAccAddWindowed times the evicting fold. The accumulator is
-// recreated every 512 adds, as when BENCH_PR7.json was recorded, so the
-// numbers stay comparable with it.
+// recreated every 512 adds, as when the fusion family's baseline in
+// BENCH.json was recorded, so the numbers stay comparable with it.
 func benchRobustAdd(b *testing.B, policy Policy) {
 	subs := benchSubmissions(64, 240)
 	devs := make([]*DeviceState, 16)

@@ -178,8 +178,9 @@ func (c NetworkConfig) withDefaults(seed int64) NetworkConfig {
 // same edge slice order, and the same per-road IDs, geometry and profiles —
 // at every scale, from the 164.8 km city to country-size 10⁵–10⁶-edge
 // graphs. Everything derives from one sequentially-consumed rand source and
-// index-ordered loops (no map iteration), which is what makes BENCH_PR9-
-// style cross-run comparisons and the CCH node ordering reproducible.
+// index-ordered loops (no map iteration), which is what makes the
+// routescale benchmarks' cross-run comparisons and the CCH node ordering
+// reproducible.
 // Construction streams: node and edge storage is preallocated from the grid
 // dimensions and every pass is linear in the street count.
 func GenerateNetwork(seed int64, cfg NetworkConfig) (*Network, error) {

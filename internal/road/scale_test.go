@@ -40,8 +40,8 @@ func fingerprintNetwork(n *Network) uint64 {
 // TestGenerateNetworkDeterministicAtScale pins the GenerateNetwork
 // determinism contract on a config large enough to exercise the streamed
 // construction paths: the same seed must reproduce node and edge ordering
-// (and all derived geometry) byte-for-byte, because BENCH_PR9 sweeps and the
-// CCH node ordering both assume it.
+// (and all derived geometry) byte-for-byte, because the routescale
+// benchmarks and the CCH node ordering both assume it.
 func TestGenerateNetworkDeterministicAtScale(t *testing.T) {
 	cfg := NetworkConfig{TargetStreetKM: 800, BlockM: 300}
 	a, err := GenerateNetwork(99, cfg)

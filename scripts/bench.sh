@@ -1,167 +1,229 @@
 #!/bin/sh
-# Runs the tier-1 benchmark families and writes JSON snapshots with ns/op,
-# B/op and allocs/op per benchmark:
+# Micro-benchmark gate. BENCH.json lists the benchmark families; each holds
+# the `go test` packages, benchmark regexps and flags that measure it, its
+# rounds, its ns/op regression tolerance, the derived bars its claims rest
+# on, the host it was recorded on and its baseline rows. (BENCHMARK.json is
+# a different file: the end-to-end crowd-loop run in bench/.)
 #
-#   - the Figure 9/10 experiments plus the geo ClosestS micro-benchmarks
-#     (PR 1 baseline),
-#   - the cloud serving benchmarks — sharded store vs the pre-sharding
-#     legacy path (PR 4 baseline),
-#   - the eco-routing benchmarks — warm/cold query latency, invalidation
-#     cost, and the warm /v1/route serving path (PR 5 baseline), and
-#   - the ingest benchmarks — per-submission cost of single-JSON vs batched
-#     JSON/binary submits, plus wire-batch decode (PR 6 baseline), and
-#   - the fusion accumulator benchmarks — the fold under each policy
-#     (naive/huber/trimmed) on a growing window, and the steady-state
-#     evicting fold over a city's worth of full 64-submission windows
-#     (PR 7 baseline), and
-#   - the traced-ingest benchmarks — the mixed ingest path with tracing off,
-#     1% head-sampled, and fully sampled, interleaved round-robin and
-#     reduced to per-benchmark medians; Full vs Off is the observability
-#     overhead claim (PR 8 baseline), and
-#   - the routescale benchmarks — ALT vs CCH point queries at 1×/10×/100×
-#     the paper's network, the full vs incremental customization pair, the
-#     many-to-many matrices, and the road CSR-vs-map adjacency sweep
-#     (PR 9 baseline; the 100× fixtures make this the slowest family), and
-#   - the emission benchmarks — the city emission table (full build,
-#     one-road incremental, warm cache hit) and the pollutant-objective
-#     routing path (warm min-NOx queries with the p95 the acceptance bar
-#     reads, plus the lazy per-bucket row build) (PR 10 baseline).
+# Usage: scripts/bench.sh record|check [family ...]
 #
-# Usage: scripts/bench.sh [pr1.json] [pr4.json] [pr5.json] [pr6.json] [pr7.json] [pr8.json] [pr9.json] [pr10.json]
-#   (defaults BENCH_PR1.json, BENCH_PR4.json, BENCH_PR5.json, BENCH_PR6.json,
-#   BENCH_PR7.json, BENCH_PR8.json, BENCH_PR9.json, BENCH_PR10.json)
-set -eu
+#   check   measures each family (all by default) and fails if a baseline
+#           row regressed by more than the family's tolerance or was not
+#           measured, or if a bar does not hold. Each family's verdict names
+#           the baseline host and this host.
+#   record  measures each family the same way and, if its bars hold,
+#           rewrites only that family's host and baseline rows.
+#
+# A family runs `rounds` times; a round runs one `go test` over all the
+# family's packages for each of its regexps in turn, and its flags may
+# repeat each benchmark in process with -count. Every metric (ns/op, B/op,
+# allocs/op, custom units such as p95-ns) is reduced to its best value
+# within a round, then to the median across rounds: the best of in-process
+# repeats filters scheduler noise, while rounds interleave the family's
+# regexps so that slow host drift does not alias into the ratios between
+# them.
+#
+# A bar reads one metric of the fresh measurement: "value" is the metric of
+# "bench", "ratio" is bench / over, and "overhead_pct" is
+# (bench - over) * 100 / over; it must not exceed "max" or fall below "min".
+#
+# BENCH.json is written one key per line at the family level and one
+# baseline row or bar per line, which is all the awk below parses; record
+# keeps that layout. TestBenchManifest checks that the file decodes and that
+# its rows and bars name benchmarks of their family.
+set -euf
 
 cd "$(dirname "$0")/.."
-out1="${1:-BENCH_PR1.json}"
-out4="${2:-BENCH_PR4.json}"
-out5="${3:-BENCH_PR5.json}"
-out6="${4:-BENCH_PR6.json}"
-out7="${5:-BENCH_PR7.json}"
-out8="${6:-BENCH_PR8.json}"
-out9="${7:-BENCH_PR9.json}"
-out10="${8:-BENCH_PR10.json}"
-tmp="$(mktemp)"
-trap 'rm -f "$tmp"' EXIT
+manifest=BENCH.json
 
-# emit_json parses `BenchmarkName  iters  ns/op  B/op  allocs/op` lines from
-# the file in $1 into a JSON array on stdout.
-emit_json() {
-    awk '
-    BEGIN { print "[" }
-    /^Benchmark/ {
-        name = $1
-        sub(/-[0-9]+$/, "", name)   # strip the -GOMAXPROCS suffix
-        ns = ""; bytes = ""; allocs = ""
-        for (i = 2; i <= NF; i++) {
-            if ($(i) == "ns/op")     ns = $(i-1)
-            if ($(i) == "B/op")      bytes = $(i-1)
-            if ($(i) == "allocs/op") allocs = $(i-1)
-        }
-        if (ns == "") next
-        if (n++) printf ",\n"
-        printf "  {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", name, $2, ns
-        if (bytes != "")  printf ", \"bytes_per_op\": %s", bytes
-        if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
-        printf "}"
-    }
-    END { print "\n]" }
-    ' "$1"
+usage() {
+    echo "usage: scripts/bench.sh record|check [family ...]" >&2
+    exit 2
 }
+[ $# -ge 1 ] || usage
+mode=$1
+shift
+case "$mode" in record | check) ;; *) usage ;; esac
 
-# median_rounds reduces repeated `BenchmarkName ...` lines in the file in $1
-# to one line per benchmark: the round whose ns/op is the median. Medians of
-# interleaved rounds (rather than the best of sequential ones) keep slow
-# machine drift from aliasing into cross-benchmark ratios.
-median_rounds() {
-    awk '
-    /^Benchmark/ {
-        name = $1
-        sub(/-[0-9]+$/, "", name)
-        ns = ""
-        for (i = 2; i <= NF; i++) if ($(i) == "ns/op") ns = $(i - 1) + 0
-        if (ns == "") next
-        n = cnt[name]++
-        val[name, n] = ns
-        line[name, n] = $0
-        if (!(name in seen)) { seen[name] = ++names; byidx[names] = name }
-    }
-    END {
-        for (k = 1; k <= names; k++) {
-            name = byidx[k]
-            m = cnt[name]
-            for (a = 0; a < m; a++) idx[a] = a
-            for (a = 0; a < m; a++)
-                for (b = a + 1; b < m; b++)
-                    if (val[name, idx[b]] < val[name, idx[a]]) {
-                        t = idx[a]; idx[a] = idx[b]; idx[b] = t
-                    }
-            print line[name, idx[int(m / 2)]]
-        }
-    }
-    ' "$1"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+# word(key) is the value of "key" on the current line without JSON quotes;
+# a list of strings comes back joined by spaces.
+lib='
+function word(key,   s) {
+    if (!match($0, "\"" key "\": *(\"[^\"]*\"|\\[[^]]*\\]|[^,}]*)")) return ""
+    s = substr($0, RSTART, RLENGTH)
+    sub("^\"" key "\": *", "", s)
+    if (s ~ /^\[/) { gsub(/^\[|\]$/, "", s); gsub(/", *"/, " ", s) }
+    gsub(/"/, "", s)
+    return s
 }
+'
 
-go test -run '^$' -bench 'BenchmarkFigure(9a|9b|10a|10b)' -benchmem -benchtime=1x . >"$tmp"
-go test -run '^$' -bench 'BenchmarkClosestS' -benchmem ./internal/geo >>"$tmp"
-emit_json "$tmp" >"$out1"
-echo "wrote $out1:"
-cat "$out1"
-
-go test -run '^$' -bench 'BenchmarkServer|BenchmarkHandleFused' -benchmem ./internal/cloud >"$tmp"
-emit_json "$tmp" >"$out4"
-echo "wrote $out4:"
-cat "$out4"
-
-go test -run '^$' -bench 'BenchmarkEcoRoute' -benchmem ./internal/ecoroute ./internal/cloud >"$tmp"
-emit_json "$tmp" >"$out5"
-echo "wrote $out5:"
-cat "$out5"
-
-go test -run '^$' -bench 'BenchmarkIngest' -benchmem ./internal/cloud >"$tmp"
-emit_json "$tmp" >"$out6"
-echo "wrote $out6:"
-cat "$out6"
-
-go test -run '^$' -bench 'BenchmarkFusionAccAdd' -benchmem ./internal/fusion >"$tmp"
-emit_json "$tmp" >"$out7"
-echo "wrote $out7:"
-cat "$out7"
-
-# The traced-ingest family measures a single-digit-percent effect on
-# machines whose wall clock drifts by more than that between invocations;
-# sequential runs (all Off, then all Full, minutes apart) alias the drift
-# into the Off/Full ratio. Build the test binary once, interleave the
-# configs round-robin at a fixed iteration count, and snapshot the
-# per-benchmark median round.
-obsdir="$(mktemp -d)"
-trap 'rm -f "$tmp"; rm -rf "$obsdir"' EXIT
-go test -c -o "$obsdir/cloud.test" ./internal/cloud
-: >"$tmp"
-round=0
-rounds="${BENCH_OBS_ROUNDS:-5}"
-while [ "$round" -lt "$rounds" ]; do
-    for b in Off Sampled Full; do
-        "$obsdir/cloud.test" -test.run '^$' -test.bench "BenchmarkTracedIngest${b}\$" \
-            -test.benchmem -test.benchtime=40000x | grep '^Benchmark' >>"$tmp"
-    done
-    round=$((round + 1))
+# One tab-separated line per family: name, rounds, regexps, packages, flags.
+awk "$lib"'
+/^ *"name":/     { name = word("name") }
+/^ *"rounds":/   { rounds = word("rounds") }
+/^ *"bench":/    { bench = word("bench") }
+/^ *"packages":/ { pkgs = word("packages") }
+/^ *"flags":/    { flags = word("flags") }
+/^ *"baseline":/ { printf "%s\t%s\t%s\t%s\t%s\n", name, rounds, bench, pkgs, flags }
+' "$manifest" >"$tmp/spec"
+if [ ! -s "$tmp/spec" ]; then
+    echo "bench: no families in $manifest" >&2
+    exit 1
+fi
+if [ $# -eq 0 ]; then
+    set -- $(cut -f1 "$tmp/spec")
+fi
+for fam in "$@"; do
+    if ! cut -f1 "$tmp/spec" | grep -qx -- "$fam"; then
+        echo "bench: unknown family $fam; $manifest has:" $(cut -f1 "$tmp/spec") >&2
+        exit 2
+    fi
 done
-median_rounds "$tmp" >"$obsdir/median.txt"
-emit_json "$obsdir/median.txt" >"$out8"
-echo "wrote $out8:"
-cat "$out8"
 
-# The routescale family builds the 10× and 100× country networks and both
-# engines' preprocessed structures once per process, then times queries and
-# customizations; the one-time fixtures dominate the wall clock, hence the
-# long -timeout.
-go test -run '^$' -bench 'BenchmarkRouteScale' -benchmem -timeout 30m ./internal/ecoroute ./internal/road >"$tmp"
-emit_json "$tmp" >"$out9"
-echo "wrote $out9:"
-cat "$out9"
+# The evaluator reads a family's `go test` output, then the manifest. It
+# compares rows and bars (check) or writes the manifest with the family's
+# new host and rows to $tmp/manifest (record).
+evaluate='
+FNR == NR {
+    if ($1 == "@round") round = $2
+    if ($1 == "cpu:") { cpu = substr($0, 6); gsub(/["\\]/, "", cpu) }
+    if ($1 !~ /^Benchmark/ || $2 !~ /^[0-9]+$/) next
+    name = $1
+    if (match(name, /-[0-9]+$/)) {
+        procs = substr(name, RSTART + 1)
+        name = substr(name, 1, RSTART - 1)
+    } else procs = 1
+    if (!(name in seen)) { seen[name] = 1; order[++nmeas] = name }
+    note(name, "iterations", $2)
+    for (i = 3; i < NF; i += 2) note(name, $(i + 1), $i)
+    next
+}
+/^ *"name":/ { cur = word("name") }
+cur == fam && /^ *"tolerance_pct":/ { tol = word("tolerance_pct") }
+cur == fam && /^ *"host":/ {
+    was = host(word("cpu"), word("gomaxprocs"), word("go"))
+    if (mode == "record") {
+        printf "      \"host\": {\"cpu\": \"%s\", \"gomaxprocs\": %d, \"go\": \"%s\"},\n", cpu, procs, gover > out
+        next
+    }
+}
+cur == fam && /^ *\{"kind":/ {
+    nbar++
+    kind[nbar] = word("kind"); metric[nbar] = word("metric")
+    bench[nbar] = word("bench"); over[nbar] = word("over")
+    max[nbar] = word("max"); min[nbar] = word("min")
+}
+cur == fam && /^ *\{"name":/ {
+    row[++nrow] = word("name")
+    base[nrow] = word("ns_per_op")
+    if (mode == "record") next
+}
+mode == "record" { print > out }
+cur == fam && mode == "record" && /^ *"baseline":/ {
+    for (i = 1; i <= nmeas; i++) {
+        b = order[i]
+        if (reduced(b, "ns/op") == "") continue
+        line = sprintf("        {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", b, reduced(b, "iterations"), reduced(b, "ns/op"))
+        if (reduced(b, "B/op") != "") line = line sprintf(", \"bytes_per_op\": %s", reduced(b, "B/op"))
+        if (reduced(b, "allocs/op") != "") line = line sprintf(", \"allocs_per_op\": %s", reduced(b, "allocs/op"))
+        if (rows++) print "," > out
+        printf "%s}", line > out
+        printf "bench:   recorded  %-42s %14.0f ns/op\n", b, reduced(b, "ns/op")
+    }
+    if (rows) print "" > out
+}
+END {
+    fail = 0
+    if (mode == "check") {
+        for (i = 1; i <= nrow; i++) {
+            now = reduced(row[i], "ns/op")
+            if (now == "") {
+                printf "bench:   MISSING   %-42s (in the baseline, not measured)\n", row[i]
+                fail = 1
+                continue
+            }
+            delta = (now - base[i]) * 100 / base[i]
+            status = "ok"
+            if (delta > tol + 0) { status = "REGRESSED"; fail = 1 }
+            printf "bench:   %-9s %-42s base %14.0f ns/op, now %14.0f ns/op (%+.1f%%)\n", status, row[i], base[i], now, delta
+        }
+        if (nrow == 0) { print "bench:   no baseline rows; record the family first"; fail = 1 }
+    } else if (rows == 0) { print "bench:   nothing measured"; fail = 1 }
+    for (i = 1; i <= nbar; i++) {
+        a = reduced(bench[i], metric[i])
+        o = over[i] == "" ? 1 : reduced(over[i], metric[i])
+        what = kind[i] " " metric[i] " " bench[i] (over[i] == "" ? "" : " over " over[i])
+        if (a == "" || o == "" || o + 0 == 0) {
+            printf "bench:   %-9s bar %s\n", "MISSING", what
+            fail = 1
+            continue
+        }
+        if (kind[i] == "value") v = a + 0
+        else if (kind[i] == "ratio") v = a / o
+        else if (kind[i] == "overhead_pct") v = (a - o) * 100 / o
+        else { printf "bench:   %-9s bar %s\n", "UNKNOWN", what; fail = 1; continue }
+        status = "ok"
+        if ((max[i] != "" && v > max[i] + 0) || (min[i] != "" && v < min[i] + 0)) { status = "FAILED"; fail = 1 }
+        printf "bench:   %-9s bar %s = %.4g (%s)\n", status, what, v, max[i] != "" ? "max " max[i] : "min " min[i]
+    }
+    printf "bench: %s %s: %s (tolerance %s%%; baseline host: %s; this host: %s)\n", mode, fam, fail ? "FAIL" : "OK", tol, was, host(cpu, procs, gover)
+    exit fail
+}
+function note(b, unit, v,   k) {
+    k = b SUBSEP unit SUBSEP round
+    if (!(k in best) || v + 0 < best[k] + 0) best[k] = v
+}
+# reduced is the median across rounds of the best value within each round.
+function reduced(b, unit,   m, r, i, j, t, v) {
+    m = 0
+    for (r = 1; r <= rounds; r++)
+        if ((b SUBSEP unit SUBSEP r) in best) v[m++] = best[b, unit, r]
+    if (m == 0) return ""
+    for (i = 1; i < m; i++)
+        for (j = i; j > 0 && v[j] + 0 < v[j - 1] + 0; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+    return v[int(m / 2)]
+}
+function host(c, p, g) {
+    return c == "not recorded" ? c : c ", GOMAXPROCS " p ", " g
+}
+'
 
-go test -run '^$' -bench 'BenchmarkEmission' -benchmem ./internal/cloud ./internal/ecoroute >"$tmp"
-emit_json "$tmp" >"$out10"
-echo "wrote $out10:"
-cat "$out10"
+gover="$(go version)"
+gover="${gover#go version }"
+tab="$(printf '\t')"
+failed=""
+for fam in "$@"; do
+    IFS="$tab" read -r name rounds regexps pkgs flags <<EOF
+$(grep "^$fam$tab" "$tmp/spec")
+EOF
+    echo "bench: $mode $fam: $rounds round(s) of go test -bench {$regexps} -benchmem $flags $pkgs"
+    : >"$tmp/out"
+    r=1
+    while [ "$r" -le "$rounds" ]; do
+        echo "@round $r" >>"$tmp/out"
+        # $regexps, $flags and $pkgs are word lists (set -f: no globbing).
+        for re in $regexps; do
+            if ! go test -run '^$' -bench "$re" -benchmem $flags $pkgs >>"$tmp/out" 2>&1 </dev/null; then
+                cat "$tmp/out" >&2
+                echo "bench: $fam: go test failed" >&2
+                exit 1
+            fi
+        done
+        r=$((r + 1))
+    done
+    if awk -v mode="$mode" -v fam="$fam" -v rounds="$rounds" -v gover="$gover" \
+        -v out="$tmp/manifest" "$lib$evaluate" "$tmp/out" "$manifest"; then
+        if [ "$mode" = record ]; then cat "$tmp/manifest" >"$manifest"; fi
+    else
+        failed="$failed $fam"
+    fi
+done
+if [ -n "$failed" ]; then
+    echo "bench: $mode FAILED:$failed"
+    exit 1
+fi
+echo "bench: $mode OK: $*"
