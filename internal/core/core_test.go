@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"roadgrade/internal/lanechange"
-	"roadgrade/internal/mat"
 	"roadgrade/internal/road"
 	"roadgrade/internal/sensors"
 	"roadgrade/internal/vehicle"
@@ -35,14 +34,13 @@ func TestGradeModelPredictConsistency(t *testing.T) {
 	m := &GradeModel{Params: vehicle.DefaultParams(), DT: 0.05}
 	theta := road.Deg(3)
 	m.Accel = vehicle.Gravity * math.Sin(theta)
-	km := m.kalmanModel()
-	x := km.Predict([]float64{15, theta})
+	x, _ := m.transition([2]float64{15, theta})
 	if math.Abs(x[0]-15) > 1e-9 {
 		t.Errorf("v drifted to %v at steady state", x[0])
 	}
 	// Uphill with â = 0 (coasting): v must fall.
 	m.Accel = 0
-	x = km.Predict([]float64{15, theta})
+	x, _ = m.transition([2]float64{15, theta})
 	if x[0] >= 15 {
 		t.Errorf("coasting uphill should slow down, got %v", x[0])
 	}
@@ -50,22 +48,19 @@ func TestGradeModelPredictConsistency(t *testing.T) {
 
 func TestGradeModelJacobianMatchesFiniteDifference(t *testing.T) {
 	m := &GradeModel{Params: vehicle.DefaultParams(), DT: 0.05, Accel: 1.2}
-	km := m.kalmanModel()
-	x := []float64{12, road.Deg(2)}
-	jac := km.PredictJacobian(x)
+	x := [2]float64{12, road.Deg(2)}
+	_, jac := m.transition(x)
 	const h = 1e-7
 	for j := 0; j < 2; j++ {
-		xp := mat.CloneVec(x)
-		xm := mat.CloneVec(x)
+		xp, xm := x, x
 		xp[j] += h
 		xm[j] -= h
-		// Clone: the model may reuse its output buffer across Predict calls.
-		fp := mat.CloneVec(km.Predict(xp))
-		fm := mat.CloneVec(km.Predict(xm))
+		fp, _ := m.transition(xp)
+		fm, _ := m.transition(xm)
 		for i := 0; i < 2; i++ {
 			fd := (fp[i] - fm[i]) / (2 * h)
-			if math.Abs(fd-jac.At(i, j)) > 1e-5 {
-				t.Errorf("jacobian (%d,%d) = %v, finite difference %v", i, j, jac.At(i, j), fd)
+			if math.Abs(fd-jac[2*i+j]) > 1e-5 {
+				t.Errorf("jacobian (%d,%d) = %v, finite difference %v", i, j, jac[2*i+j], fd)
 			}
 		}
 	}

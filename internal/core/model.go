@@ -9,8 +9,6 @@ package core
 import (
 	"math"
 
-	"roadgrade/internal/kalman"
-	"roadgrade/internal/mat"
 	"roadgrade/internal/vehicle"
 )
 
@@ -29,50 +27,29 @@ import (
 type GradeModel struct {
 	Params vehicle.Params
 	DT     float64
-	// Accel is the current specific-force input â(t); the caller sets it
-	// before each Predict.
+	// Accel is the current specific-force input â(t); the filter sets it
+	// before each predict.
 	Accel float64
 }
 
-// kalmanModel adapts GradeModel to the generic EKF interface. The closures
-// reuse one output buffer per function, as the kalman.Model contract allows —
-// the filter runs one predict/update pair per sensor tick, and these
-// allocations dominated its heap profile. All inputs are read into locals
-// before the shared buffer is written, so aliasing x with a previous output
-// is safe.
-func (g *GradeModel) kalmanModel() kalman.Model {
-	predictOut := make([]float64, 2)
-	fj := mat.FromRows([][]float64{{1, 0}, {0, 1}})
-	measureOut := make([]float64, 1)
-	hj := mat.FromRows([][]float64{{1, 0}})
-	return kalman.Model{
-		StateDim: 2,
-		MeasDim:  1,
-		Predict: func(x []float64) []float64 {
-			v, theta := x[0], clampGrade(x[1])
-			vNext := v + (g.Accel-vehicle.Gravity*math.Sin(theta))*g.DT
-			thetaNext := theta + g.Params.GradeDrift(v, g.Accel, theta)*g.DT
-			predictOut[0] = math.Max(0, vNext)
-			predictOut[1] = clampGrade(thetaNext)
-			return predictOut
-		},
-		PredictJacobian: func(x []float64) *mat.Matrix {
-			v, theta := x[0], clampGrade(x[1])
-			cos := math.Cos(theta)
-			k := g.Params.AirDensity * g.Params.FrontalAreaM2 * g.Params.DragCoeff /
-				(g.Params.MassKg * vehicle.Gravity)
-			fj.Set(0, 0, 1)
-			fj.Set(0, 1, -vehicle.Gravity*cos*g.DT)
-			fj.Set(1, 0, k*g.Accel*g.DT/cos)
-			fj.Set(1, 1, 1+k*v*g.Accel*g.DT*math.Sin(theta)/(cos*cos))
-			return fj
-		},
-		Measure: func(x []float64) []float64 {
-			measureOut[0] = x[0]
-			return measureOut
-		},
-		MeasureJacobian: func(x []float64) *mat.Matrix { return hj },
+// transition evaluates Eq. (5) at x together with its Jacobian F = ∂f/∂x
+// (row-major). Both read one sin θ and one cos θ; the arithmetic is
+// otherwise exactly the model's, term by term, so it matches the generic
+// EKF adapter the tests keep as a reference bit for bit.
+func (g *GradeModel) transition(x [2]float64) (next [2]float64, jac [4]float64) {
+	v, theta := x[0], clampGrade(x[1])
+	sin, cos := math.Sin(theta), math.Cos(theta)
+	drag := g.Params.AirDensity * g.Params.FrontalAreaM2 * g.Params.DragCoeff
+	mg := g.Params.MassKg * vehicle.Gravity
+	k := drag / mg
+	jac = [4]float64{
+		1, -vehicle.Gravity * cos * g.DT,
+		k * g.Accel * g.DT / cos, 1 + k*v*g.Accel*g.DT*sin/(cos*cos),
 	}
+	vNext := v + (g.Accel-vehicle.Gravity*sin)*g.DT
+	// Eq. (4), vehicle.Params.GradeDrift, on the shared cos θ.
+	thetaNext := theta + drag*v*g.Accel/(mg*cos)*g.DT
+	return [2]float64{math.Max(0, vNext), clampGrade(thetaNext)}, jac
 }
 
 // clampGrade keeps θ in a physically plausible band (±30°) so cosθ stays

@@ -7,8 +7,6 @@ import (
 
 	"roadgrade/internal/frame"
 	"roadgrade/internal/geo"
-	"roadgrade/internal/kalman"
-	"roadgrade/internal/mat"
 	"roadgrade/internal/sensors"
 )
 
@@ -22,18 +20,13 @@ import (
 type Streaming struct {
 	cfg    Config
 	source sensors.VelocitySource
-	line   *geo.Polyline
 	idx    *geo.IndexedPolyline
 	steer  *frame.SteeringEstimator
-	model  *GradeModel
-	filter *kalman.Filter
+	filter gradeFilter
 	dt     float64
-	sigma  float64
-	z      [1]float64 // measurement scratch
 
 	started bool
 	s       float64 // localized arc position
-	t       float64
 
 	// Graceful-degradation state: last finite readings for gap bridging,
 	// plus counters a supervisor can watch.
@@ -79,11 +72,10 @@ func NewStreaming(cfg Config, line *geo.Polyline, src sensors.VelocitySource, dt
 	return &Streaming{
 		cfg:    cfg,
 		source: src,
-		line:   line,
 		idx:    line.Index(),
 		steer:  est,
+		filter: newGradeFilter(cfg, dt, sigma, 0),
 		dt:     dt,
-		sigma:  sigma,
 	}, nil
 }
 
@@ -123,20 +115,7 @@ func (st *Streaming) Push(rec sensors.Record) (Estimate, error) {
 		if !valid {
 			v0 = st.lastSpeedo
 		}
-		model := &GradeModel{Params: st.cfg.Params, DT: st.dt}
-		f, err := kalman.NewFilter(model.kalmanModel(), []float64{v0, 0},
-			mat.Diag(1, st.cfg.InitialGradeVar),
-			mat.Diag(
-				st.cfg.ProcessNoiseV*st.cfg.ProcessNoiseV*st.dt,
-				st.cfg.ProcessNoiseTheta*st.cfg.ProcessNoiseTheta*st.dt,
-			),
-			mat.Diag(st.sigma*st.sigma),
-		)
-		if err != nil {
-			return Estimate{}, fmt.Errorf("core: building streaming filter: %w", err)
-		}
-		st.model = model
-		st.filter = f
+		st.filter.reset(v0)
 		st.started = true
 	}
 
@@ -150,11 +129,9 @@ func (st *Streaming) Push(rec sensors.Record) (Estimate, error) {
 		}
 	}
 
-	st.model.Accel = st.lastAccel
-	st.filter.Predict()
+	st.filter.predict(st.lastAccel)
 	if valid {
-		st.z[0] = v
-		_, accepted, err := st.filter.UpdateGated(st.z[:], st.cfg.NISGate)
+		_, accepted, err := st.filter.update(v, st.cfg.NISGate)
 		if err != nil {
 			return Estimate{}, fmt.Errorf("core: streaming update at t=%.2f: %w", rec.T, err)
 		}
@@ -165,20 +142,14 @@ func (st *Streaming) Push(rec sensors.Record) (Estimate, error) {
 	}
 	// Divergence detection: a non-finite or implausible state re-initializes
 	// the filter from the last finite speed instead of streaming garbage.
-	if !st.filter.Healthy() ||
-		math.Abs(st.filter.StateAt(1)) > st.cfg.DivergenceGradeRad ||
-		math.Abs(st.filter.StateAt(0)) > 150 {
-		v0 := st.lastSpeedo
-		if valid {
-			v0 = v
-		}
-		if err := st.filter.Reset([]float64{v0, 0}, mat.Diag(1, st.cfg.InitialGradeVar)); err != nil {
-			return Estimate{}, fmt.Errorf("core: streaming divergence reset at t=%.2f: %w", rec.T, err)
-		}
+	v0 := st.lastSpeedo
+	if valid {
+		v0 = v
+	}
+	if st.filter.resetIfDiverged(v0) {
 		st.resets++
 		obsStreamResets.Inc()
 	}
-	st.t = rec.T
 	steerGyro := rec.GyroYaw
 	if !isFinite(steerGyro) {
 		steerGyro = 0
@@ -186,9 +157,9 @@ func (st *Streaming) Push(rec sensors.Record) (Estimate, error) {
 	return Estimate{
 		T:         rec.T,
 		S:         st.s,
-		SpeedMS:   st.filter.StateAt(0),
-		GradeRad:  st.filter.StateAt(1),
-		GradeVar:  st.filter.CovarianceAt(1, 1),
+		SpeedMS:   st.filter.x[0],
+		GradeRad:  st.filter.x[1],
+		GradeVar:  st.filter.p[3],
 		SteerRate: steerGyro - st.steer.RoadRateAt(st.s, math.Max(st.lastSpeedo, 0.1)),
 	}, nil
 }

@@ -1,8 +1,10 @@
-// Package kalman provides the Extended Kalman Filter used by the road
-// gradient estimator (§III-C2) and the altitude-EKF baseline. The filter is
-// generic over a user-supplied nonlinear process/measurement model with
-// analytic Jacobians, and uses the Joseph-form covariance update for
-// numerical robustness over long traces.
+// Package kalman provides a generic Extended Kalman Filter and an RTS
+// smoother over it, used by the altitude-EKF baseline. The filter is generic
+// over a user-supplied nonlinear process/measurement model with analytic
+// Jacobians, and uses the Joseph-form covariance update for numerical
+// robustness over long traces. The road gradient estimator runs its own
+// fixed-size [v, θ] filter, which reproduces this one's arithmetic bit for
+// bit.
 package kalman
 
 import (

@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"roadgrade/internal/mat"
 )
 
 // ErrBadSpan is returned when a LOESS span yields fewer points than the
@@ -56,12 +54,9 @@ func (l *Loess) Smooth(xs, ys []float64) ([]float64, error) {
 		}
 	}
 	n := len(xs)
-	window := int(math.Ceil(l.Span * float64(n)))
-	if window < l.Degree+1 {
-		return nil, ErrBadSpan
-	}
-	if window > n {
-		window = n
+	window, err := l.window(n)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]float64, n)
 	for i := range xs {
@@ -79,18 +74,33 @@ func (l *Loess) At(xs, ys []float64, x float64) (float64, error) {
 	if len(xs) != len(ys) || len(xs) == 0 {
 		return 0, errors.New("smoothing: invalid sample set")
 	}
-	window := int(math.Ceil(l.Span * float64(len(xs))))
-	if window < l.Degree+1 {
-		return 0, ErrBadSpan
-	}
-	if window > len(xs) {
-		window = len(xs)
+	window, err := l.window(len(xs))
+	if err != nil {
+		return 0, err
 	}
 	return l.fitAt(xs, ys, x, window)
 }
 
+// window returns the local window size over n samples. It also rejects a
+// Degree outside NewLoess's range, which a struct literal can set and the
+// fixed-size fit cannot hold.
+func (l *Loess) window(n int) (int, error) {
+	if l.Degree < 1 || l.Degree > maxTerms-1 {
+		return 0, fmt.Errorf("smoothing: degree %d unsupported (want 1 or 2)", l.Degree)
+	}
+	window := int(math.Ceil(l.Span * float64(n)))
+	if window < l.Degree+1 {
+		return 0, ErrBadSpan
+	}
+	return min(window, n), nil
+}
+
+// maxTerms bounds the local polynomial's coefficient count: Degree ≤ 2.
+const maxTerms = 3
+
 // fitAt performs one weighted polynomial fit centred at x over the nearest
-// window samples.
+// window samples. Its normal equations are at most 3×3, so they live in
+// fixed-size arrays and no sample allocates.
 func (l *Loess) fitAt(xs, ys []float64, x float64, window int) (float64, error) {
 	lo, hi := nearestWindow(xs, x, window)
 	// Maximum distance in the window defines the tricube scale.
@@ -107,9 +117,8 @@ func (l *Loess) fitAt(xs, ys []float64, x float64, window int) (float64, error) 
 	// Weighted normal equations for a degree-d polynomial in (t = xi - x):
 	// minimize Σ w_i (y_i - Σ_k c_k t^k)^2. The smoothed value is c_0.
 	p := l.Degree + 1
-	ata := mat.New(p, p)
-	atb := make([]float64, p)
-	basis := make([]float64, p)
+	var ata [maxTerms][maxTerms]float64
+	var atb, basis [maxTerms]float64
 	for i := lo; i < hi; i++ {
 		t := xs[i] - x
 		w := tricube(math.Abs(t) / maxDist)
@@ -123,12 +132,12 @@ func (l *Loess) fitAt(xs, ys []float64, x float64, window int) (float64, error) 
 		for r := 0; r < p; r++ {
 			atb[r] += w * basis[r] * ys[i]
 			for c := 0; c < p; c++ {
-				ata.Add(r, c, w*basis[r]*basis[c])
+				ata[r][c] += w * basis[r] * basis[c]
 			}
 		}
 	}
-	coef, err := mat.SolveVec(ata, atb)
-	if err != nil {
+	c0, ok := solveFirst(ata, atb, p)
+	if !ok {
 		// Degenerate window (e.g. duplicate weights concentrated at edges):
 		// fall back to the weighted mean, which is always defined.
 		var sw, swy float64
@@ -142,7 +151,60 @@ func (l *Loess) fitAt(xs, ys []float64, x float64, window int) (float64, error) 
 		}
 		return swy / sw, nil
 	}
-	return coef[0], nil
+	return c0, nil
+}
+
+// solveFirst solves the n×n system a·c = b (n ≤ maxTerms) by LU
+// factorization with partial pivoting and returns c_0, or false if a is
+// singular to working precision. It performs mat.SolveVec's factorization
+// and substitutions step for step, so c_0 is bit-identical to the generic
+// solver's.
+func solveFirst(a [maxTerms][maxTerms]float64, b [maxTerms]float64, n int) (float64, bool) {
+	var perm [maxTerms]int
+	for i := range perm {
+		perm[i] = i
+	}
+	for k := 0; k < n; k++ {
+		// Partial pivot: largest magnitude in column k at/below the diagonal.
+		p, big := k, math.Abs(a[k][k])
+		for i := k + 1; i < n; i++ {
+			if v := math.Abs(a[i][k]); v > big {
+				p, big = i, v
+			}
+		}
+		if big == 0 || math.IsNaN(big) {
+			return 0, false
+		}
+		if p != k {
+			a[k], a[p] = a[p], a[k]
+			perm[k], perm[p] = perm[p], perm[k]
+		}
+		piv := a[k][k]
+		for i := k + 1; i < n; i++ {
+			l := a[i][k] / piv
+			a[i][k] = l
+			for j := k + 1; j < n; j++ {
+				a[i][j] -= l * a[k][j]
+			}
+		}
+	}
+	var x [maxTerms]float64
+	for i := 0; i < n; i++ {
+		x[i] = b[perm[i]]
+	}
+	// Forward substitution (unit lower), then back substitution.
+	for i := 1; i < n; i++ {
+		for j := 0; j < i; j++ {
+			x[i] -= a[i][j] * x[j]
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		for j := i + 1; j < n; j++ {
+			x[i] -= a[i][j] * x[j]
+		}
+		x[i] /= a[i][i]
+	}
+	return x[0], true
 }
 
 // nearestWindow returns [lo, hi) bounds of the `window` samples nearest to x.

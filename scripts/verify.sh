@@ -46,6 +46,13 @@ echo "== fuzz (emission query parameters) =="
 # seed corpus in internal/cloud/testdata/fuzz/FuzzEmissionsQuery.
 go test -run '^$' -fuzz '^FuzzEmissionsQuery$' -fuzztime=10s ./internal/cloud
 
+echo "== fuzz (grade filter step) =="
+# One predict, gated update and divergence check from arbitrary state,
+# covariance, input, measurement, noise and gate, through the fixed-size
+# grade filter and its generic kalman.Filter reference, which must agree bit
+# for bit; seeded from internal/core/testdata/fuzz/FuzzGradeFilterStep.
+go test -run '^$' -fuzz '^FuzzGradeFilterStep$' -fuzztime=10s ./internal/core
+
 echo "== benchmark module =="
 # bench/ is a nested module, so the root ./... patterns above never build or
 # test it.
