@@ -3,12 +3,11 @@ package mat
 import "fmt"
 
 // In-place variants of the allocation-heavy operations. They exist for hot
-// loops — the EKF runs a predict/update pair per sensor tick per velocity
-// source per sweep direction, and the allocating API was the dominant heap
-// churn of the evaluation suite. Each *Into function reuses dst when it has
-// the right shape (allocating otherwise) and returns it, and performs the
-// exact same arithmetic in the same order as its allocating counterpart, so
-// results are bit-identical.
+// loops — kalman.Filter runs a predict/update pair per sensor tick, and the
+// allocating API was the dominant heap churn of the evaluation suite. Each
+// *Into function reuses dst when it has the right shape (allocating
+// otherwise) and returns it, and performs the exact same arithmetic in the
+// same order as its allocating counterpart, so results are bit-identical.
 
 // ensureShape returns dst if it is rows x cols, else a fresh matrix.
 func ensureShape(dst *Matrix, rows, cols int) *Matrix {
