@@ -4,7 +4,7 @@ package cloud
 // profiles back to vehicles, it answers the question the fused map exists
 // for — "which way burns the least fuel?"
 //
-//	GET /v1/route?from=<node>&to=<node>&objective=<distance|time|fuel|co2>&speed_kmh=<v>
+//	GET /v1/route?from=<node>&to=<node>&objective=<distance|time|fuel|co2|nox|co|hc|pm>&speed_kmh=<v>
 //
 // Routing is optional: a server without an attached engine answers 503.
 

@@ -43,20 +43,28 @@ type cch struct {
 	dnEdge    []int32
 	edgeArc   []int32
 
-	// Lower triangles per arc a = {u, v}: every x with rank(x) < rank(u)
-	// adjacent to both endpoints contributes the pair (triLo = arc {x, u},
-	// triHi = arc {x, v}). Both referenced arcs have lo == x < u = lo(a), so
-	// they sit at strictly smaller arc indices — customization is one
-	// ascending pass and incremental dirt only ever propagates upward.
+	// Lower triangles per arc a = {u, v}, in tri[triOff[a]:triOff[a+1]]:
+	// every x with rank(x) < rank(u) adjacent to both endpoints contributes
+	// one. Both referenced arcs have lo == x < u = lo(a), so they sit at
+	// strictly smaller arc indices — customization is one ascending pass and
+	// incremental dirt only ever propagates upward.
 	triOff []int32
-	triLo  []int32
-	triHi  []int32
+	tri    []cchTri
 
-	// Dependents: depArc lists, for each arc, the (higher-indexed) arcs whose
-	// triangle lists reference it — the fan-out set incremental
+	// Dependents: depTri lists, for each arc, the triangles (of
+	// higher-indexed arcs) that reference it — the fan-out set incremental
 	// re-customization walks when a weight actually changes.
 	depOff []int32
-	depArc []int32
+	depTri []int32
+}
+
+// cchTri is one lower triangle {x, u, v} of arc = {u, v}: lo is arc {x, u}
+// and hi is arc {x, v}. Its upward value is dn[lo] + up[hi] (u→x→v), its
+// downward value dn[hi] + up[lo] (v→x→u). The owning arc rides along so the
+// re-customization fan-out reaches a triangle's two arcs and its owner in
+// one record.
+type cchTri struct {
+	lo, hi, arc int32
 }
 
 // buildCCH contracts the engine's graph: nested-dissection order, elimination
@@ -186,8 +194,7 @@ func buildCCH(e *Engine) *cch {
 	}
 	g.triOff = prefixSum(triCnt)
 	nTri := int(g.triOff[nArcs])
-	g.triLo = make([]int32, nTri)
-	g.triHi = make([]int32, nTri)
+	g.tri = make([]cchTri, nTri)
 	triCur := make([]int32, nArcs)
 	for x := 0; x < n; x++ {
 		list := upNbrs[x]
@@ -195,9 +202,7 @@ func buildCCH(e *Engine) *cch {
 			aLo := g.arcIndex(int32(x), list[i])
 			for j := i + 1; j < len(list); j++ {
 				a := g.arcIndex(list[i], list[j])
-				at := g.triOff[a] + triCur[a]
-				g.triLo[at] = aLo
-				g.triHi[at] = g.arcIndex(int32(x), list[j])
+				g.tri[g.triOff[a]+triCur[a]] = cchTri{lo: aLo, hi: g.arcIndex(int32(x), list[j]), arc: a}
 				triCur[a]++
 			}
 		}
@@ -205,21 +210,17 @@ func buildCCH(e *Engine) *cch {
 
 	// Invert the triangle references into the dependents index.
 	depCnt := make([]int32, nArcs)
-	for t := 0; t < nTri; t++ {
-		depCnt[g.triLo[t]]++
-		depCnt[g.triHi[t]]++
+	for _, tr := range g.tri {
+		depCnt[tr.lo]++
+		depCnt[tr.hi]++
 	}
 	g.depOff = prefixSum(depCnt)
-	g.depArc = make([]int32, g.depOff[nArcs])
+	g.depTri = make([]int32, g.depOff[nArcs])
 	depCur := make([]int32, nArcs)
-	put := func(b, a int32) {
-		g.depArc[g.depOff[b]+depCur[b]] = a
-		depCur[b]++
-	}
-	for a := int32(0); a < int32(nArcs); a++ {
-		for t := g.triOff[a]; t < g.triOff[a+1]; t++ {
-			put(g.triLo[t], a)
-			put(g.triHi[t], a)
+	for t, tr := range g.tri {
+		for _, b := range [2]int32{tr.lo, tr.hi} {
+			g.depTri[g.depOff[b]+depCur[b]] = int32(t)
+			depCur[b]++
 		}
 	}
 	return g

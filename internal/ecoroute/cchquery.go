@@ -150,8 +150,9 @@ func (g *cch) unpackUp(w *cchWeights, a int32, out *[]int32) {
 		*out = append(*out, -2-via)
 		return
 	}
-	g.unpackDown(w, g.triLo[via], out)
-	g.unpackUp(w, g.triHi[via], out)
+	tr := g.tri[via]
+	g.unpackDown(w, tr.lo, out)
+	g.unpackUp(w, tr.hi, out)
 }
 
 // unpackDown expands arc a traveled hi→lo: hi→x (down) then x→lo (up).
@@ -161,8 +162,9 @@ func (g *cch) unpackDown(w *cchWeights, a int32, out *[]int32) {
 		*out = append(*out, -2-via)
 		return
 	}
-	g.unpackDown(w, g.triHi[via], out)
-	g.unpackUp(w, g.triLo[via], out)
+	tr := g.tri[via]
+	g.unpackDown(w, tr.hi, out)
+	g.unpackUp(w, tr.lo, out)
 }
 
 // cchBucketEntry is one target's backward label deposited at a search-space

@@ -46,12 +46,26 @@ echo "== fuzz (emission query parameters) =="
 # seed corpus in internal/cloud/testdata/fuzz/FuzzEmissionsQuery.
 go test -run '^$' -fuzz '^FuzzEmissionsQuery$' -fuzztime=10s ./internal/cloud
 
+echo "== fuzz (route query parameters) =="
+# Raw from/to/objective/speed_kmh values through the handler of a small CCH
+# server; every answered cost must equal the Dijkstra reference's bit for
+# bit. Seeded from internal/cloud/testdata/fuzz/FuzzRouteQuery.
+go test -run '^$' -fuzz '^FuzzRouteQuery$' -fuzztime=10s ./internal/cloud
+
 echo "== fuzz (grade filter step) =="
 # One predict, gated update and divergence check from arbitrary state,
 # covariance, input, measurement, noise and gate, through the fixed-size
 # grade filter and its generic kalman.Filter reference, which must agree bit
 # for bit; seeded from internal/core/testdata/fuzz/FuzzGradeFilterStep.
 go test -run '^$' -fuzz '^FuzzGradeFilterStep$' -fuzztime=10s ./internal/core
+
+echo "== fuzz (CCH re-customization) =="
+# Ticks of per-edge cost edits, drawn from a few levels so that ties are
+# common, through the incremental re-customization on both its fresh-copy
+# and predecessor-replay paths; every tick's table must equal the full
+# customization bit for bit. Seeded from
+# internal/ecoroute/testdata/fuzz/FuzzCCHRecustomize.
+go test -run '^$' -fuzz '^FuzzCCHRecustomize$' -fuzztime=10s ./internal/ecoroute
 
 echo "== benchmark module =="
 # bench/ is a nested module, so the root ./... patterns above never build or
