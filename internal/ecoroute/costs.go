@@ -47,8 +47,9 @@ func observeRoute(obj Objective) func() {
 }
 
 // tables is one immutable cost-table snapshot. Queries read it lock-free;
-// refreshes derive the next snapshot from the previous one (copying rows and
-// updating only the edges the change feed names) and swap the pointer.
+// refreshes derive the next snapshot from the previous one (sharing its row
+// pages and copying only those that hold an edge the change feed re-stamps)
+// and swap the pointer.
 type tables struct {
 	// gen is the source generation the snapshot reflects.
 	gen uint64
@@ -57,37 +58,21 @@ type tables struct {
 	// nothing.
 	version uint64
 	// edgeGen[e] is the grade-data stamp edge e's costs were built from.
-	edgeGen []uint64
+	edgeGen pagedRow[uint64]
 	// fuel[b][e] is edge e's gallons at bucket b's class-adjusted speed.
-	fuel [][]float64
+	fuel []pagedRow[float64]
 	// gradeAt[e] is the grade closure edge e's costs were integrated on,
 	// captured at rebuild time. Pollutant rows are built lazily AFTER the
 	// snapshot is published; reading grades from the source then could see
 	// newer data than edgeGen stamps — these closures pin the snapshot's
 	// view (profile snapshots are immutable).
-	gradeAt []func(float64) float64
-
-	co2Once []sync.Once
-	co2     [][]float64
+	gradeAt pagedRow[func(float64) float64]
 
 	// Pollutant cost rows (emis[b][sp][e], grams) are built lazily per
 	// bucket — one integration pass fills all four species — so fuel-only
 	// users never pay for them (emissions.go).
 	emisOnce []sync.Once
-	emis     [][][]float64
-}
-
-// co2Row lazily scales the fuel row into grams; built at most once per
-// snapshot and bucket.
-func (tb *tables) co2Row(bucket int) []float64 {
-	tb.co2Once[bucket].Do(func() {
-		row := make([]float64, len(tb.fuel[bucket]))
-		for i, g := range tb.fuel[bucket] {
-			row[i] = g * fuel.CO2GramsPerGallon
-		}
-		tb.co2[bucket] = row
-	})
-	return tb.co2[bucket]
+	emis     [][]pagedRow[float64]
 }
 
 // atomicTables is the published-snapshot slot.
@@ -120,36 +105,35 @@ func (e *Engine) fresh() (*tables, error) {
 }
 
 // rebuild derives the next snapshot from prev. Rows, stamps and grade
-// closures are carried by bulk copy; only the edges the source's change
-// feed names are re-read, and only those whose stamp moved re-integrate.
-// The first build, a wrapped feed and a source without one fall back to
-// re-reading every edge.
+// closures share prev's pages; only the edges the source's change feed
+// names are re-read, and only those whose stamp moved are written, which
+// copies the pages that hold them. The first build, a wrapped feed and a
+// source without one fall back to re-reading every edge.
 func (e *Engine) rebuild(prev *tables, gen uint64) *tables {
 	nEdges := len(e.edges)
 	nBuckets := len(e.cfg.SpeedsKmh)
 	next := &tables{
 		gen:      gen,
-		edgeGen:  make([]uint64, nEdges),
-		fuel:     make([][]float64, nBuckets),
-		gradeAt:  make([]func(float64) float64, nEdges),
-		co2Once:  make([]sync.Once, nBuckets),
-		co2:      make([][]float64, nBuckets),
+		fuel:     make([]pagedRow[float64], nBuckets),
 		emisOnce: make([]sync.Once, nBuckets),
-		emis:     make([][][]float64, nBuckets),
-	}
-	for b := 0; b < nBuckets; b++ {
-		next.fuel[b] = make([]float64, nEdges)
+		emis:     make([][]pagedRow[float64], nBuckets),
 	}
 	var stale []int32
 	full := true
 	if prev != nil {
-		for b := 0; b < nBuckets; b++ {
-			copy(next.fuel[b], prev.fuel[b])
+		for b := range next.fuel {
+			next.fuel[b] = prev.fuel[b].clone()
 		}
-		copy(next.edgeGen, prev.edgeGen)
-		copy(next.gradeAt, prev.gradeAt)
+		next.edgeGen = prev.edgeGen.clone()
+		next.gradeAt = prev.gradeAt.clone()
 		next.version = prev.version
 		stale, next.gen, full = e.changedEdges(prev.gen, gen)
+	} else {
+		for b := range next.fuel {
+			next.fuel[b] = newPagedRow[float64](nEdges)
+		}
+		next.edgeGen = newPagedRow[uint64](nEdges)
+		next.gradeAt = newPagedRow[func(float64) float64](nEdges)
 	}
 	if full {
 		obsFullScans.Inc()
@@ -162,14 +146,16 @@ func (e *Engine) rebuild(prev *tables, gen uint64) *tables {
 	for _, i := range stale {
 		ed := e.edges[i]
 		eg := e.src.Edge(ed.Road, e.siblingRoad(int(i)))
-		next.gradeAt[i] = eg.At
-		if prev != nil && eg.Gen == next.edgeGen[i] {
+		// A stamp names immutable grade data, so an unmoved stamp keeps the
+		// closure and costs it already has.
+		if prev != nil && eg.Gen == next.edgeGen.at(i) {
 			continue
 		}
-		next.edgeGen[i] = eg.Gen
-		for b := 0; b < nBuckets; b++ {
+		next.edgeGen.set(i, eg.Gen)
+		next.gradeAt.set(i, eg.At)
+		for b := range next.fuel {
 			v := e.cfg.SpeedsKmh[b] / 3.6 * e.cfg.classFactor(ed.Road.Class())
-			next.fuel[b][i] = edgeFuelGallons(e.cfg.Params, eg.At, e.lengthM[i], v, e.cfg.SampleStepM)
+			next.fuel[b].set(i, edgeFuelGallons(e.cfg.Params, eg.At, e.lengthM.at(i), v, e.cfg.SampleStepM))
 		}
 		changed++
 	}

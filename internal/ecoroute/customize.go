@@ -38,8 +38,9 @@ type cchWeights struct {
 	viaUp, viaDn []int32
 	// edgeGen is the tables.edgeGen stamp row this metric was customized
 	// against (shared with the immutable snapshot); diffing it against a new
-	// snapshot's row yields exactly the dirty edges.
-	edgeGen []uint64
+	// snapshot's row yields exactly the dirty edges, reading only the pages
+	// the two rows do not share.
+	edgeGen pagedRow[uint64]
 	version uint64
 	// changed lists the arcs whose weights differ from the table this one
 	// was derived from (empty after a full customization). Replaying them
@@ -111,18 +112,18 @@ func (e *Engine) LastCustomization() CustStats {
 // triangles by ascending index, a later candidate winning only when strictly
 // less — which is the choice updateArc reproduces. Reports whether anything
 // changed versus what w currently holds.
-func (g *cch) computeArc(w *cchWeights, cost []float64, a int32) bool {
+func (g *cch) computeArc(w *cchWeights, cost pagedRow[float64], a int32) bool {
 	up, dn := math.Inf(1), math.Inf(1)
 	vUp, vDn := int32(-1), int32(-1)
 	for k := g.upEdgeOff[a]; k < g.upEdgeOff[a+1]; k++ {
 		ei := g.upEdge[k]
-		if c := cost[ei]; c < up {
+		if c := cost.at(ei); c < up {
 			up, vUp = c, -2-ei
 		}
 	}
 	for k := g.dnEdgeOff[a]; k < g.dnEdgeOff[a+1]; k++ {
 		ei := g.dnEdge[k]
-		if c := cost[ei]; c < dn {
+		if c := cost.at(ei); c < dn {
 			dn, vDn = c, -2-ei
 		}
 	}
@@ -152,7 +153,7 @@ func (w *cchWeights) set(a int32, up, dn float64, vUp, vDn int32) bool {
 }
 
 // customize runs the full basic customization into w: every arc, ascending.
-func (g *cch) customize(w *cchWeights, cost []float64) {
+func (g *cch) customize(w *cchWeights, cost pagedRow[float64]) {
 	for a := int32(0); a < int32(len(g.arcLo)); a++ {
 		g.computeArc(w, cost, a)
 	}
@@ -180,7 +181,7 @@ func (g *cch) customize(w *cchWeights, cost []float64) {
 // the successor is derived there. Without one the successor copies old's
 // arrays into fresh ones. Returns the new table and the number of arcs
 // re-derived.
-func (g *cch) recustomize(old, spare *cchWeights, cost []float64, edgeGen []uint64, version uint64, work *arcWorklist) (*cchWeights, int) {
+func (g *cch) recustomize(old, spare *cchWeights, cost pagedRow[float64], edgeGen pagedRow[uint64], version uint64, work *arcWorklist) (*cchWeights, int) {
 	w := spare
 	if w != nil {
 		for _, a := range old.changed {
@@ -195,13 +196,11 @@ func (g *cch) recustomize(old, spare *cchWeights, cost []float64, edgeGen []uint
 		copy(w.viaDn, old.viaDn)
 	}
 	w.edgeGen, w.version = edgeGen, version
-	for i, gen := range edgeGen {
-		if old.edgeGen[i] != gen {
-			if a := g.edgeArc[i]; a >= 0 {
-				work.push(a, -1)
-			}
+	diffRows(old.edgeGen, edgeGen, func(i int32) {
+		if a := g.edgeArc[i]; a >= 0 {
+			work.push(a, -1)
 		}
-	}
+	})
 	changed := w.changed[:0]
 	recomputed := 0
 	for len(work.heap) > 0 {
@@ -255,7 +254,7 @@ func (g *cch) mayMove(w *cchWeights, t int32) bool {
 // its new value or a queued triangle that beats it. After a rise the new
 // weight may come from an element nobody queued, and the full computeArc
 // runs instead.
-func (g *cch) updateArc(w *cchWeights, cost []float64, a, t int32, work *arcWorklist) bool {
+func (g *cch) updateArc(w *cchWeights, cost pagedRow[float64], a, t int32, work *arcWorklist) bool {
 	up, dn := w.up[a], w.dn[a]
 	vUp, vDn := w.viaUp[a], w.viaDn[a]
 	if vUp >= 0 {

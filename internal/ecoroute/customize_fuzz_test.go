@@ -71,14 +71,16 @@ var cchRecustomizeSeeds = []struct {
 // predecessor — and requires each result to equal a full customization of
 // the tick's cost row: weights by Float64bits, vias exactly, and a changed
 // list naming exactly the arcs that differ from the current table, in
-// ascending order.
+// ascending order. Each tick derives its cost and stamp rows copy-on-write
+// from the previous tick's, as a snapshot rebuild does, so the dirty-edge
+// scan meets shared and copied pages alike.
 func checkRecustomize(t *testing.T, g *cch, input []byte) {
 	nEdges := len(g.edgeArc)
-	cost := make([]float64, nEdges)
-	for i := range cost {
-		cost[i] = cchLevels[i%4]
+	cost := newPagedRow[float64](nEdges)
+	for i := range int32(nEdges) {
+		cost.set(i, cchLevels[i%4])
 	}
-	gen := make([]uint64, nEdges)
+	gen := newPagedRow[uint64](nEdges)
 	cur := newCCHWeights(len(g.arcLo))
 	g.customize(cur, cost)
 	cur.edgeGen = gen
@@ -86,11 +88,11 @@ func checkRecustomize(t *testing.T, g *cch, input []byte) {
 	var work arcWorklist
 	ref := newCCHWeights(len(g.arcLo))
 	for tick := 1; len(input) >= 3; tick++ {
-		gen = append([]uint64(nil), gen...)
+		cost, gen = cost.clone(), gen.clone()
 		for len(input) >= 3 {
-			e := (int(input[0])<<8 | int(input[1])) % nEdges
-			cost[e] = cchLevels[input[2]&7]
-			gen[e] = uint64(tick)
+			e := int32((int(input[0])<<8 | int(input[1])) % nEdges)
+			cost.set(e, cchLevels[input[2]&7])
+			gen.set(e, uint64(tick))
 			last := input[2]&0x80 != 0
 			input = input[3:]
 			if last {
@@ -150,7 +152,8 @@ func TestCCHRecustomizeCorpus(t *testing.T) {
 // re-customization: arbitrary ticks of cost edits on a fixed network, each
 // re-customized from the table before it and compared with the full
 // customization, the reference. The network has 49 nodes, 170 edges, 301
-// arcs and 854 triangles, small enough for thousands of ticks a second.
+// arcs and 854 triangles, small enough for thousands of ticks a second; its
+// rows are one page, which the page type's own tests go beyond.
 func FuzzCCHRecustomize(f *testing.F) {
 	net, err := road.GenerateNetwork(7, road.NetworkConfig{TargetStreetKM: 40})
 	if err != nil {

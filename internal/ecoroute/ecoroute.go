@@ -224,7 +224,7 @@ type Engine struct {
 	edges   []*road.Edge
 	tail    []int32 // per edge: dense From
 	head    []int32 // per edge: dense To
-	lengthM []float64
+	lengthM pagedRow[float64]
 	sibling []int32 // opposite-direction edge index, -1 if none
 	// roadEdges maps a road ID to the edges whose grades read the road: its
 	// own edge first, then each opposite-direction edge that falls back on
@@ -234,7 +234,7 @@ type Engine struct {
 
 	// timeS[b][e] is edge e's traversal seconds at bucket b's class-adjusted
 	// speed; fixed at construction (grades don't change time in this model).
-	timeS [][]float64
+	timeS []pagedRow[float64]
 
 	mu  sync.Mutex // serializes refresh and landmark builds
 	cur atomicTables
@@ -303,7 +303,7 @@ func NewEngine(net *road.Network, src GradeSource, cfg Config) (*Engine, error) 
 	e.edges = make([]*road.Edge, len(net.Edges))
 	e.tail = make([]int32, len(net.Edges))
 	e.head = make([]int32, len(net.Edges))
-	e.lengthM = make([]float64, len(net.Edges))
+	e.lengthM = newPagedRow[float64](len(net.Edges))
 	e.sibling = make([]int32, len(net.Edges))
 	e.roadEdges = make(map[string][]int32, len(net.Edges))
 	edgeAt := make(map[*road.Edge]int32, len(net.Edges))
@@ -319,7 +319,7 @@ func NewEngine(net *road.Network, src GradeSource, cfg Config) (*Engine, error) 
 		e.edges[i] = ed
 		e.tail[i] = int32(from)
 		e.head[i] = int32(to)
-		e.lengthM[i] = ed.Road.Length()
+		e.lengthM.set(int32(i), ed.Road.Length())
 		e.sibling[i] = -1
 		e.roadEdges[ed.Road.ID()] = append(e.roadEdges[ed.Road.ID()], int32(i))
 		edgeAt[ed] = int32(i)
@@ -368,12 +368,12 @@ func NewEngine(net *road.Network, src GradeSource, cfg Config) (*Engine, error) 
 		}
 	}
 	// Travel times are grade-independent: fix them now, one row per bucket.
-	e.timeS = make([][]float64, len(cfg.SpeedsKmh))
+	e.timeS = make([]pagedRow[float64], len(cfg.SpeedsKmh))
 	for b, kmh := range cfg.SpeedsKmh {
-		row := make([]float64, len(e.edges))
+		row := newPagedRow[float64](len(e.edges))
 		for i, ed := range e.edges {
 			v := kmh / 3.6 * cfg.classFactor(ed.Road.Class())
-			row[i] = e.lengthM[i] / v
+			row.set(int32(i), e.lengthM.at(int32(i))/v)
 		}
 		e.timeS[b] = row
 	}
@@ -455,42 +455,48 @@ func (e *Engine) buildPlan(obj Objective, bucket int, tb *tables, from, to int, 
 	for _, ei := range path {
 		p.RoadIDs = append(p.RoadIDs, e.edges[ei].Road.ID())
 		p.Nodes = append(p.Nodes, e.ids[e.head[ei]])
-		p.LengthM += e.lengthM[ei]
-		p.TimeS += timeRow[ei]
-		p.FuelGal += fuelRow[ei]
+		p.LengthM += e.lengthM.at(ei)
+		p.TimeS += timeRow.at(ei)
+		p.FuelGal += fuelRow.at(ei)
 	}
 	p.CO2G = p.FuelGal * fuel.CO2GramsPerGallon
-	cost := e.costRow(obj, bucket, tb)
-	for _, ei := range path {
-		p.Cost += cost[ei]
+	if obj == CO2 {
+		// Each edge's grams, rounded before the sum: the conversion keeps
+		// the product from fusing into the addition.
+		for _, ei := range path {
+			p.Cost += float64(fuelRow.at(ei) * fuel.CO2GramsPerGallon)
+		}
+	} else {
+		cost := e.costRow(obj, bucket, tb)
+		for _, ei := range path {
+			p.Cost += cost.at(ei)
+		}
 	}
 	if _, ok := pollutantOf(obj); ok {
 		// The bucket's pollutant rows were materialized by costRow above;
-		// summing all four species is four contiguous row walks.
+		// summing all four species is four row walks.
 		for _, sp := range emission.Pollutants() {
 			row := e.emissionRow(sp, bucket, tb)
 			for _, ei := range path {
-				p.EmisG[sp] += row[ei]
+				p.EmisG[sp] += row.at(ei)
 			}
 		}
 	}
 	return p
 }
 
-// costRow returns the per-edge cost slice for an objective. CO2 shares
-// Fuel's row scaled by the emission factor (same argmin, gram-denominated
-// cost); the scaled row is built lazily per snapshot, as are the pollutant
-// rows (one integration pass fills all four species for a bucket).
-func (e *Engine) costRow(obj Objective, bucket int, tb *tables) []float64 {
-	switch obj {
+// costRow returns the per-edge cost row of a search metric (see metricFor:
+// CO2 searches Fuel's row and buildPlan scales its edges into grams). The
+// pollutant rows are built lazily per snapshot, one integration pass
+// filling all four species for a bucket.
+func (e *Engine) costRow(metric Objective, bucket int, tb *tables) pagedRow[float64] {
+	switch metric {
 	case Distance:
 		return e.lengthM
 	case Time:
 		return e.timeS[bucket]
-	case CO2:
-		return tb.co2Row(bucket)
 	case NOx, CO, HC, PM:
-		sp, _ := pollutantOf(obj)
+		sp, _ := pollutantOf(metric)
 		return e.emissionRow(sp, bucket, tb)
 	default:
 		return tb.fuel[bucket]

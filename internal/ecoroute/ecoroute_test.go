@@ -217,6 +217,66 @@ func TestObjectivesDisagree(t *testing.T) {
 	}
 }
 
+// TestCO2PlanCostBits pins a CO2 plan's Cost: under ALT, CCH and
+// Dijkstra alike it equals, by Float64bits, the travel-order sum of each
+// edge's fuel cost times the CO2 factor, each product rounded on its own —
+// the sum of a row of per-edge grams, as if the snapshot stored one.
+func TestCO2PlanCostBits(t *testing.T) {
+	net, err := road.GenerateNetwork(43, road.NetworkConfig{TargetStreetKM: 30})
+	if err != nil {
+		t.Fatalf("network: %v", err)
+	}
+	engines := map[string]*Engine{}
+	for _, alg := range []string{AlgALT, AlgCCH} {
+		if engines[alg], err = NewEngine(net, TruthSource{}, Config{Algorithm: alg}); err != nil {
+			t.Fatalf("%s engine: %v", alg, err)
+		}
+	}
+	eng := engines[AlgCCH]
+	tb, err := eng.fresh()
+	if err != nil {
+		t.Fatalf("tables: %v", err)
+	}
+	const kmh = 50
+	bucket, _ := eng.bucketFor(kmh)
+	grams := make([]float64, len(eng.edges))
+	for i := range grams {
+		grams[i] = tb.fuel[bucket].at(int32(i)) * fuel.CO2GramsPerGallon
+	}
+	rng := rand.New(rand.NewSource(43))
+	checked := 0
+	for checked < 40 {
+		from, to := net.Nodes[rng.Intn(len(net.Nodes))].ID, net.Nodes[rng.Intn(len(net.Nodes))].ID
+		if from == to {
+			continue
+		}
+		plans := map[string]func() (Plan, error){
+			"alt":      func() (Plan, error) { return engines[AlgALT].Route(CO2, kmh, from, to) },
+			"cch":      func() (Plan, error) { return eng.Route(CO2, kmh, from, to) },
+			"dijkstra": func() (Plan, error) { return eng.RouteDijkstra(CO2, kmh, from, to) },
+		}
+		for name, plan := range plans {
+			p, err := plan()
+			if errors.Is(err, ErrNoPath) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s %d→%d: %v", name, from, to, err)
+			}
+			if name == "dijkstra" {
+				checked++
+			}
+			want := 0.0
+			for _, id := range p.RoadIDs {
+				want += grams[eng.roadEdges[id][0]]
+			}
+			if math.Float64bits(p.Cost) != math.Float64bits(want) {
+				t.Fatalf("%s %d→%d: CO2 cost %.17g, in-order sum of edge grams %.17g", name, from, to, p.Cost, want)
+			}
+		}
+	}
+}
+
 // TestMinFuelNeverWorseThanShortest is the acceptance property: over ≥50
 // random O/D pairs, the min-fuel route never burns more than the shortest-
 // distance route.

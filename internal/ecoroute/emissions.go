@@ -11,10 +11,11 @@ import (
 // into the cost-table machinery. Pollutant rows live inside the same
 // immutable snapshots as the fuel rows but are built lazily — one
 // integration pass per bucket fills all four species — and incrementally:
-// a build starts from the newest rows any snapshot built for the bucket and
-// re-integrates only the edges whose stamp differs from theirs. An edge's
-// values are a deterministic function of the grade data its stamp names, so
-// the copy is bit-identical to re-integrating, however many snapshots ago
+// a build shares the pages of the newest rows any snapshot built for the
+// bucket and re-integrates only the edges whose stamp differs from theirs,
+// found by diffing the two stamp rows page by page. An edge's values are a
+// deterministic function of the grade data its stamp names, so the carried
+// entries are bit-identical to re-integrating, however many snapshots ago
 // the rows were built.
 
 var (
@@ -54,33 +55,37 @@ func gradeDependent(metric Objective) bool {
 // that built them.
 type emisRows struct {
 	gen     uint64
-	edgeGen []uint64
-	rows    [][]float64
+	edgeGen pagedRow[uint64]
+	rows    []pagedRow[float64]
 }
 
-// emissionRow returns the per-edge gram cost slice of one pollutant at one
+// emissionRow returns the per-edge gram cost row of one pollutant at one
 // bucket, materializing the bucket's four rows on first use.
-func (e *Engine) emissionRow(sp emission.Pollutant, bucket int, tb *tables) []float64 {
+func (e *Engine) emissionRow(sp emission.Pollutant, bucket int, tb *tables) pagedRow[float64] {
 	tb.emisOnce[bucket].Do(func() {
 		nEdges := len(e.edges)
 		base := e.emisNewest[bucket].Load()
-		rows := make([][]float64, emission.NumPollutants)
-		for p := range rows {
-			rows[p] = make([]float64, nEdges)
-			if base != nil {
-				copy(rows[p], base.rows[p])
+		rows := make([]pagedRow[float64], emission.NumPollutants)
+		recomputed := 0
+		recompute := func(i int32) {
+			recomputed++
+			v := e.cfg.SpeedsKmh[bucket] / 3.6 * e.cfg.classFactor(e.edges[i].Road.Class())
+			g := edgeEmissionGrams(e.cfg.Emission, tb.gradeAt.at(i), e.lengthM.at(i), v, e.cfg.SampleStepM)
+			for p := range rows {
+				rows[p].set(i, g[p])
 			}
 		}
-		recomputed := 0
-		for i, ed := range e.edges {
-			if base != nil && base.edgeGen[i] == tb.edgeGen[i] {
-				continue
-			}
-			recomputed++
-			v := e.cfg.SpeedsKmh[bucket] / 3.6 * e.cfg.classFactor(ed.Road.Class())
-			g := edgeEmissionGrams(e.cfg.Emission, tb.gradeAt[i], e.lengthM[i], v, e.cfg.SampleStepM)
+		if base != nil {
 			for p := range rows {
-				rows[p][i] = g[p]
+				rows[p] = base.rows[p].clone()
+			}
+			diffRows(base.edgeGen, tb.edgeGen, recompute)
+		} else {
+			for p := range rows {
+				rows[p] = newPagedRow[float64](nEdges)
+			}
+			for i := range nEdges {
+				recompute(int32(i))
 			}
 		}
 		obsEmisRecomp.Add(uint64(recomputed))
@@ -147,7 +152,7 @@ func (e *Engine) PlanEmissions(p Plan) (emission.Grams, error) {
 			if !ok {
 				return emission.Grams{}, fmt.Errorf("ecoroute: plan road %q not in network", id)
 			}
-			out[sp] += row[edges[0]]
+			out[sp] += row.at(edges[0])
 		}
 	}
 	return out, nil

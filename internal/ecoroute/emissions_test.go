@@ -173,7 +173,7 @@ func TestEmissionRowsLazyAndIncremental(t *testing.T) {
 	}
 	rowsBefore := make(map[emission.Pollutant][]float64)
 	for _, sp := range emission.Pollutants() {
-		rowsBefore[sp] = eng.emissionRow(sp, 0, tb1)
+		rowsBefore[sp] = rowValues(eng.emissionRow(sp, 0, tb1))
 	}
 	if tb1.emis[0] == nil {
 		t.Fatal("emissionRow did not store the bucket's rows")
@@ -192,7 +192,7 @@ func TestEmissionRowsLazyAndIncremental(t *testing.T) {
 	}
 	changedEdge := -1
 	for _, sp := range emission.Pollutants() {
-		after := eng.emissionRow(sp, 0, tb2)
+		after := rowValues(eng.emissionRow(sp, 0, tb2))
 		for i := range after {
 			if eng.edges[i].Road.ID() == tickID {
 				changedEdge = i

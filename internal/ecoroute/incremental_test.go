@@ -44,20 +44,21 @@ func checkAgainstFresh(t *testing.T, inc *Engine, tb *tables, store *fakeStore, 
 	if tb.gen != rtb.gen {
 		t.Fatalf("%s: incremental snapshot at generation %d, store at %d", step, tb.gen, rtb.gen)
 	}
-	for i := range tb.edgeGen {
-		if tb.edgeGen[i] != rtb.edgeGen[i] {
-			t.Fatalf("%s: edge %d stamp %d, fresh build %d", step, i, tb.edgeGen[i], rtb.edgeGen[i])
+	stamps, refStamps := rowValues(tb.edgeGen), rowValues(rtb.edgeGen)
+	for i := range stamps {
+		if stamps[i] != refStamps[i] {
+			t.Fatalf("%s: edge %d stamp %d, fresh build %d", step, i, stamps[i], refStamps[i])
 		}
 	}
 	for b := range tb.fuel {
-		sameBits(t, fmt.Sprintf("%s: fuel[%d]", step, b), tb.fuel[b], rtb.fuel[b])
+		sameBits(t, fmt.Sprintf("%s: fuel[%d]", step, b), rowValues(tb.fuel[b]), rowValues(rtb.fuel[b]))
 	}
 	for b, rows := range tb.emis {
 		if rows == nil {
 			continue
 		}
 		for _, sp := range emission.Pollutants() {
-			sameBits(t, fmt.Sprintf("%s: %s[%d]", step, sp, b), rows[sp], ref.emissionRow(sp, b, rtb))
+			sameBits(t, fmt.Sprintf("%s: %s[%d]", step, sp, b), rowValues(rows[sp]), rowValues(ref.emissionRow(sp, b, rtb)))
 		}
 	}
 	inc.cchWMu.Lock()
@@ -99,18 +100,22 @@ type routeKind struct {
 // landing between the folds, a pollutant bucket no query asks for during two
 // ticks, and a change feed that wrapped. The last seed draws every grade
 // from three values, so equal edge costs and tied triangles are common and
-// one batch raises some costs while it lowers others.
+// one batch raises some costs while it lowers others. The 400 km seed runs
+// a shorter sequence on rows of four pages, where a tick shares most pages
+// with its predecessor and copies a few.
 func TestIncrementalMatchesFreshBuild(t *testing.T) {
 	for _, seed := range []int64{3, 17, 29, 41} {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { checkIncremental(t, seed, nil) })
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { checkIncremental(t, seed, nil, 10, 24) })
 	}
-	t.Run("seed53-tied", func(t *testing.T) { checkIncremental(t, 53, []float64{-0.04, 0, 0.04}) })
+	t.Run("seed53-tied", func(t *testing.T) { checkIncremental(t, 53, []float64{-0.04, 0, 0.04}, 10, 24) })
+	t.Run("seed67-400km", func(t *testing.T) { checkIncremental(t, 67, nil, 400, 12) })
 }
 
-// checkIncremental runs the sequence from seed; grades come from levels
-// when it is non-nil, else uniformly from ±0.08 rad.
-func checkIncremental(t *testing.T, seed int64, levels []float64) {
-	net, err := road.GenerateNetwork(seed, road.NetworkConfig{TargetStreetKM: 10})
+// checkIncremental runs the sequence of steps from seed on a network of
+// about km street kilometres; grades come from levels when it is non-nil,
+// else uniformly from ±0.08 rad.
+func checkIncremental(t *testing.T, seed int64, levels []float64, km float64, steps int) {
+	net, err := road.GenerateNetwork(seed, road.NetworkConfig{TargetStreetKM: km})
 	if err != nil {
 		t.Fatalf("network: %v", err)
 	}
@@ -173,13 +178,14 @@ func checkIncremental(t *testing.T, seed int64, levels []float64) {
 			t.Fatalf("%s: %d full scans, want full=%v", step, got, wantFull)
 		}
 		checkAgainstFresh(t, inc, tb, store, step)
-		for i, s := range tb.edgeGen {
+		stamps := rowValues(tb.edgeGen)
+		for i, s := range stamps {
 			if prevStamps != nil {
 				ownFromReverse = ownFromReverse || (prevStamps[i]%3 == 2 && s%3 == 1)
 				reverseFromFlat = reverseFromFlat || (prevStamps[i] == 0 && s%3 == 2)
 			}
 		}
-		prevStamps = append(prevStamps[:0], tb.edgeGen...)
+		prevStamps = stamps
 	}
 	hasData := func(r *road.Road) bool {
 		_, _, err := store.FusedGeneration(r.ID())
@@ -200,7 +206,7 @@ func checkIncremental(t *testing.T, seed int64, levels []float64) {
 	}
 
 	multiShard := false
-	for step := 0; step < 24; step++ {
+	for step := 0; step < steps; step++ {
 		name := fmt.Sprintf("step %d", step)
 		kinds := allKinds
 		if step == 4 || step == 5 {
@@ -217,13 +223,9 @@ func checkIncremental(t *testing.T, seed int64, levels []float64) {
 			}
 			base := inc.emisNewest[1].Load()
 			stamped := 0
-			for i := range tb.edgeGen {
-				if base.edgeGen[i] != tb.edgeGen[i] {
-					stamped++
-				}
-			}
-			if stamped == 0 || stamped >= len(tb.edgeGen)/2 {
-				t.Fatalf("%s: %d of %d edges stamped since the skipped bucket's rows", name, stamped, len(tb.edgeGen))
+			diffRows(base.edgeGen, tb.edgeGen, func(int32) { stamped++ })
+			if stamped == 0 || stamped >= len(net.Edges)/2 {
+				t.Fatalf("%s: %d of %d edges stamped since the skipped bucket's rows", name, stamped, len(net.Edges))
 			}
 			miss0 := obsEmisRecomp.Value() // ecoroute_emission_edge_cache_misses_total
 			if _, err := inc.Route(skipped.obj, skipped.kmh, pairs[0][0], pairs[0][1]); err != nil && !errors.Is(err, ErrNoPath) {

@@ -126,31 +126,38 @@ func BenchmarkRouteScaleCCHRecustomizeTick100x(b *testing.B) {
 	if err != nil {
 		b.Fatalf("tables: %v", err)
 	}
-	cost := eng.costRow(Fuel, 1, tb)
-	// Ticks alternate between two rows that differ in one edge: a tick that
-	// moved one road's estimate, then one that moved it back.
-	nextGen := append([]uint64(nil), tb.edgeGen...)
-	nextGen[0]++
-	nextCost := append([]float64(nil), cost...)
-	nextCost[0] *= 1.5
-	gens := [2][]uint64{tb.edgeGen, nextGen}
-	costs := [2][]float64{cost, nextCost}
+	base := eng.costRow(Fuel, 1, tb)
+	cost, gen := base, tb.edgeGen
+	// tick derives the next rows copy-on-write from the current ones, as a
+	// snapshot rebuild does: edge 0 is re-stamped and its cost alternates
+	// between its own and 1.5 times that, a tick that moved one road's
+	// estimate, then one that moved it back.
+	tick := func(k int) {
+		cost, gen = cost.clone(), gen.clone()
+		c := base.at(0)
+		if k%2 == 1 {
+			c *= 1.5
+		}
+		cost.set(0, c)
+		gen.set(0, gen.at(0)+1)
+	}
 	cur := newCCHWeights(len(g.arcLo))
 	g.customize(cur, cost)
-	cur.edgeGen = tb.edgeGen
+	cur.edgeGen = gen
 	// The engine's steady state with no reader holding the predecessor: each
 	// tick replays the current table's delta into the predecessor's arrays
 	// and re-derives there. The first tick, with no predecessor yet, copies
 	// and runs before the timer starts.
 	var work arcWorklist
-	next, _ := g.recustomize(cur, nil, costs[1], gens[1], 1, &work)
+	tick(1)
+	next, _ := g.recustomize(cur, nil, cost, gen, 1, &work)
 	pred := cur
 	cur = next
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k := i % 2
-		next, _ = g.recustomize(cur, pred, costs[k], gens[k], uint64(i+2), &work)
+		tick(i)
+		next, _ = g.recustomize(cur, pred, cost, gen, uint64(i+2), &work)
 		pred, cur = cur, next
 	}
 }

@@ -32,7 +32,7 @@ func infSlice(n int) []float64 {
 
 // searchDijkstra is plain one-directional Dijkstra from s, stopping once t
 // is settled. Returns the edge-index path in travel order.
-func (e *Engine) searchDijkstra(cost []float64, s, t int32) ([]int32, bool) {
+func (e *Engine) searchDijkstra(cost pagedRow[float64], s, t int32) ([]int32, bool) {
 	n := len(e.ids)
 	dist := infSlice(n)
 	prev := make([]int32, n)
@@ -59,7 +59,7 @@ func (e *Engine) searchDijkstra(cost []float64, s, t int32) ([]int32, bool) {
 			if done[v] {
 				continue
 			}
-			if nd := du + cost[ei]; nd < dist[v] {
+			if nd := du + cost.at(ei); nd < dist[v] {
 				dist[v] = nd
 				prev[v] = ei
 				q.push(v, nd)
@@ -95,7 +95,7 @@ func unwindForward(tail []int32, prev []int32, s, t int32) []int32 {
 // settles), writing distances into dist. (off, arcs)/endpoint select the
 // direction: (outOff, outArc, head) searches forward from src, (inOff,
 // inArc, tail) searches the reverse graph, i.e. distances TO src.
-func oneToAll(off, arcs, endpoint []int32, cost []float64, src int32, dist []float64, remain map[int32]bool) {
+func oneToAll(off, arcs, endpoint []int32, cost pagedRow[float64], src int32, dist []float64, remain map[int32]bool) {
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
@@ -122,7 +122,7 @@ func oneToAll(off, arcs, endpoint []int32, cost []float64, src int32, dist []flo
 			if done[v] {
 				continue
 			}
-			if nd := du + cost[ei]; nd < dist[v] {
+			if nd := du + cost.at(ei); nd < dist[v] {
 				dist[v] = nd
 				q.push(v, nd)
 			}
@@ -275,7 +275,7 @@ const potentialScale = 1 - 1e-9
 // with the classic stop rule topF + topB ≥ μ. The found path's cost is
 // re-summed in travel order by the caller, so the result is bit-identical to
 // plain Dijkstra's.
-func (e *Engine) searchBidirectional(cost []float64, lm *landmarkTable, s, t int32) ([]int32, bool) {
+func (e *Engine) searchBidirectional(cost pagedRow[float64], lm *landmarkTable, s, t int32) ([]int32, bool) {
 	n := len(e.ids)
 	pf := func(v int32) float64 {
 		if lm == nil || len(lm.from) == 0 {
@@ -306,14 +306,14 @@ func (e *Engine) searchBidirectional(cost []float64, lm *landmarkTable, s, t int
 		for k := e.outOff[u]; k < e.outOff[u+1]; k++ {
 			ei := e.outArc[k]
 			v := e.head[ei]
-			nd := du + cost[ei]
+			nd := du + cost.at(ei)
 			if nd < df[v] {
 				df[v] = nd
 				prevF[v] = ei
 				qf.push(v, nd+pf(v))
 			}
 			if !math.IsInf(db[v], 1) {
-				if total := du + cost[ei] + db[v]; total < mu {
+				if total := du + cost.at(ei) + db[v]; total < mu {
 					mu = total
 					meetEdge = ei
 					meetNode = -1
@@ -326,14 +326,14 @@ func (e *Engine) searchBidirectional(cost []float64, lm *landmarkTable, s, t int
 		for k := e.inOff[u]; k < e.inOff[u+1]; k++ {
 			ei := e.inArc[k]
 			v := e.tail[ei]
-			nd := du + cost[ei]
+			nd := du + cost.at(ei)
 			if nd < db[v] {
 				db[v] = nd
 				nextB[v] = ei
 				qb.push(v, nd-pf(v))
 			}
 			if !math.IsInf(df[v], 1) {
-				if total := df[v] + cost[ei] + du; total < mu {
+				if total := df[v] + cost.at(ei) + du; total < mu {
 					mu = total
 					meetEdge = ei
 					meetNode = -1

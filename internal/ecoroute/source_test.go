@@ -135,7 +135,7 @@ func TestCloudSourceInvalidation(t *testing.T) {
 		t.Fatalf("initial build recomputed %d edges, want all %d", got, len(net.Edges))
 	}
 	// No data anywhere: every edge is flat, every stamp 0.
-	for i, g := range tb.edgeGen {
+	for i, g := range rowValues(tb.edgeGen) {
 		if g != 0 {
 			t.Fatalf("edge %d stamp %d before any submission, want 0", i, g)
 		}
@@ -179,44 +179,44 @@ func TestCloudSourceInvalidation(t *testing.T) {
 
 	// The costed direction climbs, its sibling descends: fuel must split
 	// around the old flat cost.
-	var fwdIdx, revIdx = -1, -1
+	var fwdIdx, revIdx int32 = -1, -1
 	for i, ed := range eng.edges {
 		if ed == target {
-			fwdIdx = i
-			revIdx = int(eng.sibling[i])
+			fwdIdx = int32(i)
+			revIdx = eng.sibling[i]
 		}
 	}
 	if fwdIdx < 0 || revIdx < 0 {
 		t.Fatal("target edge or sibling not found in engine index")
 	}
-	flat := tb.fuel[0][fwdIdx]
-	if up := tb3.fuel[0][fwdIdx]; up <= flat {
+	flat := tb.fuel[0].at(fwdIdx)
+	if up := tb3.fuel[0].at(fwdIdx); up <= flat {
 		t.Errorf("uphill fused cost %.9f not above flat %.9f", up, flat)
 	}
-	if down := tb3.fuel[0][revIdx]; down >= tb.fuel[0][revIdx] {
-		t.Errorf("sign-flipped sibling cost %.9f not below flat %.9f", down, tb.fuel[0][revIdx])
+	if down := tb3.fuel[0].at(revIdx); down >= tb.fuel[0].at(revIdx) {
+		t.Errorf("sign-flipped sibling cost %.9f not below flat %.9f", down, tb.fuel[0].at(revIdx))
 	}
-	if s := tb3.edgeGen[fwdIdx]; s != 3*store.roadGen[target.Road.ID()]+1 {
+	if s := tb3.edgeGen.at(fwdIdx); s != 3*store.roadGen[target.Road.ID()]+1 {
 		t.Errorf("forward stamp %d, want 3·gen+1", s)
 	}
-	if s := tb3.edgeGen[revIdx]; s != 3*store.roadGen[target.Road.ID()]+2 {
+	if s := tb3.edgeGen.at(revIdx); s != 3*store.roadGen[target.Road.ID()]+2 {
 		t.Errorf("reverse fallback stamp %d, want 3·gen+2", s)
 	}
 
 	// Submit a different road: the first street's stamps are unchanged, so
 	// its costs carry over untouched (bit-identical slices entries).
-	other := eng.siblingRoad(fwdIdx)
+	other := eng.siblingRoad(int(fwdIdx))
 	store.submit(t, other, -uphill)
 	tb4, err := eng.fresh()
 	if err != nil {
 		t.Fatalf("refresh after second submit: %v", err)
 	}
-	if tb4.fuel[0][fwdIdx] != tb3.fuel[0][fwdIdx] {
+	if tb4.fuel[0].at(fwdIdx) != tb3.fuel[0].at(fwdIdx) {
 		t.Error("unrelated submission changed an untouched edge's cost")
 	}
 	// The sibling switched provenance (fallback → own profile): must recost.
-	if tb4.edgeGen[revIdx] != 3*store.roadGen[other.ID()]+1 {
-		t.Errorf("sibling stamp %d after own submission, want 3·gen+1", tb4.edgeGen[revIdx])
+	if tb4.edgeGen.at(revIdx) != 3*store.roadGen[other.ID()]+1 {
+		t.Errorf("sibling stamp %d after own submission, want 3·gen+1", tb4.edgeGen.at(revIdx))
 	}
 }
 

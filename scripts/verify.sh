@@ -52,6 +52,13 @@ echo "== fuzz (route query parameters) =="
 # bit. Seeded from internal/cloud/testdata/fuzz/FuzzRouteQuery.
 go test -run '^$' -fuzz '^FuzzRouteQuery$' -fuzztime=10s ./internal/cloud
 
+echo "== fuzz (binary batch codec) =="
+# Raw bytes through DecodeBatchBinary and POST /v1/submit-batch as
+# application/x-roadgrade-batch: a rejected body must be a 400 that leaves
+# the store generation unchanged, and an accepted one a fixed point of the
+# codec. Seeded from internal/cloud/testdata/fuzz/FuzzDecodeBatchBinary.
+go test -run '^$' -fuzz '^FuzzDecodeBatchBinary$' -fuzztime=10s ./internal/cloud
+
 echo "== fuzz (grade filter step) =="
 # One predict, gated update and divergence check from arbitrary state,
 # covariance, input, measurement, noise and gate, through the fixed-size
