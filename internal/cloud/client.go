@@ -54,8 +54,9 @@ type Client struct {
 	// binaryBatch selects the compact binary codec for SubmitBatch.
 	binaryBatch bool
 
-	// sleep and jitter are injectable for tests.
-	sleep  func(time.Duration)
+	// sleep waits out a retry pause, returning ctx's error early once ctx
+	// is done; sleep and jitter are injectable for tests.
+	sleep  func(ctx context.Context, d time.Duration) error
 	jitter func() float64
 
 	// tracer emits client spans; nil shares obs.DefaultTracer.
@@ -149,7 +150,7 @@ func NewClient(base string, hc *http.Client, opts ...Option) (*Client, error) {
 		baseBackoff:   100 * time.Millisecond,
 		maxBackoff:    2 * time.Second,
 		perTryTimeout: 10 * time.Second,
-		sleep:         time.Sleep,
+		sleep:         sleepCtx,
 		jitter:        rand.Float64,
 	}
 	for _, opt := range opts {
@@ -252,6 +253,20 @@ func (c *Client) backoffFor(retry int) time.Duration {
 	return time.Duration(float64(d) * (0.5 + c.jitter()))
 }
 
+// sleepCtx waits d, or until ctx is done, and then returns ctx's error. A
+// server's Retry-After can ask for years; the caller's context still bounds
+// the wait.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
 // do runs one request with the retry policy. build must return a fresh
 // request each call (bodies are consumed by failed attempts). The returned
 // response body is the caller's to close.
@@ -267,13 +282,14 @@ func (c *Client) do(ctx context.Context, build func(ctx context.Context) (*http.
 	for attempt := 0; attempt < c.maxAttempts; attempt++ {
 		if attempt > 0 {
 			wait := c.backoffFor(attempt - 1)
-			select {
-			case <-ctx.Done():
-				return nil, fmt.Errorf("cloud: giving up after %d attempts: %w", attempt, ctx.Err())
-			default:
+			err := ctx.Err()
+			if err == nil {
 				obsCliRetries.Inc()
 				obsCliBackoff.Observe(wait.Seconds())
-				c.sleep(wait)
+				err = c.sleep(ctx, wait)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("cloud: giving up after %d attempts: %w", attempt, err)
 			}
 		}
 		tryCtx := ctx
@@ -752,13 +768,13 @@ func (c *Client) SubmitBatch(ctx context.Context, items []BatchItem) ([]BatchIte
 		if retryAfter > wait {
 			wait = retryAfter
 		}
-		select {
-		case <-ctx.Done():
+		if ctx.Err() != nil {
 			return results, nil
-		default:
-			obsCliRetries.Inc()
-			obsCliBackoff.Observe(wait.Seconds())
-			c.sleep(wait)
+		}
+		obsCliRetries.Inc()
+		obsCliBackoff.Observe(wait.Seconds())
+		if c.sleep(ctx, wait) != nil {
+			return results, nil
 		}
 		batch = make([]BatchItem, len(shedIdx))
 		for i, idx := range shedIdx {
@@ -817,13 +833,17 @@ func (c *Client) submitBatchOnce(ctx context.Context, batch []BatchItem) ([]Batc
 // RFC 850, or ANSI C asctime — http.ParseTime accepts all three). now
 // anchors the date form. An absent, malformed, zero, or already-elapsed
 // value yields 0 (no server hint; the client falls back to its own backoff).
+// Delta-seconds beyond the longest time.Duration saturate at it.
 func parseRetryAfter(v string, now time.Time) time.Duration {
 	if v == "" {
 		return 0
 	}
-	if secs, err := strconv.Atoi(v); err == nil {
-		if secs <= 0 {
+	if secs, err := strconv.ParseInt(v, 10, 64); err == nil || errors.Is(err, strconv.ErrRange) {
+		switch {
+		case secs <= 0:
 			return 0
+		case secs > math.MaxInt64/int64(time.Second):
+			return math.MaxInt64
 		}
 		return time.Duration(secs) * time.Second
 	}

@@ -392,7 +392,7 @@ func TestCoalescerSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	retier.sleep = func(d time.Duration) { time.Sleep(time.Millisecond) }
+	retier.sleep = func(ctx context.Context, _ time.Duration) error { return sleepCtx(ctx, time.Millisecond) }
 	final, err := retier.SubmitBatch(context.Background(), items)
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func fastClient(t *testing.T, base string, hc *http.Client, opts ...Option) *Cli
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.sleep = func(time.Duration) {}
+	c.sleep = func(context.Context, time.Duration) error { return nil }
 	c.jitter = func() float64 { return 0.5 }
 	return c
 }

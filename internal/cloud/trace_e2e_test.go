@@ -89,7 +89,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli.sleep = func(time.Duration) {
+	cli.sleep = func(context.Context, time.Duration) error {
 		if !unblocked {
 			unblocked = true
 			blockRS.mu.Unlock()
@@ -99,6 +99,7 @@ func TestTraceEndToEnd(t *testing.T) {
 			return queued == 0
 		})
 		blockedDone.Wait()
+		return nil
 	}
 
 	res, err := cli.SubmitBatch(context.Background(),

@@ -36,9 +36,10 @@ func (s *tickSource) Edge(fwd, _ *road.Road) EdgeGrades {
 }
 
 // TestCCHMatchesDijkstra is the CCH acceptance property (mirroring the PR 5
-// bidi≡Dijkstra gate): over ≥40 random O/D pairs and all four objectives,
-// the elimination-tree query's cost must equal the plain Dijkstra
-// reference's to the last bit.
+// bidi≡Dijkstra gate): over 40 random O/D pairs, and every road's From→To
+// (the one-road route the route-country probe asks after an upload), under
+// every objective, the elimination-tree query's cost must equal the plain
+// Dijkstra reference's to the last bit.
 func TestCCHMatchesDijkstra(t *testing.T) {
 	net, err := road.GenerateNetwork(43, road.NetworkConfig{TargetStreetKM: 12})
 	if err != nil {
@@ -52,13 +53,19 @@ func TestCCHMatchesDijkstra(t *testing.T) {
 		t.Fatalf("Algorithm() = %q, want %q", eng.Algorithm(), AlgCCH)
 	}
 	rng := rand.New(rand.NewSource(11))
-	checked := 0
-	for checked < 40 {
+	var pairs [][2]int
+	for len(pairs) < 40 {
 		from := net.Nodes[rng.Intn(len(net.Nodes))].ID
 		to := net.Nodes[rng.Intn(len(net.Nodes))].ID
-		if from == to {
-			continue
+		if from != to {
+			pairs = append(pairs, [2]int{from, to})
 		}
+	}
+	for _, ed := range net.Edges {
+		pairs = append(pairs, [2]int{ed.From, ed.To})
+	}
+	for _, p := range pairs {
+		from, to := p[0], p[1]
 		for _, obj := range Objectives() {
 			fast, errF := eng.Route(obj, 40, from, to)
 			ref, errR := eng.RouteDijkstra(obj, 40, from, to)
@@ -79,7 +86,6 @@ func TestCCHMatchesDijkstra(t *testing.T) {
 				t.Errorf("%s %d→%d: unpacked path endpoints %v", obj, from, to, fast.Nodes)
 			}
 		}
-		checked++
 	}
 }
 
@@ -238,7 +244,8 @@ func TestCCHMatrixMatchesPointQueries(t *testing.T) {
 }
 
 // TestMatrixCtxCancel: a canceled context must abort the matrix promptly with
-// the context's error instead of finishing the grid, on both engines.
+// the context's error instead of finishing the grid, on both engines, and a
+// cancelled CCH grid must hand its scratch back to the pool clean.
 func TestMatrixCtxCancel(t *testing.T) {
 	net, err := road.GenerateNetwork(43, road.NetworkConfig{TargetStreetKM: 40})
 	if err != nil {
@@ -274,6 +281,9 @@ func TestMatrixCtxCancel(t *testing.T) {
 		// but a canceled run must not have kept grinding for seconds.
 		if err != nil && elapsed > 2*time.Second {
 			t.Errorf("%s: canceled matrix still ran %v", alg, elapsed)
+		}
+		if alg == AlgCCH {
+			checkScratchClean(t, "cancelled matrix", eng)
 		}
 		cancel()
 	}

@@ -73,8 +73,14 @@ var cchRecustomizeSeeds = []struct {
 // list naming exactly the arcs that differ from the current table, in
 // ascending order. Each tick derives its cost and stamp rows copy-on-write
 // from the previous tick's, as a snapshot rebuild does, so the dirty-edge
-// scan meets shared and copied pages alike.
-func checkRecustomize(t *testing.T, g *cch, input []byte) {
+// scan meets shared and copied pages alike. On each tick's table, the
+// pruned point query must then match the unpruned reference on a fixed
+// panel of node pairs (queryPanel, checkQueriesAgree); the levels make
+// equal-cost paths common. Every ordered pair would make a pass over the
+// seeds about seven times slower than the panel does.
+func checkRecustomize(t *testing.T, eng *Engine, input []byte) {
+	g := eng.cchGraph()
+	panel := queryPanel(eng)
 	nEdges := len(g.edgeArc)
 	cost := newPagedRow[float64](nEdges)
 	for i := range int32(nEdges) {
@@ -116,6 +122,10 @@ func checkRecustomize(t *testing.T, g *cch, input []byte) {
 			return
 		}
 		pred, cur = cur, next
+		checkQueriesAgree(t, fmt.Sprintf("tick %d", tick), eng, cur, panel)
+		if t.Failed() {
+			return
+		}
 	}
 }
 
@@ -149,11 +159,13 @@ func TestCCHRecustomizeCorpus(t *testing.T) {
 }
 
 // FuzzCCHRecustomize is the differential check of incremental
-// re-customization: arbitrary ticks of cost edits on a fixed network, each
-// re-customized from the table before it and compared with the full
-// customization, the reference. The network has 49 nodes, 170 edges, 301
-// arcs and 854 triangles, small enough for thousands of ticks a second; its
-// rows are one page, which the page type's own tests go beyond.
+// re-customization and of the pruned point query: arbitrary ticks of cost
+// edits on a fixed network, each re-customized from the table before it and
+// compared with the full customization, the reference, then queried for a
+// fixed panel of node pairs and compared with the unpruned query. The
+// network has 49 nodes, 170 edges, 301 arcs and 854 triangles; its rows are
+// one page, which the page type's own tests go beyond, and its elimination
+// tree is a single path, which TestCCHQueryMatchesUnpruned goes beyond.
 func FuzzCCHRecustomize(f *testing.F) {
 	net, err := road.GenerateNetwork(7, road.NetworkConfig{TargetStreetKM: 40})
 	if err != nil {
@@ -163,11 +175,10 @@ func FuzzCCHRecustomize(f *testing.F) {
 	if err != nil {
 		f.Fatalf("engine: %v", err)
 	}
-	g := eng.cchGraph()
 	f.Fuzz(func(t *testing.T, input []byte) {
 		if len(input) > 3*cchMaxEdits {
 			return
 		}
-		checkRecustomize(t, g, input)
+		checkRecustomize(t, eng, input)
 	})
 }

@@ -83,38 +83,44 @@ func (sc SpanContext) Traceparent() string {
 	return string(b[:])
 }
 
-// ParseTraceparent parses a version-00 traceparent header value. It is
-// strict about lengths and hex but tolerant of future versions (any 2-hex
-// version except the invalid "ff" is accepted, per the W3C spec's
-// forward-compatibility rule).
+// ParseTraceparent parses a traceparent header value as W3C Trace Context
+// says a version-00 parser must: every field is lowercase hex, the version
+// is not the invalid "ff", and neither id is all zeros. A version-00 value
+// is exactly 55 bytes. A future version is parsed by its version-00 prefix
+// and may carry further fields after a dash, per the spec's
+// forward-compatibility rule.
 func ParseTraceparent(v string) (SpanContext, bool) {
 	// Layout: vv-tttttttttttttttttttttttttttttttt-ssssssssssssssss-ff
 	if len(v) < 55 || v[2] != '-' || v[35] != '-' || v[52] != '-' {
 		return SpanContext{}, false
 	}
-	if len(v) > 55 && v[55] != '-' {
-		// Future versions may append -extra fields; version 00 must not.
+	var version, flags [1]byte
+	if !decodeLowerHex(version[:], v[:2]) || version[0] == 0xff {
 		return SpanContext{}, false
 	}
-	if v[:2] == "ff" {
+	if len(v) > 55 && (version[0] == 0 || v[55] != '-') {
 		return SpanContext{}, false
 	}
 	var sc SpanContext
-	if _, err := hex.Decode(sc.Trace[:], []byte(v[3:35])); err != nil {
-		return SpanContext{}, false
-	}
-	if _, err := hex.Decode(sc.Span[:], []byte(v[36:52])); err != nil {
-		return SpanContext{}, false
-	}
-	var flags [1]byte
-	if _, err := hex.Decode(flags[:], []byte(v[53:55])); err != nil {
-		return SpanContext{}, false
-	}
-	if !sc.IsValid() {
+	if !decodeLowerHex(sc.Trace[:], v[3:35]) || !decodeLowerHex(sc.Span[:], v[36:52]) ||
+		!decodeLowerHex(flags[:], v[53:55]) || !sc.IsValid() {
 		return SpanContext{}, false
 	}
 	sc.Sampled = flags[0]&0x01 != 0
 	return sc, true
+}
+
+// decodeLowerHex decodes s, 2·len(dst) hex digits, into dst and reports
+// whether every digit was lowercase hex: encoding/hex alone would take
+// uppercase digits too, which a traceparent header must not carry.
+func decodeLowerHex(dst []byte, s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	_, err := hex.Decode(dst, []byte(s))
+	return err == nil
 }
 
 // ctxKey keys the active SpanContext in a context.Context.

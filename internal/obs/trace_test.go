@@ -2,6 +2,9 @@ package obs
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -38,6 +41,10 @@ func TestParseTraceparentRejects(t *testing.T) {
 		"00-" + strings.Repeat("0", 32) + valid[35:],      // zero trace id
 		"00-" + strings.Repeat("g", 32) + valid[35:],      // non-hex trace id
 		valid[:36] + strings.Repeat("0", 16) + valid[52:], // zero span id
+		strings.ToUpper(valid),                            // uppercase hex
+		valid + "-extra",                                  // version 00 with a further field
+		"zz" + valid[2:],                                  // non-hex version
+		"0g" + valid[2:],                                  // half-hex version
 	}
 	for _, v := range bad {
 		if _, ok := ParseTraceparent(v); ok {
@@ -49,6 +56,98 @@ func TestParseTraceparentRejects(t *testing.T) {
 	if _, ok := ParseTraceparent(future); !ok {
 		t.Errorf("future version %q rejected", future)
 	}
+}
+
+// traceparentCases are ParseTraceparent inputs and whether each must be
+// accepted. They are FuzzParseTraceparent's seed corpus too:
+// testdata/fuzz/FuzzParseTraceparent holds one file per case, named after it
+// (TestParseTraceparentCorpus keeps the two in step).
+var traceparentCases = []struct {
+	name  string
+	input string
+	ok    bool
+}{
+	{"sampled", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", true},
+	{"unsampled", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00", true},
+	{"unknown-flags", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-ff", true},
+	{"future-version", "cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", true},
+	{"future-version-extra", "cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-what-the-future-holds", true},
+	{"uppercase-trace-id", "00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", false},
+	{"uppercase-flags", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0A", false},
+	{"v00-extra", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra", false},
+	{"future-version-no-dash", "cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x", false},
+	{"non-hex-version", "zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", false},
+	{"half-hex-version", "0g-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", false},
+	{"version-ff", "ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", false},
+	{"zero-trace-id", "00-00000000000000000000000000000000-00f067aa0ba902b7-01", false},
+	{"zero-span-id", "00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", false},
+	{"truncated", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0", false},
+	{"empty", "", false},
+}
+
+// checkTraceparent parses v and checks what every answer must hold: an
+// accepted header has a lowercase-hex version other than ff, lowercase-hex
+// flags and non-zero ids; a version-00 header is exactly 55 bytes; and
+// formatting the parsed context gives back the input's first 55 bytes, as
+// version 00 and with the flags reduced to the sampled bit. It returns
+// whether v was accepted.
+func checkTraceparent(t *testing.T, v string) bool {
+	t.Helper()
+	sc, ok := ParseTraceparent(v)
+	if !ok {
+		return false
+	}
+	lowerHex := func(s string) bool {
+		return strings.Trim(s, "0123456789abcdef") == ""
+	}
+	if !lowerHex(v[:2]) || v[:2] == "ff" || !lowerHex(v[53:55]) {
+		t.Fatalf("accepted %q: version %q, flags %q", v, v[:2], v[53:55])
+	}
+	if sc.Trace.IsZero() || sc.Span.IsZero() {
+		t.Fatalf("accepted %q with a zero id", v)
+	}
+	if v[:2] == "00" && len(v) != 55 {
+		t.Fatalf("accepted version-00 %q of %d bytes", v, len(v))
+	}
+	sampled := "0"
+	if strings.IndexByte("13579bdf", v[54]) >= 0 {
+		sampled = "1"
+	}
+	if want := "00" + v[2:53] + "0" + sampled; sc.Traceparent() != want {
+		t.Fatalf("accepted %q formats as %q, want %q", v, sc.Traceparent(), want)
+	}
+	return true
+}
+
+// TestParseTraceparentCases runs the seed table through checkTraceparent.
+func TestParseTraceparentCases(t *testing.T) {
+	for _, tc := range traceparentCases {
+		t.Run(tc.name, func(t *testing.T) {
+			if ok := checkTraceparent(t, tc.input); ok != tc.ok {
+				t.Errorf("ParseTraceparent(%q) accepted %v, want %v", tc.input, ok, tc.ok)
+			}
+		})
+	}
+}
+
+// TestParseTraceparentCorpus checks every seed case has its corpus file, in
+// the go test fuzz v1 encoding of its input.
+func TestParseTraceparentCorpus(t *testing.T) {
+	for _, tc := range traceparentCases {
+		want := fmt.Sprintf("go test fuzz v1\nstring(%q)\n", tc.input)
+		got, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzParseTraceparent", tc.name))
+		if err != nil || string(got) != want {
+			t.Errorf("seed %s: corpus file %q (%v), want %q", tc.name, got, err, want)
+		}
+	}
+}
+
+// FuzzParseTraceparent drives arbitrary header values through
+// ParseTraceparent.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, v string) {
+		checkTraceparent(t, v)
+	})
 }
 
 // TestStartCtxPropagation: StartCtx chains parent → child IDs through the

@@ -59,6 +59,19 @@ echo "== fuzz (binary batch codec) =="
 # codec. Seeded from internal/cloud/testdata/fuzz/FuzzDecodeBatchBinary.
 go test -run '^$' -fuzz '^FuzzDecodeBatchBinary$' -fuzztime=10s ./internal/cloud
 
+echo "== fuzz (traceparent header) =="
+# Raw header values through obs.ParseTraceparent: an accepted header has a
+# lowercase-hex version other than ff, non-zero ids and, at version 00,
+# exactly 55 bytes, and formats back to itself with its flags reduced to the
+# sampled bit. Seeded from internal/obs/testdata/fuzz/FuzzParseTraceparent.
+go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime=10s ./internal/obs
+
+echo "== fuzz (Retry-After) =="
+# Raw Retry-After values through the client's parser: the wait is never
+# negative and never falls as delta-seconds grow, up to and past the longest
+# time.Duration, where it saturates.
+go test -run '^$' -fuzz '^FuzzParseRetryAfter$' -fuzztime=10s ./internal/cloud
+
 echo "== fuzz (grade filter step) =="
 # One predict, gated update and divergence check from arbitrary state,
 # covariance, input, measurement, noise and gate, through the fixed-size
@@ -70,7 +83,8 @@ echo "== fuzz (CCH re-customization) =="
 # Ticks of per-edge cost edits, drawn from a few levels so that ties are
 # common, through the incremental re-customization on both its fresh-copy
 # and predecessor-replay paths; every tick's table must equal the full
-# customization bit for bit. Seeded from
+# customization bit for bit, and on it the pruned point query must return
+# the unpruned reference's path for a fixed panel of node pairs. Seeded from
 # internal/ecoroute/testdata/fuzz/FuzzCCHRecustomize.
 go test -run '^$' -fuzz '^FuzzCCHRecustomize$' -fuzztime=10s ./internal/ecoroute
 
