@@ -167,7 +167,6 @@ func run() error {
 	shards := flag.Int("shards", 0, "store shard count, rounded up to a power of two (0: default 32)")
 	routeKM := flag.Float64("route-km", 0, "enable GET /v1/route over a generated network of this many street-km (0 disables; 164.8 is the paper's area)")
 	routeSeed := flag.Int64("route-seed", 1827, "network generator seed for -route-km")
-	routeEngine := flag.String("route-engine", "alt", "routing search engine: alt (landmark A*) | cch (contraction hierarchy; pays a one-time contraction, then answers country-scale queries in sub-ms)")
 	emissions := flag.Bool("emissions", false, "enable GET /v1/emissions (city-wide per-road pollutant table over the fused map; needs -route-km)")
 	coalesce := flag.Bool("coalesce", true, "batched submits fold through per-shard write coalescing with admission control")
 	queueDepth := flag.Int("queue-depth", 1024, "coalescer queue depth per shard (backpressure threshold)")
@@ -210,20 +209,16 @@ func run() error {
 		// Eco-routing over this server's own fused store: routes follow the
 		// crowd-sourced gradient map as submissions land, falling back to
 		// flat for roads nobody has driven yet.
-		alg, err := ecoroute.ParseAlgorithm(*routeEngine)
-		if err != nil {
-			return err
-		}
 		net, err := road.GenerateNetwork(*routeSeed, road.NetworkConfig{TargetStreetKM: *routeKM})
 		if err != nil {
 			return fmt.Errorf("generating routing network: %w", err)
 		}
-		eng, err := ecoroute.NewEngine(net, ecoroute.CloudSource{Store: fusionSrv}, ecoroute.Config{Algorithm: alg})
+		eng, err := ecoroute.NewEngine(net, ecoroute.CloudSource{Store: fusionSrv}, ecoroute.Config{})
 		if err != nil {
 			return fmt.Errorf("building routing engine: %w", err)
 		}
 		fusionSrv.EnableRouting(eng)
-		logger.Info("routing enabled", "engine", alg, "street_km", net.TotalLengthM()/1000, "nodes", len(net.Nodes), "edges", len(net.Edges))
+		logger.Info("routing enabled", "street_km", net.TotalLengthM()/1000, "nodes", len(net.Nodes), "edges", len(net.Edges))
 		if *emissions {
 			if err := fusionSrv.EnableEmissions(net); err != nil {
 				return fmt.Errorf("enabling emissions: %w", err)

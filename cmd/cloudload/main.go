@@ -11,7 +11,7 @@
 //	cloudload -clients 32 -read-frac 0.5     # heavier, balanced mix
 //	cloudload -addr http://host:8080         # drive a remote cloudfuse
 //	cloudload -roads 64 -prefill 64 -ops 100000 -metrics
-//	cloudload -read-frac 0.6 -route-frac 0.3 -route-km 164.8 -route-engine cch
+//	cloudload -read-frac 0.6 -route-frac 0.3 -route-km 164.8
 //	                                         # mixed fetch/submit/route workload
 //
 // The workload is deterministic per -seed: every worker derives its own RNG,
@@ -85,13 +85,12 @@ type config struct {
 
 	// Route mix (per-op mode): a -route-frac slice of measured ops are
 	// GET /v1/route queries over a network generated from -route-km and
-	// -route-seed. In-process runs enable routing on the server themselves
-	// (-route-engine picks alt or cch); remote runs require the target
-	// cloudfuse to be started with the same -route-km/-route-seed.
+	// -route-seed. In-process runs enable routing on the server themselves;
+	// remote runs require the target cloudfuse to be started with the same
+	// -route-km/-route-seed.
 	routeFrac      float64
 	routeKM        float64
 	routeSeed      int64
-	routeEngine    string
 	routeObjective string        // objective the route mix queries (fuel, nox, ...)
 	duration       time.Duration // measure for a fixed wall time instead
 	seed           int64
@@ -134,7 +133,6 @@ func parseFlags(args []string) (config, bool, error) {
 	fs.Float64Var(&cfg.routeFrac, "route-frac", 0, "fraction of measured ops that are GET /v1/route queries (needs -route-km)")
 	fs.Float64Var(&cfg.routeKM, "route-km", 0, "street-km of the routing network backing -route-frac (must match the server's for -addr)")
 	fs.Int64Var(&cfg.routeSeed, "route-seed", 1827, "routing network generator seed (must match the server's for -addr)")
-	fs.StringVar(&cfg.routeEngine, "route-engine", "alt", "in-process routing search engine: alt | cch")
 	fs.StringVar(&cfg.routeObjective, "route-objective", "fuel", "objective the route mix queries (distance | time | fuel | co2 | nox | co | hc | pm)")
 	fs.IntVar(&cfg.conns, "conns", 0, "transport MaxIdleConnsPerHost (0: match -clients)")
 	fs.IntVar(&cfg.shards, "shards", 0, "in-process server shards (0: default)")
@@ -170,7 +168,7 @@ func parseFlags(args []string) (config, bool, error) {
 // addr, metrics) are fine in either mode.
 var (
 	fleetOnlyFlags    = []string{"phones", "rounds", "batch", "binary", "gzip", "mix", "stagger", "queue-depth", "batch-max", "bad-frac", "bad-class", "fusion-policy"}
-	perOpHarnessFlags = []string{"read-frac", "ops", "prefill", "duration", "route-frac", "route-km", "route-seed", "route-engine", "route-objective"}
+	perOpHarnessFlags = []string{"read-frac", "ops", "prefill", "duration", "route-frac", "route-km", "route-seed", "route-objective"}
 )
 
 // checkFlagConflicts rejects flag combinations that would silently do
@@ -236,7 +234,7 @@ func (r *report) String() string {
 		r.Ops, r.Errors, r.Wall.Round(time.Millisecond), r.Throughput,
 		f(r.Fetch), f(r.Submit))
 	if r.Config.routeFrac > 0 {
-		out += fmt.Sprintf("  route       %s  [%s engine, %s objective]\n", f(r.Route), r.Config.routeEngine, r.Config.routeObjective)
+		out += fmt.Sprintf("  route       %s  [%s objective]\n", f(r.Route), r.Config.routeObjective)
 	}
 	return out + r.Obs.String()
 }
@@ -429,11 +427,7 @@ func run(cfg config) (*report, error) {
 			srv.MaxSubmissionsPerRoad = cfg.prefill
 		}
 		if routeNet != nil {
-			alg, err := ecoroute.ParseAlgorithm(cfg.routeEngine)
-			if err != nil {
-				return nil, err
-			}
-			eng, err := ecoroute.NewEngine(routeNet, ecoroute.CloudSource{Store: srv}, ecoroute.Config{Algorithm: alg})
+			eng, err := ecoroute.NewEngine(routeNet, ecoroute.CloudSource{Store: srv}, ecoroute.Config{})
 			if err != nil {
 				return nil, fmt.Errorf("building routing engine: %w", err)
 			}

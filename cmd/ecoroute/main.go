@@ -60,7 +60,6 @@ func run() error {
 	to := flag.Int("to", -1, "destination node id")
 	pairs := flag.Int("pairs", 0, "sample this many random O/D pairs and report planner means")
 	format := flag.String("format", "table", "output format: table | json")
-	engine := flag.String("engine", "alt", "search engine: alt (landmark A*) | cch (contraction hierarchy, for country-scale -km)")
 	flag.Parse()
 
 	if *format != "table" && *format != "json" {
@@ -70,15 +69,11 @@ func run() error {
 	if err != nil {
 		return unknownObjectiveError(*objective)
 	}
-	alg, err := ecoroute.ParseAlgorithm(*engine)
-	if err != nil {
-		return err
-	}
 	net, err := road.GenerateNetwork(*seed, road.NetworkConfig{TargetStreetKM: *km})
 	if err != nil {
 		return err
 	}
-	eng, err := ecoroute.NewEngine(net, ecoroute.TruthSource{}, ecoroute.Config{Algorithm: alg})
+	eng, err := ecoroute.NewEngine(net, ecoroute.TruthSource{}, ecoroute.Config{})
 	if err != nil {
 		return err
 	}

@@ -54,7 +54,6 @@ func run() error {
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		metrics    = flag.Bool("metrics", false, "dump the metrics registry (Prometheus text) to stderr after the run")
 		traceFile  = flag.String("tracefile", "", "write the span timeline as Chrome trace-event JSON to this file (open in chrome://tracing or Perfetto)")
-		routeEng   = flag.String("route-engine", "", "routing experiments' search engine: alt | cch (empty: alt); route costs are identical either way")
 	)
 	flag.Parse()
 
@@ -100,7 +99,7 @@ func run() error {
 	if *metrics {
 		obs.RegisterRuntimeGauges(obs.Default)
 	}
-	opt := experiment.Options{Seed: *seed, Quick: *quick, RouteEngine: *routeEng}
+	opt := experiment.Options{Seed: *seed, Quick: *quick}
 	var tables []experiment.Table
 	if *expName == "all" {
 		all, err := experiment.All(opt)

@@ -60,7 +60,8 @@ var gzipWriterPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discar
 
 // readBody slurps the request body into a pooled buffer, transparently
 // decompressing a gzip Content-Encoding and bounding both the wire and the
-// decompressed size. The caller must return buf to bodyBufPool.
+// decompressed size; either overflow is an *http.MaxBytesError. The caller
+// must return buf to bodyBufPool.
 func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) (*bytes.Buffer, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
 	var src io.Reader = r.Body
@@ -85,8 +86,9 @@ func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) (*bytes.Bu
 		return nil, err
 	}
 	if int64(buf.Len()) > maxBytes {
+		// The same error the wire cap gives, so both overflows answer 413.
 		bodyBufPool.Put(buf)
-		return nil, fmt.Errorf("decompressed body exceeds %d bytes", maxBytes)
+		return nil, &http.MaxBytesError{Limit: maxBytes}
 	}
 	return buf, nil
 }

@@ -126,9 +126,7 @@ type Server struct {
 	feed changeFeed
 
 	// router, when set via EnableRouting, serves GET /v1/route;
-	// routeQueries counts answered queries labeled by the engine's search
-	// algorithm (alt/cch), so dashboards can attribute latency shifts to an
-	// engine switch.
+	// routeQueries counts answered queries.
 	router       *ecoroute.Engine
 	routeQueries *obs.Counter
 

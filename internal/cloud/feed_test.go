@@ -92,7 +92,7 @@ func TestRoutingFollowsChangeFeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ecoroute.Config{Algorithm: ecoroute.AlgCCH, SpeedsKmh: []float64{40}}
+	cfg := ecoroute.Config{SpeedsKmh: []float64{40}}
 	eng, err := ecoroute.NewEngine(net, ecoroute.CloudSource{Store: srv}, cfg)
 	if err != nil {
 		t.Fatal(err)

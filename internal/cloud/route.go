@@ -22,13 +22,10 @@ import (
 // EnableRouting attaches an eco-routing engine, turning on GET /v1/route.
 // Call before Handler()/serving; the engine is typically built over this
 // server's own fused store (ecoroute.CloudSource{Store: s}), so routes follow
-// the crowd-sourced gradient map as submissions refine it. Served queries are
-// counted per search engine (alt/cch) so a config switch shows up in the
-// metrics, not just in latency.
+// the crowd-sourced gradient map as submissions refine it.
 func (s *Server) EnableRouting(eng *ecoroute.Engine) {
 	s.router = eng
-	s.routeQueries = obs.Default.Counter("cloud_route_queries_total",
-		obs.L("engine", eng.Algorithm()))
+	s.routeQueries = obs.Default.Counter("cloud_route_queries_total")
 }
 
 // RouteDTO is the wire form of an answered routing query.

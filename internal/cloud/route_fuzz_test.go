@@ -67,7 +67,7 @@ func routeQueryServer(tb testing.TB) (*Server, *ecoroute.Engine, http.Handler) {
 			}
 		}
 	}
-	eng, err := ecoroute.NewEngine(net, ecoroute.CloudSource{Store: s}, ecoroute.Config{Algorithm: ecoroute.AlgCCH})
+	eng, err := ecoroute.NewEngine(net, ecoroute.CloudSource{Store: s}, ecoroute.Config{})
 	if err != nil {
 		tb.Fatalf("engine: %v", err)
 	}

@@ -169,7 +169,7 @@ func BenchmarkEcoRouteServeWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	// Pre-draw connected pairs and warm tables + landmarks.
+	// Pre-draw connected pairs and warm the tables and customizations.
 	rng := rand.New(rand.NewSource(5))
 	var queries []string
 	for len(queries) < 256 {

@@ -30,7 +30,7 @@ func BenchmarkCountryTick25x(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	eng, err := ecoroute.NewEngine(net, ecoroute.CloudSource{Store: srv}, ecoroute.Config{Algorithm: ecoroute.AlgCCH})
+	eng, err := ecoroute.NewEngine(net, ecoroute.CloudSource{Store: srv}, ecoroute.Config{})
 	if err != nil {
 		b.Fatalf("engine: %v", err)
 	}

@@ -1,12 +1,13 @@
 package ecoroute
 
 // The ecoroute benchmark family: warm point-to-point query latency (with the
-// p95 the acceptance criterion reads), cold-start cost (full cost-table +
-// landmark build), and the incremental invalidation cost after a single-road
-// re-fusion. All run on the 164.8 km Charlottesville-scale network. The
-// ecoroute family in BENCH.json gates them (scripts/bench.sh).
+// p95 the acceptance criterion reads), cold-start cost (full cost-table
+// build and customization), and the incremental invalidation cost after a
+// single-road re-fusion. All run on the 164.8 km Charlottesville-scale
+// network. The ecoroute family in BENCH.json gates them (scripts/bench.sh).
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
 	"sort"
@@ -41,8 +42,8 @@ func benchPairs(eng *Engine, n int) [][2]int {
 	nn := len(eng.ids)
 	fwd := make([]float64, nn)
 	bwd := make([]float64, nn)
-	oneToAll(eng.outOff, eng.outArc, eng.head, eng.lengthM, 0, fwd, nil)
-	oneToAll(eng.inOff, eng.inArc, eng.tail, eng.lengthM, 0, bwd, nil)
+	oneToAll(eng.outOff, eng.outArc, eng.head, eng.lengthM, 0, fwd)
+	oneToAll(eng.inOff, eng.inArc, eng.tail, eng.lengthM, 0, bwd)
 	var ids []int
 	for i := 0; i < nn; i++ {
 		if !math.IsInf(fwd[i], 1) && !math.IsInf(bwd[i], 1) {
@@ -60,6 +61,34 @@ func benchPairs(eng *Engine, n int) [][2]int {
 		pairs[i] = [2]int{from, to}
 	}
 	return pairs
+}
+
+// oneToAll runs Dijkstra from src over the given CSR adjacency until the
+// queue drains, writing distances into dist. (off, arcs)/endpoint select the
+// direction: (outOff, outArc, head) searches forward from src, (inOff,
+// inArc, tail) searches the reverse graph, i.e. distances TO src.
+func oneToAll(off, arcs, endpoint []int32, cost pagedRow[float64], src int32, dist []float64) {
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	done := make([]bool, len(dist))
+	dist[src] = 0
+	q := &pq{{node: src, key: 0}}
+	for q.Len() > 0 {
+		u := heap.Pop(q).(pqItem).node
+		if done[u] {
+			continue
+		}
+		done[u] = true
+		for k := off[u]; k < off[u+1]; k++ {
+			ei := arcs[k]
+			v := endpoint[ei]
+			if nd := dist[u] + cost.at(ei); !done[v] && nd < dist[v] {
+				dist[v] = nd
+				q.push(v, nd)
+			}
+		}
+	}
 }
 
 // bumpSource wraps ground truth behind a controllable generation so
@@ -83,8 +112,8 @@ func (s *bumpSource) Edge(fwd, _ *road.Road) EdgeGrades {
 }
 
 // BenchmarkEcoRouteWarmQuery is the acceptance benchmark: min-fuel
-// point-to-point queries on warm cost tables and landmarks. The reported
-// p95-ns metric must stay at or under 1 ms (1e6 ns).
+// point-to-point queries on warm cost tables and customized weights. The
+// reported p95-ns metric must stay at or under 1 ms (1e6 ns).
 func BenchmarkEcoRouteWarmQuery(b *testing.B) {
 	net := charlottesville(b)
 	eng, err := NewEngine(net, TruthSource{}, Config{})
@@ -92,7 +121,7 @@ func BenchmarkEcoRouteWarmQuery(b *testing.B) {
 		b.Fatalf("engine: %v", err)
 	}
 	pairs := benchPairs(eng, 1024)
-	// Prime tables and landmarks.
+	// Prime tables and the fuel customization.
 	if _, err := eng.Route(Fuel, 40, pairs[0][0], pairs[0][1]); err != nil {
 		b.Fatalf("prime: %v", err)
 	}
@@ -114,8 +143,8 @@ func BenchmarkEcoRouteWarmQuery(b *testing.B) {
 	b.ReportMetric(float64(p95.Nanoseconds()), "p95-ns")
 }
 
-// BenchmarkEcoRouteWarmQueryDijkstra is the unpruned reference search on the
-// same warm tables — the denominator of the ALT speedup.
+// BenchmarkEcoRouteWarmQueryDijkstra is the reference search on the same
+// warm tables — the denominator of the hierarchy's speedup.
 func BenchmarkEcoRouteWarmQueryDijkstra(b *testing.B) {
 	net := charlottesville(b)
 	eng, err := NewEngine(net, TruthSource{}, Config{})
@@ -138,7 +167,7 @@ func BenchmarkEcoRouteWarmQueryDijkstra(b *testing.B) {
 
 // BenchmarkEcoRouteColdQuery pays the full pipeline per query: every edge's
 // stamp changes, so the cost tables re-integrate all edges and the fuel
-// landmark tables rebuild before the search runs.
+// weights re-customize before the search runs.
 func BenchmarkEcoRouteColdQuery(b *testing.B) {
 	net := charlottesville(b)
 	src := &bumpSource{stampAll: true}
@@ -160,8 +189,8 @@ func BenchmarkEcoRouteColdQuery(b *testing.B) {
 
 // BenchmarkEcoRouteInvalidate measures one incremental refresh: a single
 // road's generation bumps (as one cloud re-fusion would), so the refresh
-// scans stamps, re-integrates only that road, rebuilds the fuel landmarks,
-// and answers a query.
+// recosts only that road, re-customizes the fuel weights incrementally, and
+// answers a query.
 func BenchmarkEcoRouteInvalidate(b *testing.B) {
 	net := charlottesville(b)
 	src := &bumpSource{roadID: net.Edges[0].Road.ID()}
@@ -197,7 +226,7 @@ func BenchmarkEmissionRouteQuery(b *testing.B) {
 		b.Fatalf("engine: %v", err)
 	}
 	pairs := benchPairs(eng, 1024)
-	// Prime tables, emission rows, and NOx landmarks.
+	// Prime tables, emission rows, and the NOx customization.
 	if _, err := eng.Route(NOx, 40, pairs[0][0], pairs[0][1]); err != nil {
 		b.Fatalf("prime: %v", err)
 	}

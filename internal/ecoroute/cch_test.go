@@ -35,22 +35,18 @@ func (s *tickSource) Edge(fwd, _ *road.Road) EdgeGrades {
 	return EdgeGrades{Gen: 1, At: fwd.GradeAt}
 }
 
-// TestCCHMatchesDijkstra is the CCH acceptance property (mirroring the PR 5
-// bidi≡Dijkstra gate): over 40 random O/D pairs, and every road's From→To
-// (the one-road route the route-country probe asks after an upload), under
-// every objective, the elimination-tree query's cost must equal the plain
-// Dijkstra reference's to the last bit.
+// TestCCHMatchesDijkstra is the CCH acceptance property: over 40 random O/D
+// pairs, and every road's From→To (the one-road route the route-country
+// probe asks after an upload), under every objective, the elimination-tree
+// query's cost must equal the plain Dijkstra reference's to the last bit.
 func TestCCHMatchesDijkstra(t *testing.T) {
 	net, err := road.GenerateNetwork(43, road.NetworkConfig{TargetStreetKM: 12})
 	if err != nil {
 		t.Fatalf("network: %v", err)
 	}
-	eng, err := NewEngine(net, TruthSource{}, Config{Algorithm: AlgCCH})
+	eng, err := NewEngine(net, TruthSource{}, Config{})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
-	}
-	if eng.Algorithm() != AlgCCH {
-		t.Fatalf("Algorithm() = %q, want %q", eng.Algorithm(), AlgCCH)
 	}
 	rng := rand.New(rand.NewSource(11))
 	var pairs [][2]int
@@ -99,7 +95,7 @@ func TestCCHRecustomizeAfterTick(t *testing.T) {
 		t.Fatalf("network: %v", err)
 	}
 	src := &tickSource{roadID: net.Edges[0].Road.ID()}
-	eng, err := NewEngine(net, src, Config{Algorithm: AlgCCH})
+	eng, err := NewEngine(net, src, Config{})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -169,9 +165,7 @@ func disconnectedNet(t *testing.T) *road.Network {
 }
 
 func TestCCHNoPath(t *testing.T) {
-	eng, err := NewEngine(disconnectedNet(t), TruthSource{}, Config{
-		Algorithm: AlgCCH, SpeedsKmh: []float64{40},
-	})
+	eng, err := NewEngine(disconnectedNet(t), TruthSource{}, Config{SpeedsKmh: []float64{40}})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -191,61 +185,82 @@ func TestCCHNoPath(t *testing.T) {
 	}
 }
 
-// TestCCHMatrixMatchesPointQueries: the bucket-based many-to-many grid must
-// agree with point answers on the CCH engine, like the ALT matrix test.
+// TestCCHMatrixMatchesPointQueries: on a rectangular grid (disjoint source
+// and target sets of different sizes) the bucket sweeps must agree with the
+// CCH point query, on the first customization and again after a tick that
+// re-customizes one road's weights incrementally — both paths must read the
+// same customized table.
 func TestCCHMatrixMatchesPointQueries(t *testing.T) {
 	net, err := road.GenerateNetwork(47, road.NetworkConfig{TargetStreetKM: 8})
 	if err != nil {
 		t.Fatalf("network: %v", err)
 	}
-	eng, err := NewEngine(net, TruthSource{}, Config{Algorithm: AlgCCH})
+	src := &tickSource{roadID: net.Edges[0].Road.ID()}
+	eng, err := NewEngine(net, src, Config{})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
-	rng := rand.New(rand.NewSource(3))
-	var nodes []int
-	seen := map[int]bool{}
-	for len(nodes) < 8 {
+	// The ticked road's ends lead the two sets, so its cell sees the tick.
+	sources, targets := []int{net.Edges[0].From}, []int{net.Edges[0].To}
+	seen := map[int]bool{sources[0]: true, targets[0]: true}
+	rng := rand.New(rand.NewSource(5))
+	for len(sources) < 5 || len(targets) < 7 {
 		id := net.Nodes[rng.Intn(len(net.Nodes))].ID
-		if !seen[id] {
-			seen[id] = true
-			nodes = append(nodes, id)
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
+		if len(sources) < 5 {
+			sources = append(sources, id)
+		} else {
+			targets = append(targets, id)
 		}
 	}
-	for _, obj := range []Objective{Distance, Time, Fuel, CO2} {
-		grid, err := eng.Matrix(obj, 40, nodes, nodes)
-		if err != nil {
-			t.Fatalf("matrix %s: %v", obj, err)
-		}
-		for i, from := range nodes {
-			for j, to := range nodes {
-				if from == to {
-					if grid[i][j] != 0 {
-						t.Errorf("%s: diagonal [%d][%d] = %v, want 0", obj, i, j, grid[i][j])
+	check := func(tag string) {
+		t.Helper()
+		// Fuel first: after the tick the matrix, not a point query, is
+		// the call that has to pick up the new snapshot.
+		for _, obj := range []Objective{Fuel, CO2, Distance, Time} {
+			grid, err := eng.Matrix(obj, 40, sources, targets)
+			if err != nil {
+				t.Fatalf("%s matrix %s: %v", tag, obj, err)
+			}
+			if len(grid) != len(sources) {
+				t.Fatalf("%s matrix %s: %d rows, want %d", tag, obj, len(grid), len(sources))
+			}
+			for i, from := range sources {
+				if len(grid[i]) != len(targets) {
+					t.Fatalf("%s matrix %s: row %d has %d cells, want %d", tag, obj, i, len(grid[i]), len(targets))
+				}
+				for j, to := range targets {
+					plan, err := eng.Route(obj, 40, from, to)
+					if errors.Is(err, ErrNoPath) {
+						if !math.IsInf(grid[i][j], 1) {
+							t.Errorf("%s %s %d→%d: matrix %v, want +Inf", tag, obj, from, to, grid[i][j])
+						}
+						continue
 					}
-					continue
-				}
-				plan, err := eng.RouteDijkstra(obj, 40, from, to)
-				if errors.Is(err, ErrNoPath) {
-					if !math.IsInf(grid[i][j], 1) {
-						t.Errorf("%s %d→%d: matrix %v, want +Inf", obj, from, to, grid[i][j])
+					if err != nil {
+						t.Fatalf("%s %s %d→%d: %v", tag, obj, from, to, err)
 					}
-					continue
-				}
-				if err != nil {
-					t.Fatalf("%s %d→%d: %v", obj, from, to, err)
-				}
-				if diff := math.Abs(grid[i][j] - plan.Cost); diff > 1e-9*math.Max(1, plan.Cost) {
-					t.Errorf("%s %d→%d: matrix cost %.12g, route cost %.12g", obj, from, to, grid[i][j], plan.Cost)
+					if diff := math.Abs(grid[i][j] - plan.Cost); diff > 1e-9*math.Max(1, plan.Cost) {
+						t.Errorf("%s %s %d→%d: matrix cost %.12g, route cost %.12g", tag, obj, from, to, grid[i][j], plan.Cost)
+					}
 				}
 			}
 		}
 	}
+	check("first customization")
+	src.gen++
+	check("after tick")
+	if st := eng.lastCustStats(); st.full || st.recomputedArcs == 0 {
+		t.Fatalf("the tick should have re-customized incrementally: %+v", st)
+	}
 }
 
 // TestMatrixCtxCancel: a canceled context must abort the matrix promptly with
-// the context's error instead of finishing the grid, on both engines, and a
-// cancelled CCH grid must hand its scratch back to the pool clean.
+// the context's error instead of finishing the grid, and a cancelled grid
+// must hand its scratch back to the pool clean.
 func TestMatrixCtxCancel(t *testing.T) {
 	net, err := road.GenerateNetwork(43, road.NetworkConfig{TargetStreetKM: 40})
 	if err != nil {
@@ -255,54 +270,33 @@ func TestMatrixCtxCancel(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		nodes = append(nodes, net.Nodes[i*len(net.Nodes)/30].ID)
 	}
-	for _, alg := range []string{AlgALT, AlgCCH} {
-		eng, err := NewEngine(net, TruthSource{}, Config{Algorithm: alg})
-		if err != nil {
-			t.Fatalf("%s engine: %v", alg, err)
-		}
-		// Already-canceled context: no row may be computed.
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := eng.MatrixCtx(ctx, Fuel, 40, nodes, nodes); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s pre-canceled matrix: got %v, want context.Canceled", alg, err)
-		}
-		// Mid-run cancel: the call must return well before a full grid would.
-		ctx2, cancel2 := context.WithCancel(context.Background())
-		timer := time.AfterFunc(10*time.Millisecond, cancel2)
-		start := time.Now()
-		_, err = eng.MatrixCtx(ctx2, Fuel, 40, nodes, nodes)
-		elapsed := time.Since(start)
-		timer.Stop()
-		cancel2()
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s mid-run cancel: unexpected error %v", alg, err)
-		}
-		// err == nil means the grid beat the timer, which is fine for speed;
-		// but a canceled run must not have kept grinding for seconds.
-		if err != nil && elapsed > 2*time.Second {
-			t.Errorf("%s: canceled matrix still ran %v", alg, elapsed)
-		}
-		if alg == AlgCCH {
-			checkScratchClean(t, "cancelled matrix", eng)
-		}
-		cancel()
+	eng, err := NewEngine(net, TruthSource{}, Config{})
+	if err != nil {
+		t.Fatalf("engine: %v", err)
 	}
-}
-
-func TestParseAlgorithm(t *testing.T) {
-	for in, want := range map[string]string{"": AlgALT, "alt": AlgALT, "ALT": AlgALT, "cch": AlgCCH, "CCH": AlgCCH} {
-		got, err := ParseAlgorithm(in)
-		if err != nil || got != want {
-			t.Errorf("ParseAlgorithm(%q) = %q, %v; want %q", in, got, err, want)
-		}
+	// Already-canceled context: no row may be computed.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := eng.MatrixCtx(ctx, Fuel, 40, nodes, nodes); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-canceled matrix: got %v, want context.Canceled", err)
 	}
-	if _, err := ParseAlgorithm("astar"); err == nil {
-		t.Error("ParseAlgorithm(astar): want error")
+	// Mid-run cancel: the call must return well before a full grid would.
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	timer := time.AfterFunc(10*time.Millisecond, cancel2)
+	start := time.Now()
+	_, err = eng.MatrixCtx(ctx2, Fuel, 40, nodes, nodes)
+	elapsed := time.Since(start)
+	timer.Stop()
+	cancel2()
+	if err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-run cancel: unexpected error %v", err)
 	}
-	net := twoNodeNet(t, constGrades(10, 0))
-	if _, err := NewEngine(net, TruthSource{}, Config{Algorithm: "astar"}); err == nil {
-		t.Error("NewEngine with bad algorithm: want error")
+	// err == nil means the grid beat the timer, which is fine for speed;
+	// but a canceled run must not have kept grinding for seconds.
+	if err != nil && elapsed > 2*time.Second {
+		t.Errorf("canceled matrix still ran %v", elapsed)
 	}
+	checkScratchClean(t, "cancelled matrix", eng)
 }
 
 // TestCCHPredecessorRecycling pins the array reuse of re-customization: with
@@ -315,7 +309,7 @@ func TestCCHPredecessorRecycling(t *testing.T) {
 		t.Fatalf("network: %v", err)
 	}
 	store := newFakeStore()
-	eng, err := NewEngine(net, CloudSource{Store: store}, Config{Algorithm: AlgCCH, SpeedsKmh: []float64{40}})
+	eng, err := NewEngine(net, CloudSource{Store: store}, Config{SpeedsKmh: []float64{40}})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -380,7 +374,7 @@ func TestCCHRecycleConcurrentReaders(t *testing.T) {
 			store.submit(t, ed.Road, 0.01*float64(i%7))
 		}
 	}
-	eng, err := NewEngine(net, CloudSource{Store: store}, Config{Algorithm: AlgCCH, SpeedsKmh: []float64{30, 50}})
+	eng, err := NewEngine(net, CloudSource{Store: store}, Config{SpeedsKmh: []float64{30, 50}})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}

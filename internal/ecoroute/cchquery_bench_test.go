@@ -25,7 +25,7 @@ func cchQueryBench(b *testing.B, eng *Engine, pairs [][2]int) {
 }
 
 func BenchmarkCCHQueryLocal25x(b *testing.B) {
-	eng := rsEngine(b, AlgCCH, 25)
+	eng := rsEngine(b, 25)
 	edges := eng.Network().Edges
 	rng := rand.New(rand.NewSource(5))
 	pairs := make([][2]int, 1024)
@@ -37,6 +37,6 @@ func BenchmarkCCHQueryLocal25x(b *testing.B) {
 }
 
 func BenchmarkCCHQueryRandom25x(b *testing.B) {
-	eng := rsEngine(b, AlgCCH, 25)
+	eng := rsEngine(b, 25)
 	cchQueryBench(b, eng, benchPairs(eng, 1024))
 }

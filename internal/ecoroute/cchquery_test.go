@@ -129,7 +129,7 @@ func TestCCHQueryMatchesUnpruned(t *testing.T) {
 	if err != nil {
 		t.Fatalf("network: %v", err)
 	}
-	eng, err := NewEngine(net, TruthSource{}, Config{Algorithm: AlgCCH})
+	eng, err := NewEngine(net, TruthSource{}, Config{})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -153,7 +153,7 @@ func TestCostRowsNonNegative(t *testing.T) {
 	if err != nil {
 		t.Fatalf("network: %v", err)
 	}
-	eng, err := NewEngine(net, TruthSource{}, Config{Algorithm: AlgCCH})
+	eng, err := NewEngine(net, TruthSource{}, Config{})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}

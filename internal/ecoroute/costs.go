@@ -22,7 +22,6 @@ var (
 	obsRefreshes    = obs.Default.Counter("ecoroute_refreshes_total")
 	obsFullScans    = obs.Default.Counter("ecoroute_refresh_full_scans_total")
 	obsRefreshSecs  = obs.Default.Histogram("ecoroute_refresh_seconds", obs.LatencyBuckets)
-	obsLandmarkRuns = obs.Default.Counter("ecoroute_landmark_builds_total")
 
 	obsRouteSecs = map[Objective]*obs.Histogram{
 		Distance: obs.Default.Histogram("ecoroute_route_seconds", obs.LatencyBuckets, obs.L("objective", "distance")),
@@ -53,9 +52,9 @@ func observeRoute(obj Objective) func() {
 type tables struct {
 	// gen is the source generation the snapshot reflects.
 	gen uint64
-	// version bumps whenever any edge cost actually changed; fuel-metric
-	// landmark tables are keyed to it so an unchanged refresh invalidates
-	// nothing.
+	// version bumps whenever any edge cost actually changed; the CCH
+	// weights of grade-dependent metrics are keyed to it, so an unchanged
+	// refresh re-customizes nothing.
 	version uint64
 	// edgeGen[e] is the grade-data stamp edge e's costs were built from.
 	edgeGen pagedRow[uint64]

@@ -86,7 +86,7 @@ func (e *Engine) lastCustStats() cchCustStats {
 	return e.lastCust
 }
 
-// CustStats reports how a CCH engine's most recent customization ran — the
+// CustStats reports how the engine's most recent customization ran — the
 // observable form of the generation-keyed invalidation claim: after a fusion
 // tick, RecomputedArcs ≪ TotalArcs.
 type CustStats struct {
@@ -99,7 +99,7 @@ type CustStats struct {
 }
 
 // LastCustomization returns the most recent customization's stats. Zero
-// value until a CCH query has run (or on an ALT engine).
+// value until the first query has run.
 func (e *Engine) LastCustomization() CustStats {
 	s := e.lastCustStats()
 	return CustStats{Full: s.full, RecomputedArcs: s.recomputedArcs, TotalArcs: s.totalArcs}
@@ -351,20 +351,26 @@ func (q *arcWorklist) drop(a int32) {
 	}
 }
 
+// weightKey names one customized metric in the cache: the search metric and
+// the speed bucket (0 for Distance, whose costs are bucket-independent).
+type weightKey struct {
+	metric Objective
+	bucket int
+}
+
 // cchWeightsFor returns (customizing if needed) the weight table for a metric
-// and bucket on the given snapshot, under the same cache key discipline as
-// the ALT landmark tables: Distance ignores the bucket, Distance/Time never
-// invalidate, grade-dependent metrics (Fuel and the pollutants) are tied to
-// the snapshot's cost version. A superseded grade-dependent table is not
-// discarded — it seeds the incremental re-customization and stays as the
-// slot's predecessor, whose arrays the tick after next writes into once its
-// readers have drained.
+// and bucket on the given snapshot. Distance ignores the bucket, Distance and
+// Time never invalidate, and grade-dependent metrics (Fuel and the
+// pollutants) are tied to the snapshot's cost version. A superseded
+// grade-dependent table is not discarded — it seeds the incremental
+// re-customization and stays as the slot's predecessor, whose arrays the
+// tick after next writes into once its readers have drained.
 //
 // The returned table has one reader reference held for the caller, who must
 // release() it when the search is done.
 func (e *Engine) cchWeightsFor(metric Objective, bucket int, tb *tables) *cchWeights {
 	g := e.cchGraph()
-	key := lmKey{metric: metric, bucket: bucket}
+	key := weightKey{metric: metric, bucket: bucket}
 	var version uint64
 	switch {
 	case metric == Distance:

@@ -171,7 +171,7 @@ func FuzzCCHRecustomize(f *testing.F) {
 	if err != nil {
 		f.Fatalf("network: %v", err)
 	}
-	eng, err := NewEngine(net, TruthSource{}, Config{Algorithm: AlgCCH})
+	eng, err := NewEngine(net, TruthSource{}, Config{})
 	if err != nil {
 		f.Fatalf("engine: %v", err)
 	}

@@ -15,10 +15,13 @@
 //     stamped with the grade source's generation counters. A cloud
 //     re-fusion bumps only the affected roads' generations, so a refresh
 //     recomputes only those edges (cache hits/misses are exported metrics).
-//   - Point-to-point queries run bidirectional Dijkstra with an admissible
-//     ALT (A*, landmarks, triangle inequality) lower bound, bit-identical in
-//     cost to plain Dijkstra; batched many-to-many queries fan one-to-all
-//     searches across a bounded worker pool.
+//   - One fast search answers every query: a customizable contraction
+//     hierarchy (DESIGN.md §13). The topology is contracted once, each
+//     (metric, speed bucket) is customized on first use and re-customized
+//     incrementally when the source's generation ticks, point queries walk
+//     the elimination tree, and many-to-many matrices sweep it with target
+//     buckets. Plain Dijkstra (RouteDijkstra) stays as the reference: a
+//     plan's cost is bit-identical under both.
 package ecoroute
 
 import (
@@ -113,38 +116,26 @@ func ParseObjective(s string) (Objective, error) {
 	return 0, fmt.Errorf("ecoroute: unknown objective %q (want distance | time | fuel | co2 | nox | co | hc | pm)", s)
 }
 
-// Search algorithms the engine can run point queries with. Both return
-// plans whose costs are bit-identical to the plain Dijkstra reference; they
-// differ in how much preprocessing they lean on.
+// Search algorithm names from when the engine had two.
 const (
-	// AlgALT is bidirectional Dijkstra with ALT landmark pruning — no
-	// topology preprocessing beyond landmark distance tables, right for
-	// city-scale graphs (PR 5).
+	// AlgALT named the retired bidirectional A* search.
+	//
+	// Deprecated: NewEngine ignores Config.Algorithm and always runs the
+	// contraction hierarchy. AlgALT goes once bench/ stops naming it.
 	AlgALT = "alt"
-	// AlgCCH is the customizable contraction hierarchy: the topology is
-	// contracted once (metric-independent), per-objective weights are
-	// customized over the contracted graph and re-customized incrementally
-	// when the grade source's generation ticks, and queries run PQ-free
-	// over the elimination tree — the country-scale configuration
-	// (DESIGN.md §13).
+	// AlgCCH named the customizable contraction hierarchy.
+	//
+	// Deprecated: NewEngine ignores Config.Algorithm and always runs the
+	// contraction hierarchy. AlgCCH goes once bench/ stops naming it.
 	AlgCCH = "cch"
 )
 
-// ParseAlgorithm resolves a search-algorithm name (case-insensitive).
-func ParseAlgorithm(s string) (string, error) {
-	switch strings.ToLower(s) {
-	case "", AlgALT:
-		return AlgALT, nil
-	case AlgCCH:
-		return AlgCCH, nil
-	}
-	return "", fmt.Errorf("ecoroute: unknown algorithm %q (want alt | cch)", s)
-}
-
 // Config tunes the engine. The zero value selects the defaults.
 type Config struct {
-	// Algorithm selects the point-query search: AlgALT (default) or
-	// AlgCCH. The Dijkstra reference is always available via RouteDijkstra.
+	// Algorithm once chose the point-query search.
+	//
+	// Deprecated: NewEngine ignores Algorithm and always runs the
+	// contraction hierarchy. The field goes once bench/ stops setting it.
 	Algorithm string
 	// SpeedsKmh are the cruise-speed buckets cost tables are built for;
 	// queries snap to the nearest bucket. Default {30, 40, 50, 60}.
@@ -152,9 +143,6 @@ type Config struct {
 	// SampleStepM is the arc-length step of the per-edge fuel integration
 	// (default 5 m, the fusion grid spacing).
 	SampleStepM float64
-	// Landmarks is the ALT landmark count (default 8, clamped to the node
-	// count). Zero uses the default; negative disables ALT pruning.
-	Landmarks int
 	// Params are the Eq. (7) VSP coefficients (default fuel.TableII()).
 	Params fuel.VSPParams
 	// Emission configures the operating-mode pollutant model behind the
@@ -169,17 +157,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Algorithm == "" {
-		c.Algorithm = AlgALT
-	}
 	if len(c.SpeedsKmh) == 0 {
 		c.SpeedsKmh = []float64{30, 40, 50, 60}
 	}
 	if c.SampleStepM <= 0 {
 		c.SampleStepM = 5
-	}
-	if c.Landmarks == 0 {
-		c.Landmarks = 8
 	}
 	if (c.Params == fuel.VSPParams{}) {
 		c.Params = fuel.TableII()
@@ -236,7 +218,7 @@ type Engine struct {
 	// speed; fixed at construction (grades don't change time in this model).
 	timeS []pagedRow[float64]
 
-	mu  sync.Mutex // serializes refresh and landmark builds
+	mu  sync.Mutex // serializes refreshes
 	cur atomicTables
 
 	// emisNewest[b] is the newest pollutant rows any snapshot built for
@@ -244,19 +226,14 @@ type Engine struct {
 	// of that bucket, in whichever snapshot, starts from them.
 	emisNewest []atomic.Pointer[emisRows]
 
-	lmNodes []int32 // landmark node set (picked once, on the distance metric)
-	lmMu    sync.Mutex
-	lmCache map[lmKey]*landmarkTable
-
-	// Customizable contraction hierarchy (Algorithm == AlgCCH): the
-	// metric-independent contraction is built once on first use; customized
-	// weight tables are cached per (metric, bucket) — cchW keys leave the
-	// version 0 — like the ALT landmark tables, but re-fusions re-customize
+	// Customizable contraction hierarchy: the metric-independent
+	// contraction is built once on first use; customized weight tables are
+	// cached per (metric, bucket), and re-fusions re-customize them
 	// incrementally.
 	cchOnce  sync.Once
 	cchG     *cch
 	cchWMu   sync.Mutex
-	cchW     map[lmKey]*cchSlot
+	cchW     map[weightKey]*cchSlot
 	cchWork  arcWorklist  // re-customization worklist, reused under cchWMu
 	cchPool  sync.Pool    // *cchScratch
 	lastCust cchCustStats // most recent customization's stats (tests, metrics)
@@ -272,9 +249,6 @@ func NewEngine(net *road.Network, src GradeSource, cfg Config) (*Engine, error) 
 		return nil, errors.New("ecoroute: nil grade source")
 	}
 	cfg = cfg.withDefaults()
-	if _, err := ParseAlgorithm(cfg.Algorithm); err != nil {
-		return nil, err
-	}
 	for _, s := range cfg.SpeedsKmh {
 		if s <= 0 || math.IsNaN(s) || math.IsInf(s, 0) {
 			return nil, fmt.Errorf("ecoroute: invalid cruise speed %v km/h", s)
@@ -282,13 +256,12 @@ func NewEngine(net *road.Network, src GradeSource, cfg Config) (*Engine, error) 
 	}
 
 	e := &Engine{
-		net:     net,
-		src:     src,
-		cfg:     cfg,
-		idx:     make(map[int]int, len(net.Nodes)),
-		ids:     make([]int, len(net.Nodes)),
-		lmCache: make(map[lmKey]*landmarkTable),
-		cchW:    make(map[lmKey]*cchSlot),
+		net:  net,
+		src:  src,
+		cfg:  cfg,
+		idx:  make(map[int]int, len(net.Nodes)),
+		ids:  make([]int, len(net.Nodes)),
+		cchW: make(map[weightKey]*cchSlot),
 
 		emisNewest: make([]atomic.Pointer[emisRows], len(cfg.SpeedsKmh)),
 	}
@@ -382,10 +355,6 @@ func NewEngine(net *road.Network, src GradeSource, cfg Config) (*Engine, error) 
 
 // Network returns the engine's road network.
 func (e *Engine) Network() *road.Network { return e.net }
-
-// Algorithm returns the configured point-query search algorithm (AlgALT or
-// AlgCCH) — surfaced so servers can label routing metrics by engine.
-func (e *Engine) Algorithm() string { return e.cfg.Algorithm }
 
 // SpeedsKmh returns the configured cruise-speed buckets.
 func (e *Engine) SpeedsKmh() []float64 {
@@ -504,8 +473,8 @@ func (e *Engine) costRow(metric Objective, bucket int, tb *tables) pagedRow[floa
 }
 
 // metricFor collapses objectives onto the distinct search metrics: CO2 is a
-// constant multiple of Fuel, so both route on the fuel row and share ALT
-// landmark tables. Each pollutant is its own metric — the binned rates are
+// constant multiple of Fuel, so both route on the fuel row and share its
+// CCH weights. Each pollutant is its own metric — the binned rates are
 // not proportional to fuel or to each other.
 func metricFor(obj Objective) Objective {
 	if obj == CO2 {
@@ -514,10 +483,9 @@ func metricFor(obj Objective) Objective {
 	return obj
 }
 
-// Route answers a point-to-point query with the configured search — ALT
-// (bidirectional Dijkstra pruned by landmark lower bounds) or CCH (PQ-free
-// elimination-tree search over the contracted hierarchy). The returned plan's
-// Cost is bit-identical to RouteDijkstra's for the same query.
+// Route answers a point-to-point query with the PQ-free elimination-tree
+// search over the contracted hierarchy. The returned plan's Cost is
+// bit-identical to RouteDijkstra's for the same query.
 func (e *Engine) Route(obj Objective, speedKmh float64, from, to int) (Plan, error) {
 	return e.route(obj, speedKmh, from, to, true)
 }
@@ -549,16 +517,11 @@ func (e *Engine) route(obj Objective, speedKmh float64, from, to int, fast bool)
 	if s == t {
 		return e.buildPlan(obj, bucket, tb, from, to, nil), nil
 	}
-	cost := e.costRow(metricFor(obj), bucket, tb)
 	var path []int32
-	switch {
-	case fast && e.cfg.Algorithm == AlgCCH:
+	if fast {
 		path, ok = e.searchCCH(metricFor(obj), bucket, tb, int32(s), int32(t))
-	case fast:
-		lm := e.landmarksFor(metricFor(obj), bucket, tb)
-		path, ok = e.searchBidirectional(cost, lm, int32(s), int32(t))
-	default:
-		path, ok = e.searchDijkstra(cost, int32(s), int32(t))
+	} else {
+		path, ok = e.searchDijkstra(e.costRow(metricFor(obj), bucket, tb), int32(s), int32(t))
 	}
 	if !ok {
 		return Plan{}, fmt.Errorf("%w from %d to %d", ErrNoPath, from, to)

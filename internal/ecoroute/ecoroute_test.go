@@ -217,8 +217,8 @@ func TestObjectivesDisagree(t *testing.T) {
 	}
 }
 
-// TestCO2PlanCostBits pins a CO2 plan's Cost: under ALT, CCH and
-// Dijkstra alike it equals, by Float64bits, the travel-order sum of each
+// TestCO2PlanCostBits pins a CO2 plan's Cost: under the hierarchy's
+// search and Dijkstra alike it equals, by Float64bits, the travel-order sum of each
 // edge's fuel cost times the CO2 factor, each product rounded on its own —
 // the sum of a row of per-edge grams, as if the snapshot stored one.
 func TestCO2PlanCostBits(t *testing.T) {
@@ -226,13 +226,10 @@ func TestCO2PlanCostBits(t *testing.T) {
 	if err != nil {
 		t.Fatalf("network: %v", err)
 	}
-	engines := map[string]*Engine{}
-	for _, alg := range []string{AlgALT, AlgCCH} {
-		if engines[alg], err = NewEngine(net, TruthSource{}, Config{Algorithm: alg}); err != nil {
-			t.Fatalf("%s engine: %v", alg, err)
-		}
+	eng, err := NewEngine(net, TruthSource{}, Config{})
+	if err != nil {
+		t.Fatalf("engine: %v", err)
 	}
-	eng := engines[AlgCCH]
 	tb, err := eng.fresh()
 	if err != nil {
 		t.Fatalf("tables: %v", err)
@@ -251,7 +248,6 @@ func TestCO2PlanCostBits(t *testing.T) {
 			continue
 		}
 		plans := map[string]func() (Plan, error){
-			"alt":      func() (Plan, error) { return engines[AlgALT].Route(CO2, kmh, from, to) },
 			"cch":      func() (Plan, error) { return eng.Route(CO2, kmh, from, to) },
 			"dijkstra": func() (Plan, error) { return eng.RouteDijkstra(CO2, kmh, from, to) },
 		}
@@ -320,49 +316,9 @@ func TestMinFuelNeverWorseThanShortest(t *testing.T) {
 	}
 }
 
-// TestBidirectionalMatchesDijkstra: the optimized search must return
-// bit-identical costs to the plain Dijkstra reference, for every objective.
-func TestBidirectionalMatchesDijkstra(t *testing.T) {
-	net, err := road.GenerateNetwork(43, road.NetworkConfig{TargetStreetKM: 12})
-	if err != nil {
-		t.Fatalf("network: %v", err)
-	}
-	eng, err := NewEngine(net, TruthSource{}, Config{})
-	if err != nil {
-		t.Fatalf("engine: %v", err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	checked := 0
-	for checked < 40 {
-		from := net.Nodes[rng.Intn(len(net.Nodes))].ID
-		to := net.Nodes[rng.Intn(len(net.Nodes))].ID
-		if from == to {
-			continue
-		}
-		for _, obj := range Objectives() {
-			fast, errF := eng.Route(obj, 40, from, to)
-			ref, errR := eng.RouteDijkstra(obj, 40, from, to)
-			if (errF == nil) != (errR == nil) {
-				t.Fatalf("%s %d→%d: search disagreement: fast err %v, reference err %v", obj, from, to, errF, errR)
-			}
-			if errF != nil {
-				if !errors.Is(errF, ErrNoPath) {
-					t.Fatalf("%s %d→%d: %v", obj, from, to, errF)
-				}
-				continue
-			}
-			if fast.Cost != ref.Cost {
-				t.Errorf("%s %d→%d: bidirectional cost %.17g != Dijkstra cost %.17g",
-					obj, from, to, fast.Cost, ref.Cost)
-			}
-		}
-		checked++
-	}
-}
-
-// TestMatrixMatchesPointQueries: the batched many-to-many grid must agree
-// with individual point-to-point answers, including unreachable = +Inf and
-// diagonal zeros.
+// TestMatrixMatchesPointQueries: the bucket-based many-to-many grid must
+// agree with the Dijkstra reference's point answers under every metric
+// family, including unreachable = +Inf and diagonal zeros.
 func TestMatrixMatchesPointQueries(t *testing.T) {
 	net, err := road.GenerateNetwork(47, road.NetworkConfig{TargetStreetKM: 8})
 	if err != nil {
@@ -382,7 +338,7 @@ func TestMatrixMatchesPointQueries(t *testing.T) {
 			nodes = append(nodes, id)
 		}
 	}
-	for _, obj := range []Objective{Distance, Fuel, CO2} {
+	for _, obj := range []Objective{Distance, Time, Fuel, CO2} {
 		grid, err := eng.Matrix(obj, 40, nodes, nodes)
 		if err != nil {
 			t.Fatalf("matrix %s: %v", obj, err)

@@ -40,8 +40,8 @@ func pollutantOf(obj Objective) (emission.Pollutant, bool) {
 }
 
 // gradeDependent reports whether a search metric's costs change when road
-// grades change — these metrics key their landmark tables and CCH weights
-// to the snapshot's cost version so a re-fusion invalidates them.
+// grades change — these metrics key their CCH weights to the snapshot's
+// cost version so a re-fusion re-customizes them.
 func gradeDependent(metric Objective) bool {
 	if metric == Fuel {
 		return true

@@ -93,7 +93,7 @@ func TestMinNOxDivergesFromMinFuel(t *testing.T) {
 }
 
 // TestPollutantRoutesBitIdentical is the acceptance property for the new
-// objectives: over random O/D pairs, ALT and CCH answers must equal the
+// objectives: over random O/D pairs, the engine's answers must equal the
 // plain Dijkstra reference to the last bit — before AND after an
 // incremental generation tick re-fuses one road.
 func TestPollutantRoutesBitIdentical(t *testing.T) {
@@ -101,51 +101,46 @@ func TestPollutantRoutesBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("network: %v", err)
 	}
-	for _, alg := range []string{AlgALT, AlgCCH} {
-		src := &tickSource{roadID: net.Edges[0].Road.ID()}
-		eng, err := NewEngine(net, src, Config{Algorithm: alg})
-		if err != nil {
-			t.Fatalf("%s engine: %v", alg, err)
-		}
-		check := func(tag string) {
-			t.Helper()
-			rng := rand.New(rand.NewSource(13))
-			checked := 0
-			for checked < 12 {
-				from := net.Nodes[rng.Intn(len(net.Nodes))].ID
-				to := net.Nodes[rng.Intn(len(net.Nodes))].ID
-				if from == to {
+	src := &tickSource{roadID: net.Edges[0].Road.ID()}
+	eng, err := NewEngine(net, src, Config{})
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	check := func(tag string) {
+		t.Helper()
+		rng := rand.New(rand.NewSource(13))
+		checked := 0
+		for checked < 12 {
+			from := net.Nodes[rng.Intn(len(net.Nodes))].ID
+			to := net.Nodes[rng.Intn(len(net.Nodes))].ID
+			if from == to {
+				continue
+			}
+			for _, obj := range pollutantObjectives {
+				fast, errF := eng.Route(obj, 40, from, to)
+				ref, errR := eng.RouteDijkstra(obj, 40, from, to)
+				if (errF == nil) != (errR == nil) {
+					t.Fatalf("%s %s %d→%d: err %v vs %v", tag, obj, from, to, errF, errR)
+				}
+				if errF != nil {
+					if !errors.Is(errF, ErrNoPath) {
+						t.Fatalf("%s %s %d→%d: %v", tag, obj, from, to, errF)
+					}
 					continue
 				}
-				for _, obj := range pollutantObjectives {
-					fast, errF := eng.Route(obj, 40, from, to)
-					ref, errR := eng.RouteDijkstra(obj, 40, from, to)
-					if (errF == nil) != (errR == nil) {
-						t.Fatalf("%s/%s %s %d→%d: err %v vs %v", alg, tag, obj, from, to, errF, errR)
-					}
-					if errF != nil {
-						if !errors.Is(errF, ErrNoPath) {
-							t.Fatalf("%s/%s %s %d→%d: %v", alg, tag, obj, from, to, errF)
-						}
-						continue
-					}
-					if math.Float64bits(fast.Cost) != math.Float64bits(ref.Cost) {
-						t.Errorf("%s/%s %s %d→%d: cost %.17g != Dijkstra %.17g",
-							alg, tag, obj, from, to, fast.Cost, ref.Cost)
-					}
+				if math.Float64bits(fast.Cost) != math.Float64bits(ref.Cost) {
+					t.Errorf("%s %s %d→%d: cost %.17g != Dijkstra %.17g",
+						tag, obj, from, to, fast.Cost, ref.Cost)
 				}
-				checked++
 			}
+			checked++
 		}
-		check("pre-tick")
-		src.gen++
-		check("post-tick")
-		if alg == AlgCCH {
-			st := eng.lastCustStats()
-			if st.full {
-				t.Errorf("cch post-tick customization ran full instead of incremental: %+v", st)
-			}
-		}
+	}
+	check("pre-tick")
+	src.gen++
+	check("post-tick")
+	if st := eng.lastCustStats(); st.full {
+		t.Errorf("post-tick customization ran full instead of incremental: %+v", st)
 	}
 }
 

@@ -62,7 +62,7 @@ func checkAgainstFresh(t *testing.T, inc *Engine, tb *tables, store *fakeStore, 
 		}
 	}
 	inc.cchWMu.Lock()
-	slots := make(map[lmKey]*cchWeights, len(inc.cchW))
+	slots := make(map[weightKey]*cchWeights, len(inc.cchW))
 	for k, sl := range inc.cchW {
 		if !gradeDependent(k.metric) || sl.cur.version == tb.version {
 			slots[k] = sl.cur
@@ -135,7 +135,7 @@ func checkIncremental(t *testing.T, seed int64, levels []float64, km float64, st
 			store.submit(t, ed.Road, grade())
 		}
 	}
-	cfg := Config{Algorithm: AlgCCH, SpeedsKmh: []float64{30, 50}}
+	cfg := Config{SpeedsKmh: []float64{30, 50}}
 	inc, err := NewEngine(net, CloudSource{Store: store}, cfg)
 	if err != nil {
 		t.Fatalf("engine: %v", err)

@@ -3,9 +3,6 @@ package ecoroute
 import (
 	"context"
 	"fmt"
-	"math"
-	"runtime"
-	"sync"
 
 	"roadgrade/internal/fuel"
 )
@@ -19,12 +16,9 @@ func (e *Engine) Matrix(obj Objective, speedKmh float64, sources, targets []int)
 
 // MatrixCtx is Matrix with cancellation: work stops (and ctx.Err() is
 // returned) as soon as the context is done, so an abandoned HTTP request
-// doesn't keep burning CPU on a grid nobody will read. Under AlgALT each
-// source runs one one-to-all search that stops once all targets settle, with
-// sources fanned out across a bounded worker pool (the experiment suite's
-// parallelFor pattern); cancellation is checked before each source. Under
-// AlgCCH the grid runs bucket sweeps over the customized hierarchy
-// (cchMatrix), checked per endpoint.
+// doesn't keep burning CPU on a grid nobody will read. The grid runs bucket
+// sweeps over the customized hierarchy (cchMatrix), checking the context
+// before each endpoint's sweep.
 func (e *Engine) MatrixCtx(ctx context.Context, obj Objective, speedKmh float64, sources, targets []int) ([][]float64, error) {
 	bucket, err := e.bucketFor(speedKmh)
 	if err != nil {
@@ -37,115 +31,31 @@ func (e *Engine) MatrixCtx(ctx context.Context, obj Objective, speedKmh float64,
 	if err != nil {
 		return nil, err
 	}
-	cost := e.costRow(metricFor(obj), bucket, tb)
-
-	denseT := make([]int32, len(targets))
-	targetSet := make(map[int32]bool, len(targets))
-	for i, id := range targets {
-		d, ok := e.idx[id]
-		if !ok {
-			return nil, fmt.Errorf("%w %d", ErrUnknownNode, id)
-		}
-		denseT[i] = int32(d)
-		targetSet[int32(d)] = true
+	denseT, err := e.denseNodes(targets)
+	if err != nil {
+		return nil, err
 	}
-	denseS := make([]int32, len(sources))
-	for i, id := range sources {
-		d, ok := e.idx[id]
-		if !ok {
-			return nil, fmt.Errorf("%w %d", ErrUnknownNode, id)
-		}
-		denseS[i] = int32(d)
+	denseS, err := e.denseNodes(sources)
+	if err != nil {
+		return nil, err
 	}
-
 	scale := 1.0
 	if obj == CO2 {
 		// The search runs on the fuel row; scale the reported costs.
 		scale = fuel.CO2GramsPerGallon
 	}
-	if e.cfg.Algorithm == AlgCCH {
-		return e.cchMatrix(metricFor(obj), bucket, tb, denseS, denseT, scale, ctx.Err)
-	}
-	out := make([][]float64, len(sources))
-	err = parallelFor(len(sources), func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		dist := make([]float64, len(e.ids))
-		oneToAll(e.outOff, e.outArc, e.head, cost, denseS[i], dist, targetSet)
-		row := make([]float64, len(denseT))
-		for j, t := range denseT {
-			if math.IsInf(dist[t], 1) {
-				row[j] = math.Inf(1)
-				continue
-			}
-			row[j] = dist[t] * scale
-		}
-		out[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return e.cchMatrix(metricFor(obj), bucket, tb, denseS, denseT, scale, ctx.Err)
 }
 
-// parallelFor runs fn(i) for i in [0, n) on a bounded worker pool and
-// returns the first error; remaining indices are drained, not executed,
-// after a failure. Mirrors internal/experiment's worker pattern.
-func parallelFor(n int, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
+// denseNodes maps node IDs to dense indices.
+func (e *Engine) denseNodes(ids []int) ([]int32, error) {
+	out := make([]int32, len(ids))
+	for i, id := range ids {
+		d, ok := e.idx[id]
+		if !ok {
+			return nil, fmt.Errorf("%w %d", ErrUnknownNode, id)
 		}
-		return nil
+		out[i] = int32(d)
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	done := make(chan struct{})
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if failed() {
-					continue
-				}
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-						close(done)
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-dispatch:
-	for i := 0; i < n; i++ {
-		select {
-		case next <- i:
-		case <-done:
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	return firstErr
+	return out, nil
 }

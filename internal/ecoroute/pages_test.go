@@ -135,7 +135,7 @@ func TestOneRoadTickSharesPages(t *testing.T) {
 			store.submit(t, ed.Road, 0.01*float64(i%7-3))
 		}
 	}
-	eng, err := NewEngine(net, CloudSource{Store: store}, Config{Algorithm: AlgCCH, SpeedsKmh: []float64{30, 50}})
+	eng, err := NewEngine(net, CloudSource{Store: store}, Config{SpeedsKmh: []float64{30, 50}})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}

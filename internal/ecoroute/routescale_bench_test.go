@@ -1,7 +1,6 @@
 package ecoroute
 
 import (
-	"fmt"
 	"sort"
 	"testing"
 	"time"
@@ -11,15 +10,15 @@ import (
 
 // The routescale sweep, a BENCH.json family: graph size (1×/10×/100× the
 // paper's 164.8 km network, the 100× point being the ≥10⁵-directed-edge
-// country scale) × objective (fuel, distance) × engine (alt, cch), plus the
-// customization cost pair (full vs generation-tick incremental) and the
-// 50×50 many-to-many grids. Networks and engines are built once per process
+// country scale) × objective (fuel, distance), plus the customization cost
+// pair (full vs generation-tick incremental) and the 50×50 many-to-many
+// grid. Networks and engines are built once per process
 // and shared across benchmarks — benchmarks run sequentially, so plain maps
 // suffice.
 
 var (
 	rsNets    = map[int]*road.Network{}
-	rsEngines = map[string]*Engine{}
+	rsEngines = map[int]*Engine{}
 )
 
 func rsNet(b *testing.B, scale int) *road.Network {
@@ -35,27 +34,25 @@ func rsNet(b *testing.B, scale int) *road.Network {
 	return net
 }
 
-// rsEngine returns a warmed engine: cost tables, and landmark tables (alt)
-// or contraction + fuel/distance customization (cch) are all built before
-// any timed loop starts.
-func rsEngine(b *testing.B, alg string, scale int) *Engine {
+// rsEngine returns a warmed engine: cost tables, the contraction and the
+// fuel/distance customizations are all built before any timed loop starts.
+func rsEngine(b *testing.B, scale int) *Engine {
 	b.Helper()
-	key := fmt.Sprintf("%s/%d", alg, scale)
-	if e, ok := rsEngines[key]; ok {
+	if e, ok := rsEngines[scale]; ok {
 		return e
 	}
 	net := rsNet(b, scale)
-	eng, err := NewEngine(net, TruthSource{}, Config{Algorithm: alg})
+	eng, err := NewEngine(net, TruthSource{}, Config{})
 	if err != nil {
-		b.Fatalf("%s engine at %dx: %v", alg, scale, err)
+		b.Fatalf("engine at %dx: %v", scale, err)
 	}
 	prime := [2]int{net.Edges[0].From, net.Edges[len(net.Edges)-1].To}
 	for _, obj := range []Objective{Fuel, Distance} {
 		if _, err := eng.Route(obj, 40, prime[0], prime[1]); err != nil {
-			b.Fatalf("prime %s %s at %dx: %v", alg, obj, scale, err)
+			b.Fatalf("prime %s at %dx: %v", obj, scale, err)
 		}
 	}
-	rsEngines[key] = eng
+	rsEngines[scale] = eng
 	return eng
 }
 
@@ -81,25 +78,19 @@ func rsQuery(b *testing.B, eng *Engine, obj Objective) {
 	b.ReportMetric(float64(durs[int(0.95*float64(len(durs)-1))].Nanoseconds()), "p95-ns")
 }
 
-func BenchmarkRouteScaleCCHQuery1x(b *testing.B)   { rsQuery(b, rsEngine(b, AlgCCH, 1), Fuel) }
-func BenchmarkRouteScaleCCHQuery10x(b *testing.B)  { rsQuery(b, rsEngine(b, AlgCCH, 10), Fuel) }
-func BenchmarkRouteScaleCCHQuery100x(b *testing.B) { rsQuery(b, rsEngine(b, AlgCCH, 100), Fuel) }
-func BenchmarkRouteScaleALTQuery1x(b *testing.B)   { rsQuery(b, rsEngine(b, AlgALT, 1), Fuel) }
-func BenchmarkRouteScaleALTQuery10x(b *testing.B)  { rsQuery(b, rsEngine(b, AlgALT, 10), Fuel) }
-func BenchmarkRouteScaleALTQuery100x(b *testing.B) { rsQuery(b, rsEngine(b, AlgALT, 100), Fuel) }
+func BenchmarkRouteScaleCCHQuery1x(b *testing.B)   { rsQuery(b, rsEngine(b, 1), Fuel) }
+func BenchmarkRouteScaleCCHQuery10x(b *testing.B)  { rsQuery(b, rsEngine(b, 10), Fuel) }
+func BenchmarkRouteScaleCCHQuery100x(b *testing.B) { rsQuery(b, rsEngine(b, 100), Fuel) }
 
 func BenchmarkRouteScaleCCHQueryDistance100x(b *testing.B) {
-	rsQuery(b, rsEngine(b, AlgCCH, 100), Distance)
-}
-func BenchmarkRouteScaleALTQueryDistance100x(b *testing.B) {
-	rsQuery(b, rsEngine(b, AlgALT, 100), Distance)
+	rsQuery(b, rsEngine(b, 100), Distance)
 }
 
 // BenchmarkRouteScaleCCHCustomizeFull100x is the from-scratch customization
 // of the fuel metric on the country graph — the denominator of the
 // incremental re-customization claim.
 func BenchmarkRouteScaleCCHCustomizeFull100x(b *testing.B) {
-	eng := rsEngine(b, AlgCCH, 100)
+	eng := rsEngine(b, 100)
 	g := eng.cchGraph()
 	tb, err := eng.fresh()
 	if err != nil {
@@ -120,7 +111,7 @@ func BenchmarkRouteScaleCCHCustomizeFull100x(b *testing.B) {
 // fusion ticks: each tick changes one edge's stamp and cost, everything else
 // is clean. The acceptance bar is ≥5× cheaper than the full pass above.
 func BenchmarkRouteScaleCCHRecustomizeTick100x(b *testing.B) {
-	eng := rsEngine(b, AlgCCH, 100)
+	eng := rsEngine(b, 100)
 	g := eng.cchGraph()
 	tb, err := eng.fresh()
 	if err != nil {
@@ -171,22 +162,10 @@ func rsMatrixNodes(eng *Engine, n int) []int {
 	return out
 }
 
-// The fleet-dispatch grids: 50×50 on the country graph, bucket sweeps (cch)
-// vs repeated bounded one-to-alls (alt).
+// BenchmarkRouteScaleCCHMatrix100x is the fleet-dispatch grid: 50×50 on the
+// country graph, answered by bucket sweeps over the hierarchy.
 func BenchmarkRouteScaleCCHMatrix100x(b *testing.B) {
-	eng := rsEngine(b, AlgCCH, 100)
-	nodes := rsMatrixNodes(eng, 50)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Matrix(Fuel, 40, nodes, nodes); err != nil {
-			b.Fatalf("matrix: %v", err)
-		}
-	}
-}
-
-func BenchmarkRouteScaleALTMatrix100x(b *testing.B) {
-	eng := rsEngine(b, AlgALT, 100)
+	eng := rsEngine(b, 100)
 	nodes := rsMatrixNodes(eng, 50)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -27,7 +27,7 @@ func EcoRoutes(opt Options) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	eng, err := ecoroute.NewEngine(net, ecoroute.TruthSource{}, ecoroute.Config{Algorithm: opt.RouteEngine})
+	eng, err := ecoroute.NewEngine(net, ecoroute.TruthSource{}, ecoroute.Config{})
 	if err != nil {
 		return Table{}, err
 	}

@@ -116,8 +116,7 @@ func EmissionMaps(opt Options) (Table, error) {
 	}
 
 	// The routing side: min-NOx vs min-fuel over the same fused map.
-	eng, err := ecoroute.NewEngine(net, ecoroute.CloudSource{Store: srv},
-		ecoroute.Config{Algorithm: opt.RouteEngine})
+	eng, err := ecoroute.NewEngine(net, ecoroute.CloudSource{Store: srv}, ecoroute.Config{})
 	if err != nil {
 		return Table{}, err
 	}

@@ -30,10 +30,6 @@ type Options struct {
 	// experiment finishes in test-suite time. Benchmarks and the CLI run
 	// with Quick=false.
 	Quick bool
-	// RouteEngine picks the eco-routing search engine for routing
-	// experiments: "alt" (default) or "cch". Route costs are bit-identical
-	// either way, so seed-deterministic tables don't depend on it.
-	RouteEngine string
 }
 
 // Table is a rendered experiment result.

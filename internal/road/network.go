@@ -117,7 +117,7 @@ func (n *Network) Outgoing(id int) []*Edge {
 }
 
 // Incoming returns the edges entering node id — the reverse adjacency used
-// by backward graph searches (e.g. the bidirectional eco-router).
+// by backward graph searches and the eco-router's contraction order.
 func (n *Network) Incoming(id int) []*Edge {
 	i := n.pos(id)
 	if i < 0 {

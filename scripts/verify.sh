@@ -59,6 +59,14 @@ echo "== fuzz (binary batch codec) =="
 # codec. Seeded from internal/cloud/testdata/fuzz/FuzzDecodeBatchBinary.
 go test -run '^$' -fuzz '^FuzzDecodeBatchBinary$' -fuzztime=10s ./internal/cloud
 
+echo "== fuzz (profile through both submit doors) =="
+# The same raw bytes as the body of POST /v1/roads/{id}/profiles and, when
+# they are JSON, as the profile of a one-item batch: the doors must agree
+# (202 with accepted, 400 with 400), and the store generation must move by
+# one on acceptance and not at all on rejection. Seeded from
+# internal/cloud/testdata/fuzz/FuzzSubmitProfile.
+go test -run '^$' -fuzz '^FuzzSubmitProfile$' -fuzztime=10s ./internal/cloud
+
 echo "== fuzz (traceparent header) =="
 # Raw header values through obs.ParseTraceparent: an accepted header has a
 # lowercase-hex version other than ff, non-zero ids and, at version 00,
