@@ -60,9 +60,16 @@ var gzipWriterPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discar
 
 // readBody slurps the request body into a pooled buffer, transparently
 // decompressing a gzip Content-Encoding and bounding both the wire and the
-// decompressed size; either overflow is an *http.MaxBytesError. The caller
-// must return buf to bodyBufPool.
+// decompressed size; either overflow is an *http.MaxBytesError, and a
+// declared Content-Length past the cap is one before any byte is read. The
+// buffer grows by doubling with the bytes actually read, never from the
+// declared length (a client may declare the cap and send nothing), and its
+// capacity never passes maxBytes+bytes.MinRead. The caller must hand buf
+// back through putBodyBuf.
 func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) (*bytes.Buffer, error) {
+	if r.ContentLength > maxBytes {
+		return nil, &http.MaxBytesError{Limit: maxBytes}
+	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
 	var src io.Reader = r.Body
 	switch enc := r.Header.Get("Content-Encoding"); enc {
@@ -81,16 +88,48 @@ func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) (*bytes.Bu
 	}
 	buf := bodyBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	if _, err := buf.ReadFrom(src); err != nil {
-		bodyBufPool.Put(buf)
-		return nil, err
+	limit := int(maxBytes) + bytes.MinRead
+	for {
+		if buf.Available() < bytes.MinRead {
+			growBody(buf, min(max(buf.Cap(), bytes.MinRead), limit-buf.Cap()))
+		}
+		p := buf.AvailableBuffer()
+		n, err := src.Read(p[:cap(p)])
+		buf.Write(p[:n])
+		switch {
+		case int64(buf.Len()) > maxBytes:
+			// The same error the wire cap gives, so both overflows answer
+			// 413, even when the stream is also corrupt past the cap.
+			putBodyBuf(buf)
+			return nil, &http.MaxBytesError{Limit: maxBytes}
+		case err == io.EOF:
+			return buf, nil
+		case err != nil:
+			putBodyBuf(buf)
+			return nil, err
+		}
 	}
-	if int64(buf.Len()) > maxBytes {
-		// The same error the wire cap gives, so both overflows answer 413.
-		bodyBufPool.Put(buf)
-		return nil, &http.MaxBytesError{Limit: maxBytes}
+}
+
+// growBody gives buf room for n more bytes, allocating exactly that much:
+// bytes.Buffer's own growth doubles and rounds up to an allocation size
+// class, so it can take a body at the cap to a buffer twice the cap.
+func growBody(buf *bytes.Buffer, n int) {
+	if buf.Available() >= n {
+		return
 	}
-	return buf, nil
+	b := make([]byte, buf.Len(), buf.Len()+n)
+	copy(b, buf.Bytes())
+	*buf = *bytes.NewBuffer(b)
+}
+
+// putBodyBuf returns a body buffer to bodyBufPool, unless it is larger than
+// a single-profile body can need: a batch body's buffer must not pin up to
+// 64 MiB in the pool.
+func putBodyBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxSubmitBodyBytes {
+		bodyBufPool.Put(buf)
+	}
 }
 
 // acceptsGzip reports whether the client advertised gzip support.
@@ -112,7 +151,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, fmt.Errorf("reading batch: %w", err))
 		return
 	}
-	defer bodyBufPool.Put(buf)
+	defer putBodyBuf(buf)
 
 	items, err := decodeBatch(r.Header.Get("Content-Type"), buf.Bytes())
 	if err != nil {

@@ -473,7 +473,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, fmt.Errorf("decoding profile: %w", err))
 		return
 	}
-	defer bodyBufPool.Put(buf)
+	defer putBodyBuf(buf)
 	dto := dtoPool.Get().(*ProfileDTO)
 	// Reset before decoding: json.Unmarshal leaves absent fields untouched,
 	// and a stale value from the previous request must read as absent.

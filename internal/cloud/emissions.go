@@ -6,18 +6,19 @@ package cloud
 //	GET /v1/emissions?vehicle=<car|truck|bus>&speed_kmh=<v>[&since=<generation>&epoch=<id>]
 //
 // serves a per-road, per-pollutant emission intensity table (grams per km
-// per vehicle) computed from the crowd-fused gradient map. Each (vehicle,
-// speed) table is kept in place and refreshed from the store's change feed:
-// a refresh re-integrates only the roads the feed names whose fused profile
-// (or provenance) actually changed — the same stamp discipline as the
-// routing engine's cost tables — and records, per row, the generation at
-// which the row last changed. A client that holds this server's table at
-// generation since (its epoch names the server instance) gets back only the
-// rows changed after it; every other request gets the full table, encoded
-// at most once per generation.
+// per vehicle) computed from the crowd-fused gradient map — the map the
+// routing engine costs routes on. Each (vehicle, speed) table is a view of
+// the engine's published snapshot: it takes the snapshot's generation as
+// its own, re-integrates only the rows whose provenance stamp moved since
+// the snapshot it was last built from, and records, per row, the
+// generation at which the row last changed. A client that holds this
+// server's table at generation since (its epoch names the server instance)
+// gets back only the rows changed after it; every other request gets the
+// full table, encoded at most once per generation.
 //
-// The endpoint is optional: a server without an attached network answers
-// 503 (like routing without an engine).
+// The endpoint is optional: a server without it answers 503 (like routing
+// without an engine). It reads the routing engine over this server's own
+// store, so EnableRouting comes first.
 
 import (
 	"crypto/rand"
@@ -31,6 +32,7 @@ import (
 	"sync"
 	"time"
 
+	"roadgrade/internal/ecoroute"
 	"roadgrade/internal/emission"
 	"roadgrade/internal/obs"
 	"roadgrade/internal/road"
@@ -56,13 +58,6 @@ var emissionSpeedsKmh = []float64{30, 40, 50, 60}
 // speed_kmh.
 const defaultEmissionSpeedKmh = 40
 
-// emisEdge is one directed road plus its opposite-direction sibling (the
-// sign-flip fallback), resolved once at EnableEmissions.
-type emisEdge struct {
-	road *road.Road
-	rev  *road.Road
-}
-
 // emisKey identifies one cached table.
 type emisKey struct {
 	vehicle emission.VehicleClass
@@ -79,12 +74,14 @@ func emissionKey(vehicle emission.VehicleClass, speedKmh float64) (emisKey, erro
 // emisTable is one (vehicle, speed) table, refreshed in place under
 // emissions.mu.
 type emisTable struct {
-	// dto is the table at generation dto.Generation: every row reflects at
-	// least every change the feed logged up to it. Its Roads are updated in
-	// place, so only copies leave the lock.
+	// dto is the table at generation dto.Generation, the generation of the
+	// routing snapshot its rows reflect. Its Roads are updated in place, so
+	// only copies leave the lock.
 	dto EmissionTableDTO
-	// stamps[i] is the provenance stamp row i was built from.
-	stamps []uint64
+	// built is that snapshot's stamp row. It shares the snapshot's pages,
+	// not the snapshot: a table nobody fetches must not pin a whole stale
+	// snapshot.
+	built ecoroute.Stamps
 	// rowGen[i] is the table generation of the refresh that last changed
 	// row i; a delta since g carries the rows with rowGen > g.
 	rowGen []uint64
@@ -108,12 +105,6 @@ func (t *emisTable) fullJSON() ([]byte, error) {
 
 // emissions is the endpoint's state, attached via EnableEmissions.
 type emissions struct {
-	edges []emisEdge
-	// roadEdges maps a road ID to the edges whose rows read the road: its
-	// own edge, and the opposite-direction edge that falls back on its
-	// profile. The change feed names roads; these are what a refresh
-	// re-resolves for them.
-	roadEdges map[string][]int32
 	// epoch names this table cache. Generations only order tables built by
 	// one cache, so a delta is served only to a request naming it: a
 	// restarted server never trusts a base from before the restart.
@@ -123,34 +114,21 @@ type emissions struct {
 	cache map[emisKey]*emisTable
 }
 
-// EnableEmissions attaches a road network, turning on GET /v1/emissions.
-// Call before Handler()/serving. The table is computed from this server's
-// own fused store; roads nobody has driven fall back to the opposite
-// direction's profile sign-flipped, then to flat — the same provenance
-// ladder the routing engine uses.
+// EnableEmissions turns on GET /v1/emissions over net. Call before
+// Handler()/serving, and after EnableRouting has attached an engine over
+// net whose source is this server's own store
+// (ecoroute.CloudSource{Store: s}): the tables read that engine's
+// snapshots, so a road nobody has driven falls back to the opposite
+// direction's profile sign-flipped, then to flat, exactly as routes do.
 func (s *Server) EnableEmissions(net *road.Network) error {
 	if net == nil || len(net.Edges) == 0 {
 		return errors.New("cloud: emissions need a non-empty network")
 	}
-	em := &emissions{
-		edges:     make([]emisEdge, len(net.Edges)),
-		roadEdges: make(map[string][]int32, len(net.Edges)),
-		epoch:     rand.Text(),
-		cache:     make(map[emisKey]*emisTable),
+	eng := s.router
+	if eng == nil || eng.Network() != net || eng.Source() != (ecoroute.CloudSource{Store: s}) {
+		return errors.New("cloud: emissions need a routing engine over the same network and this server's store")
 	}
-	byPair := make(map[[2]int]*road.Road, len(net.Edges))
-	for _, ed := range net.Edges {
-		byPair[[2]int{ed.From, ed.To}] = ed.Road
-	}
-	for i, ed := range net.Edges {
-		rev := byPair[[2]int{ed.To, ed.From}]
-		em.edges[i] = emisEdge{road: ed.Road, rev: rev}
-		em.roadEdges[ed.Road.ID()] = append(em.roadEdges[ed.Road.ID()], int32(i))
-		if rev != nil {
-			em.roadEdges[rev.ID()] = append(em.roadEdges[rev.ID()], int32(i))
-		}
-	}
-	s.emis = em
+	s.emis = &emissions{epoch: rand.Text(), cache: make(map[emisKey]*emisTable)}
 	return nil
 }
 
@@ -206,25 +184,9 @@ func snapEmissionSpeed(kmh float64) (float64, error) {
 	return best, nil
 }
 
-// emisGrades resolves one road's grade closure, provenance label, and
-// provenance-disjoint stamp (3g+1 fused, 3g+2 reverse, 0 flat — the
-// CloudSource discipline, so a provenance switch always changes the stamp).
-func (s *Server) emisGrades(ed emisEdge) (func(float64) float64, string, uint64) {
-	if p, gen, err := s.FusedGeneration(ed.road.ID()); err == nil {
-		return p.GradeAt, "fused", 3*gen + 1
-	}
-	if ed.rev != nil {
-		if p, gen, err := s.FusedGeneration(ed.rev.ID()); err == nil {
-			length := ed.rev.Length()
-			return func(at float64) float64 { return -p.GradeAt(length - at) }, "reverse", 3*gen + 2
-		}
-	}
-	return func(float64) float64 { return 0 }, "flat", 0
-}
-
 // EmissionTable returns the current per-road emission table for a vehicle
-// class at a cruise speed (snapped to the nearest bucket), rebuilding from
-// the fused store only what changed. The experiment suite calls this
+// class at a cruise speed (snapped to the nearest bucket), re-integrating
+// only the rows the routing snapshot changed. The experiment suite calls this
 // directly; the HTTP handler serves its encoded form. The table is the
 // caller's to keep.
 func (s *Server) EmissionTable(vehicle emission.VehicleClass, speedKmh float64) (EmissionTableDTO, error) {
@@ -234,7 +196,7 @@ func (s *Server) EmissionTable(vehicle emission.VehicleClass, speedKmh float64) 
 	}
 	em.mu.Lock()
 	defer em.mu.Unlock()
-	t, err := s.emissionTableLocked(em, key)
+	t, err := em.tableLocked(s.router, key)
 	if err != nil {
 		return EmissionTableDTO{}, err
 	}
@@ -262,7 +224,7 @@ func (s *Server) emissionBody(vehicle emission.VehicleClass, speedKmh float64, d
 		return nil, err
 	}
 	em.mu.Lock()
-	t, err := s.emissionTableLocked(em, key)
+	t, err := em.tableLocked(s.router, key)
 	if err != nil {
 		em.mu.Unlock()
 		return nil, err
@@ -288,111 +250,84 @@ func (s *Server) emissionBody(vehicle emission.VehicleClass, speedKmh float64, d
 	return json.Marshal(d)
 }
 
-// emisUpdate is one row a refresh re-integrated.
-type emisUpdate struct {
-	i     int32
-	stamp uint64
-	row   EmissionRoadDTO
-}
-
-// emissionTableLocked returns the key's table brought up to the store's
-// current generation. em.mu must be held, and the table is only read or
-// written under it.
+// tableLocked returns the key's table brought up to the current snapshot of
+// eng, the server's routing engine. em.mu must be held: the table is only
+// read or written under it, and the snapshot is read under it too.
+// Published snapshots only move forward, so a table never goes back a
+// generation. The lock order is em.mu, then the engine's; nothing takes
+// them the other way.
 //
-// The first build resolves every edge. A later refresh re-resolves only the
-// edges that read a road the change feed names after the table's
-// generation, and rescans every edge only when the feed wrapped; either way
-// a row re-integrates only when its provenance stamp moved. The new
-// generation is fixed before any road is read: every change the feed logged
-// up to it is then visible to the reads, so every row reflects at least
-// that generation. A change landing mid-refresh may show in a row early; the
-// feed names it after the new generation, so the next refresh re-resolves
-// it (and finds the stamp it already has).
-func (s *Server) emissionTableLocked(em *emissions, key emisKey) (*emisTable, error) {
+// The first build integrates every row. A refresh diffs the stamp row the
+// table was built from against the snapshot's, skipping the pages they
+// share, and re-integrates only the rows whose stamp moved: a stamp names
+// immutable grade data, so every other row already is what the snapshot
+// gives.
+func (em *emissions) tableLocked(eng *ecoroute.Engine, key emisKey) (*emisTable, error) {
+	v, err := eng.Grades()
+	if err != nil {
+		return nil, err
+	}
+	gen := v.Generation()
 	t := em.cache[key]
-	gen := s.StoreGeneration()
 	if t != nil && t.dto.Generation == gen {
 		obsEmisHits.Inc()
 		return t, nil
 	}
 	start := time.Now()
-	var edges []int32
-	rescan := true
-	if t != nil {
-		var roads []string
-		var ok bool
-		if roads, gen, ok = s.feed.since(t.dto.Generation); ok {
-			edges, rescan = em.affected(roads), false
-		}
-	}
-	if rescan {
-		edges = make([]int32, len(em.edges))
-		for i := range edges {
-			edges[i] = int32(i)
-		}
-	}
-	var ups []emisUpdate
+	edges := eng.Network().Edges
 	params := emission.ForVehicle(key.vehicle)
 	speedMS := key.speed / 3.6
-	for _, i := range edges {
-		ed := em.edges[i]
-		grade, prov, stamp := s.emisGrades(ed)
-		if t != nil && t.stamps[i] == stamp {
-			continue
-		}
-		re, err := emission.RoadEmissionsAt(ed.road, speedMS,
-			func(_ *road.Road, at float64) float64 { return grade(at) }, params)
+	recomputed := 0
+	var rowErr error
+	integrate := func(i int) {
+		re, err := emission.RoadEmissionsAt(edges[i].Road, speedMS, v.GradeAt(i), params)
 		if err != nil {
-			return nil, fmt.Errorf("cloud: road %s: %w", ed.road.ID(), err)
+			rowErr = fmt.Errorf("cloud: road %s: %w", edges[i].Road.ID(), err)
+			return
 		}
-		ups = append(ups, emisUpdate{i: i, stamp: stamp, row: EmissionRoadDTO{
+		t.dto.Roads[i] = EmissionRoadDTO{
 			RoadID:       re.RoadID,
 			Class:        roadClassName(re.Class),
 			LengthM:      re.LengthM,
 			MeanGradeDeg: re.MeanGradeDeg,
-			Provenance:   prov,
+			Provenance:   ecoroute.Provenance(v.Stamp(i)),
 			COGPerKm:     re.GramsPerKm[emission.CO],
 			NOxGPerKm:    re.GramsPerKm[emission.NOx],
 			HCGPerKm:     re.GramsPerKm[emission.HC],
 			PM25GPerKm:   re.GramsPerKm[emission.PM25],
-		}})
+		}
+		t.rowGen[i] = gen
+		recomputed++
 	}
 	if t == nil {
-		n := len(em.edges)
 		t = &emisTable{
 			dto: EmissionTableDTO{
 				Vehicle:  key.vehicle.String(),
 				SpeedKmh: key.speed,
 				Epoch:    em.epoch,
-				Roads:    make([]EmissionRoadDTO, n),
+				Roads:    make([]EmissionRoadDTO, len(edges)),
 			},
-			stamps: make([]uint64, n),
-			rowGen: make([]uint64, n),
+			rowGen: make([]uint64, len(edges)),
 		}
 		em.cache[key] = t
+		for i := range edges {
+			integrate(i)
+		}
+	} else {
+		v.Changed(t.built, integrate)
 	}
-	for _, u := range ups {
-		t.dto.Roads[u.i] = u.row
-		t.stamps[u.i] = u.stamp
-		t.rowGen[u.i] = gen
+	if rowErr != nil {
+		// Some rows may have moved and others not: start over next time.
+		delete(em.cache, key)
+		return nil, rowErr
 	}
+	t.built = v.Stamps()
 	t.dto.Generation = gen
 	t.json = nil
 	obsEmisRebuilds.Inc()
-	obsEmisRoads.Add(uint64(len(ups)))
+	obsEmisRoads.Add(uint64(recomputed))
 	obsEmisSecs.Observe(time.Since(start).Seconds())
 	return t, nil
-}
-
-// affected lists, in ascending order, the edges whose rows read any of the
-// roads.
-func (em *emissions) affected(roads []string) []int32 {
-	var edges []int32
-	for _, id := range roads {
-		edges = append(edges, em.roadEdges[id]...)
-	}
-	slices.Sort(edges)
-	return slices.Compact(edges)
 }
 
 // roadClassName labels a road class for the wire (mirrors the fuel map's

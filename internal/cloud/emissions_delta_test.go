@@ -3,6 +3,7 @@ package cloud
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -142,9 +143,7 @@ func checkEmissionDelta(t *testing.T, seed int64) {
 	start := func() {
 		srv = NewServerWithShards(4)
 		srv.MaxSubmissionsPerRoad = 2 * feedCap // no window evictions: they only slow the wrap
-		if err := srv.EnableEmissions(net); err != nil {
-			t.Fatalf("enable: %v", err)
-		}
+		enableEmissions(t, srv, net)
 		h.set(srv.Handler())
 	}
 	start()
@@ -189,11 +188,10 @@ func checkEmissionDelta(t *testing.T, seed int64) {
 		} else if got := obsEmisDelta.Value() - delta0; got != 0 {
 			t.Errorf("%s: %d delta responses, want only full tables", step, got)
 		}
-		// The refreshed tables match a first build over the same store.
-		kept := srv.emis
-		if err := srv.EnableEmissions(net); err != nil {
-			t.Fatal(err)
-		}
+		// The refreshed tables match a first build over the same store, by a
+		// new engine and table cache.
+		kept, keptRouter := srv.emis, srv.router
+		enableEmissions(t, srv, net)
 		for _, k := range emisKinds {
 			key, _ := clientEmissionKey(k.vehicle, k.kmh)
 			fresh, err := srv.EmissionTable(key.vehicle, key.speed)
@@ -208,7 +206,7 @@ func checkEmissionDelta(t *testing.T, seed int64) {
 				t.Fatalf("%s: %s@%v: refreshed table differs from a first build: %s", step, k.vehicle, k.kmh, d)
 			}
 		}
-		srv.emis = kept
+		srv.emis, srv.router = kept, keptRouter
 		// A since ahead of the table gets the full table, not a delta.
 		code, ahead := getEmissions(t, &h, url.Values{
 			"since": {strconv.FormatUint(srv.StoreGeneration()+3, 10)}, "epoch": {srv.emis.epoch},
@@ -327,8 +325,9 @@ func checkEmissionDelta(t *testing.T, seed int64) {
 	}
 }
 
-// TestEmissionDeltaConcurrent runs two clients' fetchers, a folder and
-// EmissionTable readers at once. Every table anyone sees at a generation
+// TestEmissionDeltaConcurrent runs two clients' fetchers, a folder,
+// EmissionTable readers and a /v1/route reader, which refreshes the routing
+// snapshot the tables read, at once. Every table anyone sees at a generation
 // must be the same table, each fetcher's generations must never go back,
 // and once the folds stop every client's merged table must equal a fresh
 // full fetch.
@@ -338,9 +337,7 @@ func TestEmissionDeltaConcurrent(t *testing.T) {
 		t.Fatalf("network: %v", err)
 	}
 	srv := NewServerWithShards(4)
-	if err := srv.EnableEmissions(net); err != nil {
-		t.Fatalf("enable: %v", err)
-	}
+	enableEmissions(t, srv, net)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	ctx := context.Background()
@@ -425,6 +422,38 @@ func TestEmissionDeltaConcurrent(t *testing.T) {
 			return srv.EmissionTable(k.class, k.kmh)
 		})
 	}
+	// Route queries refresh the same engine snapshot the tables read.
+	var routed atomic.Int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			from, to := net.Nodes[n%len(net.Nodes)].ID, net.Nodes[(7*n+3)%len(net.Nodes)].ID
+			resp, err := ts.Client().Get(fmt.Sprintf("%s/v1/route?from=%d&to=%d&objective=%s",
+				ts.URL, from, to, []string{"fuel", "nox"}[n%2]))
+			if err != nil {
+				t.Errorf("route reader: %v", err)
+				fail()
+				return
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			switch resp.StatusCode {
+			case http.StatusOK:
+				routed.Add(1)
+			case http.StatusNotFound:
+			default:
+				t.Errorf("route reader: %d→%d: HTTP %d", from, to, resp.StatusCode)
+				fail()
+				return
+			}
+		}
+	}()
 
 	rng := rand.New(rand.NewSource(11))
 	for fold := 0; fold < 120; fold++ {
@@ -449,6 +478,9 @@ func TestEmissionDeltaConcurrent(t *testing.T) {
 	halt()
 	if obsEmisDelta.Value() == delta0 {
 		t.Error("no fetch was answered with a delta")
+	}
+	if routed.Load() == 0 {
+		t.Error("no route query was answered")
 	}
 
 	for ci, c := range clients {
@@ -477,9 +509,7 @@ func TestEmissionTableCallerOwnsCopy(t *testing.T) {
 		t.Fatalf("network: %v", err)
 	}
 	s := NewServer()
-	if err := s.EnableEmissions(net); err != nil {
-		t.Fatalf("enable: %v", err)
-	}
+	enableEmissions(t, s, net)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	c := fastClient(t, srv.URL, srv.Client())
@@ -648,7 +678,8 @@ func TestKeepEmissionsNeverGoesBack(t *testing.T) {
 
 // benchEmissionFetch times one road folded and the car table fetched over
 // HTTP per iteration, on the 164.8 km network; delta reuses one client,
-// full asks with a new client each time.
+// full asks with a new client each time. The routing snapshot is refreshed
+// outside the timer after each fold (refreshRouting).
 func benchEmissionFetch(b *testing.B, delta bool) {
 	s, net := benchEmissionServer(b)
 	srv := httptest.NewServer(s.Handler())
@@ -672,6 +703,7 @@ func benchEmissionFetch(b *testing.B, delta bool) {
 		if err := s.Submit(r.ID(), p); err != nil {
 			b.Fatal(err)
 		}
+		refreshRouting(b, s)
 		if !delta {
 			c, _ = NewClient(srv.URL, srv.Client())
 		}
@@ -683,8 +715,10 @@ func benchEmissionFetch(b *testing.B, delta bool) {
 
 // BenchmarkEmissionFetchFull is the client's cost of one fold's freshness
 // without deltas: the server re-encodes and the client re-decodes every row.
+// The routing snapshot refresh is outside the timer.
 func BenchmarkEmissionFetchFull(b *testing.B) { benchEmissionFetch(b, false) }
 
 // BenchmarkEmissionFetchDelta is the same with the client's held table:
-// only the folded road's row crosses the wire.
+// only the folded road's row crosses the wire. The routing snapshot refresh
+// is outside the timer.
 func BenchmarkEmissionFetchDelta(b *testing.B) { benchEmissionFetch(b, true) }

@@ -61,9 +61,7 @@ func emissionQueryServer(tb testing.TB) (*Server, http.Handler, *road.Network) {
 		tb.Fatalf("network: %v", err)
 	}
 	s := NewServerWithShards(4)
-	if err := s.EnableEmissions(net); err != nil {
-		tb.Fatalf("enable: %v", err)
-	}
+	enableEmissions(tb, s, net)
 	s.emis.epoch = queryEpoch
 	rng := rand.New(rand.NewSource(17))
 	for gen := 0; gen < 6; gen++ {

@@ -3,11 +3,15 @@ package cloud
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"roadgrade/internal/ecoroute"
 	"roadgrade/internal/emission"
+	"roadgrade/internal/obs"
 	"roadgrade/internal/road"
 )
 
@@ -30,6 +34,20 @@ func getEmissions(t testing.TB, h http.Handler, query string) (int, EmissionTabl
 	return rec.Code, dto
 }
 
+// enableEmissions attaches a routing engine over net and s's own store, then
+// the emission tables that read its snapshots.
+func enableEmissions(tb testing.TB, s *Server, net *road.Network) {
+	tb.Helper()
+	eng, err := ecoroute.NewEngine(net, ecoroute.CloudSource{Store: s}, ecoroute.Config{})
+	if err != nil {
+		tb.Fatalf("engine: %v", err)
+	}
+	s.EnableRouting(eng)
+	if err := s.EnableEmissions(net); err != nil {
+		tb.Fatalf("enable: %v", err)
+	}
+}
+
 // TestEmissionsEndpoint drives the city emission map through its lifecycle:
 // an unmapped network serves a flat-provenance table, an unchanged store is a
 // cache hit (no roads re-integrated), and one road's submission recomputes
@@ -41,9 +59,7 @@ func TestEmissionsEndpoint(t *testing.T) {
 		t.Fatalf("network: %v", err)
 	}
 	s := NewServer()
-	if err := s.EnableEmissions(net); err != nil {
-		t.Fatalf("enable: %v", err)
-	}
+	enableEmissions(t, s, net)
 	h := s.Handler()
 
 	hits0, rebuilds0, roads0 := obsEmisHits.Value(), obsEmisRebuilds.Value(), obsEmisRoads.Value()
@@ -168,13 +184,41 @@ func TestEmissionsEndpoint(t *testing.T) {
 		}
 	}
 
-	// Emissions not enabled → 503; a nil/empty network can't be enabled.
+	// Emissions not enabled → 503.
 	bare := NewServer()
 	if code, _ := getEmissions(t, bare.Handler(), ""); code != http.StatusServiceUnavailable {
 		t.Errorf("emissions disabled: HTTP %d, want 503", code)
 	}
-	if err := bare.EnableEmissions(nil); err == nil {
-		t.Error("EnableEmissions(nil) did not fail")
+	// The tables read a routing engine over net and the server's own store:
+	// without one, or with any other, emissions can't be enabled.
+	other, err := road.GenerateNetwork(62, road.NetworkConfig{TargetStreetKM: 2})
+	if err != nil {
+		t.Fatalf("network: %v", err)
+	}
+	own := func(srv *Server) ecoroute.GradeSource { return ecoroute.CloudSource{Store: srv} }
+	for _, tc := range []struct {
+		name   string
+		engNet *road.Network // nil: no engine
+		src    func(srv *Server) ecoroute.GradeSource
+		net    *road.Network
+	}{
+		{"no routing engine", nil, nil, net},
+		{"engine over another network", other, own, net},
+		{"engine over ground truth", net, func(*Server) ecoroute.GradeSource { return ecoroute.TruthSource{} }, net},
+		{"engine over another store", net, func(*Server) ecoroute.GradeSource { return ecoroute.CloudSource{Store: s} }, net},
+		{"nil network", net, own, nil},
+	} {
+		srv := NewServer()
+		if tc.engNet != nil {
+			eng, err := ecoroute.NewEngine(tc.engNet, tc.src(srv), ecoroute.Config{})
+			if err != nil {
+				t.Fatalf("%s: engine: %v", tc.name, err)
+			}
+			srv.EnableRouting(eng)
+		}
+		if err := srv.EnableEmissions(tc.net); err == nil || srv.emis != nil {
+			t.Errorf("%s: EnableEmissions did not fail (%v)", tc.name, err)
+		}
 	}
 }
 
@@ -186,9 +230,7 @@ func TestEmissionsClientRoundTrip(t *testing.T) {
 		t.Fatalf("network: %v", err)
 	}
 	s := NewServer()
-	if err := s.EnableEmissions(net); err != nil {
-		t.Fatalf("enable: %v", err)
-	}
+	enableEmissions(t, s, net)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	c, err := NewClient(srv.URL, srv.Client())
@@ -228,9 +270,7 @@ func benchEmissionServer(b *testing.B) (*Server, *road.Network) {
 		b.Fatalf("network: %v", err)
 	}
 	s := NewServer()
-	if err := s.EnableEmissions(net); err != nil {
-		b.Fatalf("enable: %v", err)
-	}
+	enableEmissions(b, s, net)
 	for _, ed := range net.Edges {
 		p, err := truthDTO(ed.Road).toProfile()
 		if err != nil {
@@ -244,9 +284,9 @@ func benchEmissionServer(b *testing.B) (*Server, *road.Network) {
 }
 
 // BenchmarkEmissionTableBuild pays the full city-table integration on every
-// iteration: a fresh server has no cached entry, so all roads integrate all
-// four pollutants over their 5 m cells. The emission family in BENCH.json
-// gates the build cost (scripts/bench.sh).
+// iteration: with the table cache dropped, all roads integrate all four
+// pollutants over their 5 m cells from the (current) routing snapshot. The
+// emission family in BENCH.json gates the build cost (scripts/bench.sh).
 func BenchmarkEmissionTableBuild(b *testing.B) {
 	s, _ := benchEmissionServer(b)
 	em := s.emis
@@ -264,9 +304,24 @@ func BenchmarkEmissionTableBuild(b *testing.B) {
 	}
 }
 
+// refreshRouting brings the routing snapshot up to the store with the
+// benchmark timer stopped. The emission benchmarks fold a road and then time
+// the table: the snapshot refresh between the two is the routing engine's
+// (BenchmarkEcoRouteInvalidate times it), which a server shares between
+// route queries and emission tables, so they leave it out.
+func refreshRouting(b *testing.B, s *Server) {
+	b.StopTimer()
+	if _, err := s.router.Grades(); err != nil {
+		b.Fatal(err)
+	}
+	b.StartTimer()
+}
+
 // BenchmarkEmissionTableIncremental measures the steady-state serving cost
-// after one road's re-fusion: the store generation moves, the stamp scan
-// carries every unchanged row forward, and exactly one road re-integrates.
+// after one road's re-fusion: the table diffs its stamp row against the
+// routing snapshot's, carries every unchanged row forward, and exactly one
+// road re-integrates. The routing snapshot is refreshed outside the timer
+// after each fold (refreshRouting).
 func BenchmarkEmissionTableIncremental(b *testing.B) {
 	s, net := benchEmissionServer(b)
 	if _, err := s.EmissionTable(emission.Car, 40); err != nil {
@@ -282,6 +337,7 @@ func BenchmarkEmissionTableIncremental(b *testing.B) {
 		if err := s.Submit(net.Edges[0].Road.ID(), p); err != nil {
 			b.Fatal(err)
 		}
+		refreshRouting(b, s)
 		if _, err := s.EmissionTable(emission.Car, 40); err != nil {
 			b.Fatal(err)
 		}
@@ -300,6 +356,198 @@ func BenchmarkEmissionTableWarm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := s.emissionBody(emission.Car, 40, false, 0, ""); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// ladderRow is the reference for one emission row, recomputed from the
+// store's own profiles: the road's fused profile, else the opposite
+// direction's sign-flipped and traversed backwards, else flat.
+func ladderRow(t *testing.T, s *Server, r, rev *road.Road, class emission.VehicleClass, kmh float64) EmissionRoadDTO {
+	t.Helper()
+	grade, prov := func(float64) float64 { return 0 }, "flat"
+	if p, _, err := s.FusedGeneration(r.ID()); err == nil {
+		grade, prov = p.GradeAt, "fused"
+	} else if rev != nil {
+		if p, _, err := s.FusedGeneration(rev.ID()); err == nil {
+			length := rev.Length()
+			grade, prov = func(at float64) float64 { return -p.GradeAt(length - at) }, "reverse"
+		}
+	}
+	re, err := emission.RoadEmissionsAt(r, kmh/3.6, grade, emission.ForVehicle(class))
+	if err != nil {
+		t.Fatalf("road %s: %v", r.ID(), err)
+	}
+	return EmissionRoadDTO{
+		RoadID:       re.RoadID,
+		Class:        roadClassName(re.Class),
+		LengthM:      re.LengthM,
+		MeanGradeDeg: re.MeanGradeDeg,
+		Provenance:   prov,
+		COGPerKm:     re.GramsPerKm[emission.CO],
+		NOxGPerKm:    re.GramsPerKm[emission.NOx],
+		HCGPerKm:     re.GramsPerKm[emission.HC],
+		PM25GPerKm:   re.GramsPerKm[emission.PM25],
+	}
+}
+
+// TestEmissionRowsMatchStoreLadder recomputes every row of all 12 tables
+// from the store's own profiles (ladderRow) after each fold of seeded
+// sequences whose folds move roads from flat to reverse and from reverse
+// to fused. The served rows, which read the routing snapshot, must match:
+// provenance and all five floats by Float64bits, at the store's generation.
+func TestEmissionRowsMatchStoreLadder(t *testing.T) {
+	for _, seed := range []int64{3, 19, 43} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			net, err := road.GenerateNetwork(seed, road.NetworkConfig{TargetStreetKM: 3})
+			if err != nil {
+				t.Fatalf("network: %v", err)
+			}
+			byPair := make(map[[2]int]*road.Road, len(net.Edges))
+			for _, ed := range net.Edges {
+				byPair[[2]int{ed.From, ed.To}] = ed.Road
+			}
+			rev := make([]*road.Road, len(net.Edges))
+			for i, ed := range net.Edges {
+				rev[i] = byPair[[2]int{ed.To, ed.From}]
+			}
+			s := NewServerWithShards(4)
+			enableEmissions(t, s, net)
+			rng := rand.New(rand.NewSource(seed))
+			hasData := func(r *road.Road) bool {
+				_, _, err := s.FusedGeneration(r.ID())
+				return err == nil
+			}
+
+			prov := make(map[string]string)
+			var flatToReverse, reverseToFused bool
+			check := func(step string) {
+				t.Helper()
+				for _, k := range emisKinds {
+					class, err := emission.ParseVehicleClass(k.vehicle)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := s.EmissionTable(class, k.kmh)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := EmissionTableDTO{Generation: s.StoreGeneration(), Vehicle: k.vehicle, SpeedKmh: k.kmh,
+						Epoch: s.emis.epoch, Roads: make([]EmissionRoadDTO, len(net.Edges))}
+					for i, ed := range net.Edges {
+						want.Roads[i] = ladderRow(t, s, ed.Road, rev[i], class, k.kmh)
+					}
+					if d := emissionTableDiff(got, want); d != "" {
+						t.Fatalf("%s: %s@%v: served table differs from the store ladder: %s", step, k.vehicle, k.kmh, d)
+					}
+					if k.vehicle != "car" {
+						continue
+					}
+					for _, row := range got.Roads {
+						switch p := prov[row.RoadID]; {
+						case p == "flat" && row.Provenance == "reverse":
+							flatToReverse = true
+						case p == "reverse" && row.Provenance == "fused":
+							reverseToFused = true
+						}
+						prov[row.RoadID] = row.Provenance
+					}
+				}
+			}
+
+			check("empty store")
+			for step := 0; step < 6; step++ {
+				// One road nobody drove either way (its sibling goes flat →
+				// reverse), one driven only the other way (reverse → fused)
+				// and one at random, folded shard by shard.
+				var items []BatchItem
+				add := func(r *road.Road) {
+					items = append(items, BatchItem{RoadID: r.ID(), Profile: realisticProfile(rng, 1+int(r.Length()/5))})
+				}
+				for _, wantSib := range []bool{false, true} {
+					for _, i := range rng.Perm(len(net.Edges)) {
+						r := net.Edges[i].Road
+						if rev[i] != nil && !hasData(r) && hasData(rev[i]) == wantSib {
+							add(r)
+							break
+						}
+					}
+				}
+				add(net.Edges[rng.Intn(len(net.Edges))].Road)
+				foldByShard(t, s, items, func() { check(fmt.Sprintf("step %d, between shard folds", step)) })
+				check(fmt.Sprintf("step %d", step))
+			}
+			if !flatToReverse || !reverseToFused {
+				t.Errorf("sequence missed a provenance change: flat→reverse %v, reverse→fused %v", flatToReverse, reverseToFused)
+			}
+		})
+	}
+}
+
+// TestEmissionsReadAttachedEngine: tables and routes read one snapshot of
+// whichever engine is attached. After EnableRouting replaces the engine
+// (same network, same store), each fold costs one refresh in all, however
+// many tables and routes read it, and the refreshed tables match the store
+// ladder.
+func TestEmissionsReadAttachedEngine(t *testing.T) {
+	net, err := road.GenerateNetwork(61, road.NetworkConfig{TargetStreetKM: 3})
+	if err != nil {
+		t.Fatalf("network: %v", err)
+	}
+	byPair := make(map[[2]int]*road.Road, len(net.Edges))
+	for _, ed := range net.Edges {
+		byPair[[2]int{ed.From, ed.To}] = ed.Road
+	}
+	s := NewServer()
+	enableEmissions(t, s, net)
+	h := s.Handler()
+	// tables fetches all 12 tables, handing each to check.
+	tables := func(check func(k emisKind, class emission.VehicleClass, got EmissionTableDTO)) {
+		t.Helper()
+		for _, k := range emisKinds {
+			class, err := emission.ParseVehicleClass(k.vehicle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.EmissionTable(class, k.kmh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(k, class, got)
+		}
+	}
+	tables(func(emisKind, emission.VehicleClass, EmissionTableDTO) {})
+	eng, err := ecoroute.NewEngine(net, ecoroute.CloudSource{Store: s}, ecoroute.Config{})
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	s.EnableRouting(eng)
+
+	refreshes := obs.Default.Counter("ecoroute_refreshes_total")
+	for step, ed := range net.Edges[:3] {
+		p, err := truthDTO(ed.Road).toProfile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Submit(ed.Road.ID(), p); err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		r0 := refreshes.Value()
+		tables(func(k emisKind, class emission.VehicleClass, got EmissionTableDTO) {
+			want := EmissionTableDTO{Generation: s.StoreGeneration(), Vehicle: k.vehicle, SpeedKmh: k.kmh,
+				Epoch: s.emis.epoch, Roads: make([]EmissionRoadDTO, len(net.Edges))}
+			for i, e := range net.Edges {
+				want.Roads[i] = ladderRow(t, s, e.Road, byPair[[2]int{e.To, e.From}], class, k.kmh)
+			}
+			if d := emissionTableDiff(got, want); d != "" {
+				t.Fatalf("step %d: %s@%v: table differs from the store ladder: %s", step, k.vehicle, k.kmh, d)
+			}
+		})
+		if code, _ := getRoute(t, h, fmt.Sprintf("from=%d&to=%d&objective=nox", ed.From, ed.To)); code != http.StatusOK {
+			t.Fatalf("step %d: route: HTTP %d", step, code)
+		}
+		if n := refreshes.Value() - r0; n != 1 {
+			t.Errorf("step %d: %d routing refreshes for one fold read by %d tables and a route, want 1", step, n, len(emisKinds))
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -226,6 +227,109 @@ func TestServerRejectsOversizedBody(t *testing.T) {
 			}
 			if now := s.StoreGeneration(); now != wantGen {
 				t.Errorf("store generation %d → %d, want %d", gen, now, wantGen)
+			}
+		})
+	}
+}
+
+// silentBody sends nothing: it records the size of the buffer each Read is
+// offered and reports EOF.
+type silentBody struct{ offered []int }
+
+func (b *silentBody) Read(p []byte) (int, error) {
+	b.offered = append(b.offered, len(p))
+	return 0, io.EOF
+}
+
+// TestServerRefusesDeclaredOversizedBody: at both submit doors a request
+// that declares a Content-Length past the cap gets 413 before its body is
+// read at all. One that declares exactly the cap and then sends nothing
+// costs no buffer near the cap: its first read is offered at most a pooled
+// buffer (the pool keeps none above maxSubmitBodyBytes+bytes.MinRead, far
+// below the batch cap) and the request allocates under 1 MiB. Neither
+// moves the store.
+func TestServerRefusesDeclaredOversizedBody(t *testing.T) {
+	s := NewServer()
+	h := s.Handler()
+	for _, door := range []struct {
+		path string
+		max  int64
+	}{
+		{"/v1/roads/r1/profiles", maxSubmitBodyBytes},
+		{"/v1/submit-batch", maxBatchBodyBytes},
+	} {
+		for _, tc := range []struct {
+			declared int64
+			want     int
+		}{
+			{door.max + 1, http.StatusRequestEntityTooLarge},
+			{door.max, http.StatusBadRequest},
+		} {
+			name := fmt.Sprintf("%s declaring %d", door.path, tc.declared)
+			body := &silentBody{}
+			req := httptest.NewRequest("POST", door.path, body)
+			req.ContentLength = tc.declared
+			req.Header.Set("Content-Type", "application/json")
+			gen := s.StoreGeneration()
+			rec := httptest.NewRecorder()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			h.ServeHTTP(rec, req)
+			runtime.ReadMemStats(&after)
+			if rec.Code != tc.want {
+				t.Errorf("%s: HTTP %d, want %d: %s", name, rec.Code, tc.want, rec.Body)
+			}
+			if tc.want == http.StatusRequestEntityTooLarge && len(body.offered) != 0 {
+				t.Errorf("%s: body read before the 413", name)
+			}
+			if len(body.offered) > 0 && body.offered[0] > maxSubmitBodyBytes+bytes.MinRead {
+				t.Errorf("%s: first read offered %d bytes for a body that sent none", name, body.offered[0])
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+				t.Errorf("%s: allocated %d bytes for a body that sent none", name, n)
+			}
+			if now := s.StoreGeneration(); now != gen {
+				t.Errorf("%s: store generation %d → %d", name, gen, now)
+			}
+		}
+	}
+}
+
+// TestReadBodyCapacityAtCap: a body of exactly the cap, identity with its
+// length declared or gzip, is read into a buffer no larger than the cap
+// plus bytes.MinRead.
+func TestReadBodyCapacityAtCap(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		max  int64
+		gzip bool
+	}{
+		{"single/identity", maxSubmitBodyBytes, false},
+		{"single/gzip", maxSubmitBodyBytes, true},
+		{"batch/identity", maxBatchBodyBytes, false},
+		{"batch/gzip", maxBatchBodyBytes, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if raceEnabled && tc.max > maxSubmitBodyBytes {
+				t.Skip("a 64 MiB body under the race detector")
+			}
+			body := paddedBody(t, "", tc.max, tc.gzip)
+			req := httptest.NewRequest("POST", "/v1/submit-batch", body)
+			if tc.gzip {
+				req.Header.Set("Content-Encoding", "gzip")
+			} else {
+				req.ContentLength = tc.max
+			}
+			buf, err := readBody(httptest.NewRecorder(), req, tc.max)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer putBodyBuf(buf)
+			if int64(buf.Len()) != tc.max {
+				t.Fatalf("read %d bytes, want %d", buf.Len(), tc.max)
+			}
+			if limit := tc.max + bytes.MinRead; int64(buf.Cap()) > limit {
+				t.Errorf("buffer capacity %d, want at most %d", buf.Cap(), limit)
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"roadgrade/internal/emission"
 	"roadgrade/internal/fuel"
 	"roadgrade/internal/obs"
 	"roadgrade/internal/road"
@@ -103,6 +104,51 @@ func (e *Engine) fresh() (*tables, error) {
 	return next, nil
 }
 
+// GradeView is a read-only view of one published snapshot's grade data: per
+// edge, in network edge order, the stamp and the grade closure the snapshot
+// costs routes on. A consumer that prices roads with another model — the
+// cloud's city emission tables — reads it instead of the source, and so
+// sees exactly the map routes see. Keep a Stamps row, not the view: the
+// view pins the whole snapshot.
+type GradeView struct{ tb *tables }
+
+// Grades returns a view of a snapshot that reflects the source's current
+// generation, refreshing it first if needed (the refresh a route query
+// runs). Published snapshots only move forward, so a later call never
+// returns an older snapshot.
+func (e *Engine) Grades() (GradeView, error) {
+	tb, err := e.fresh()
+	return GradeView{tb}, err
+}
+
+// Generation returns the source generation the snapshot reflects.
+func (v GradeView) Generation() uint64 { return v.tb.gen }
+
+// Stamp returns edge i's grade-data stamp; Provenance decodes a
+// CloudSource's.
+func (v GradeView) Stamp(i int) uint64 { return v.tb.edgeGen.at(int32(i)) }
+
+// GradeAt returns edge i's grade (radians) as a function of arc length from
+// the edge's start.
+func (v GradeView) GradeAt(i int) func(s float64) float64 { return v.tb.gradeAt.at(int32(i)) }
+
+// Stamps returns the snapshot's stamp row.
+func (v GradeView) Stamps() Stamps { return Stamps{pagedRow[uint64]{pages: v.tb.edgeGen.pages}} }
+
+// Changed calls fn, in ascending order, with every edge whose stamp differs
+// between since, a row taken from an earlier snapshot over the same network
+// and source, and this snapshot. Pages the two rows share are skipped
+// unread; the rest are compared entry by entry, so the row may come from
+// another engine's snapshot.
+func (v GradeView) Changed(since Stamps, fn func(i int)) {
+	diffRows(since.row, v.tb.edgeGen, func(i int32) { fn(int(i)) })
+}
+
+// Stamps is one snapshot's per-edge stamp row. It shares the snapshot's
+// pages, so holding it keeps those pages alive but not the snapshot's grade
+// closures or cost rows.
+type Stamps struct{ row pagedRow[uint64] }
+
 // rebuild derives the next snapshot from prev. Rows, stamps and grade
 // closures share prev's pages; only the edges the source's change feed
 // names are re-read, and only those whose stamp moved are written, which
@@ -154,7 +200,7 @@ func (e *Engine) rebuild(prev *tables, gen uint64) *tables {
 		next.gradeAt.set(i, eg.At)
 		for b := range next.fuel {
 			v := e.cfg.SpeedsKmh[b] / 3.6 * e.cfg.classFactor(ed.Road.Class())
-			next.fuel[b].set(i, edgeFuelGallons(e.cfg.Params, eg.At, e.lengthM.at(i), v, e.cfg.SampleStepM))
+			next.fuel[b].set(i, edgeFuelGallons(eg.At, e.lengthM.at(i), v))
 		}
 		changed++
 	}
@@ -181,7 +227,7 @@ func (e *Engine) changedEdges(since, gen uint64) (edges []int32, now uint64, ful
 		return nil, gen, true
 	}
 	for _, id := range roads {
-		edges = append(edges, e.roadEdges[id]...)
+		edges = append(edges, e.edgesReading[id]...)
 	}
 	slices.Sort(edges)
 	return slices.Compact(edges), now, false
@@ -195,26 +241,28 @@ func (e *Engine) siblingRoad(i int) *road.Road {
 	return nil
 }
 
+// The engine costs every edge with fixed models over the fused map's 5 m
+// cells (emission.CellStepM): Table II's Eq. (7) coefficients for fuel, and
+// the light-duty car for the pollutant objectives.
+var (
+	fuelModel     = fuel.TableII()
+	emissionModel = emission.ForVehicle(emission.Car)
+)
+
 // edgeFuelGallons integrates the Eq. (7) rate along one edge at a constant
-// cruise speed: grade is sampled at the midpoint of each stepM cell and the
+// cruise speed: grade is sampled at the midpoint of each 5 m cell and the
 // per-cell gallons accumulate exactly like fuel.TripFuel's per-sample terms
 // (rate × dt / 3600), so a cost equals TripFuel over the same samples
 // bit-for-bit.
-func edgeFuelGallons(p fuel.VSPParams, grade func(float64) float64, lengthM, speedMS, stepM float64) float64 {
-	if lengthM <= 0 || speedMS <= 0 || stepM <= 0 {
-		return 0
-	}
+func edgeFuelGallons(grade func(float64) float64, lengthM, speedMS float64) float64 {
 	var gallons float64
-	for s := 0.0; s < lengthM; s += stepM {
-		ds := stepM
+	for s := 0.0; s < lengthM; s += emission.CellStepM {
+		ds := emission.CellStepM
 		if s+ds > lengthM {
 			ds = lengthM - s
 		}
-		if ds <= 0 {
-			break
-		}
 		dt := ds / speedMS
-		gallons += p.RateGPH(speedMS, 0, grade(s+ds/2)) * dt / 3600
+		gallons += fuelModel.RateGPH(speedMS, 0, grade(s+ds/2)) * dt / 3600
 	}
 	return gallons
 }

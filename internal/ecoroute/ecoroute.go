@@ -13,7 +13,7 @@
 //     streets, so fastest and shortest genuinely differ).
 //   - Cost tables are precomputed once and cached as immutable snapshots
 //     stamped with the grade source's generation counters. A cloud
-//     re-fusion bumps only the affected roads' generations, so a refresh
+//     re-fusion bumps only the re-fused roads' generations, so a refresh
 //     recomputes only those edges (cache hits/misses are exported metrics).
 //   - One fast search answers every query: a customizable contraction
 //     hierarchy (DESIGN.md §13). The topology is contracted once, each
@@ -140,15 +140,6 @@ type Config struct {
 	// SpeedsKmh are the cruise-speed buckets cost tables are built for;
 	// queries snap to the nearest bucket. Default {30, 40, 50, 60}.
 	SpeedsKmh []float64
-	// SampleStepM is the arc-length step of the per-edge fuel integration
-	// (default 5 m, the fusion grid spacing).
-	SampleStepM float64
-	// Params are the Eq. (7) VSP coefficients (default fuel.TableII()).
-	Params fuel.VSPParams
-	// Emission configures the operating-mode pollutant model behind the
-	// NOx/CO/HC/PM objectives. The zero value selects the light-duty car
-	// defaults (emission.ForVehicle(emission.Car)).
-	Emission emission.Params
 	// ClassSpeedFactor scales the cruise speed per road class — arterials
 	// flow faster than local streets, which is what makes the fastest route
 	// differ from the shortest. Defaults: arterial 1.25, collector 1.0,
@@ -160,13 +151,6 @@ func (c Config) withDefaults() Config {
 	if len(c.SpeedsKmh) == 0 {
 		c.SpeedsKmh = []float64{30, 40, 50, 60}
 	}
-	if c.SampleStepM <= 0 {
-		c.SampleStepM = 5
-	}
-	if (c.Params == fuel.VSPParams{}) {
-		c.Params = fuel.TableII()
-	}
-	c.Emission = c.Emission.WithDefaults()
 	if c.ClassSpeedFactor == nil {
 		c.ClassSpeedFactor = map[road.Class]float64{
 			road.ClassArterial:  1.25,
@@ -208,11 +192,11 @@ type Engine struct {
 	head    []int32 // per edge: dense To
 	lengthM pagedRow[float64]
 	sibling []int32 // opposite-direction edge index, -1 if none
-	// roadEdges maps a road ID to the edges whose grades read the road: its
+	// edgesReading maps a road ID to the edges whose grades read the road: its
 	// own edge first, then each opposite-direction edge that falls back on
 	// its profile. The change feed names roads; these are what a refresh
 	// recosts for them.
-	roadEdges map[string][]int32
+	edgesReading map[string][]int32
 
 	// timeS[b][e] is edge e's traversal seconds at bucket b's class-adjusted
 	// speed; fixed at construction (grades don't change time in this model).
@@ -278,7 +262,7 @@ func NewEngine(net *road.Network, src GradeSource, cfg Config) (*Engine, error) 
 	e.head = make([]int32, len(net.Edges))
 	e.lengthM = newPagedRow[float64](len(net.Edges))
 	e.sibling = make([]int32, len(net.Edges))
-	e.roadEdges = make(map[string][]int32, len(net.Edges))
+	e.edgesReading = make(map[string][]int32, len(net.Edges))
 	edgeAt := make(map[*road.Edge]int32, len(net.Edges))
 	for i, ed := range net.Edges {
 		from, ok := e.idx[ed.From]
@@ -294,7 +278,7 @@ func NewEngine(net *road.Network, src GradeSource, cfg Config) (*Engine, error) 
 		e.head[i] = int32(to)
 		e.lengthM.set(int32(i), ed.Road.Length())
 		e.sibling[i] = -1
-		e.roadEdges[ed.Road.ID()] = append(e.roadEdges[ed.Road.ID()], int32(i))
+		e.edgesReading[ed.Road.ID()] = append(e.edgesReading[ed.Road.ID()], int32(i))
 		edgeAt[ed] = int32(i)
 	}
 	// Adjacency comes from the network's own forward and reverse indices so
@@ -337,7 +321,7 @@ func NewEngine(net *road.Network, src GradeSource, cfg Config) (*Engine, error) 
 	for i, s := range e.sibling {
 		if s >= 0 {
 			id := e.edges[s].Road.ID()
-			e.roadEdges[id] = append(e.roadEdges[id], int32(i))
+			e.edgesReading[id] = append(e.edgesReading[id], int32(i))
 		}
 	}
 	// Travel times are grade-independent: fix them now, one row per bucket.
@@ -355,6 +339,9 @@ func NewEngine(net *road.Network, src GradeSource, cfg Config) (*Engine, error) 
 
 // Network returns the engine's road network.
 func (e *Engine) Network() *road.Network { return e.net }
+
+// Source returns the engine's grade source.
+func (e *Engine) Source() GradeSource { return e.src }
 
 // SpeedsKmh returns the configured cruise-speed buckets.
 func (e *Engine) SpeedsKmh() []float64 {

@@ -264,7 +264,7 @@ func TestCO2PlanCostBits(t *testing.T) {
 			}
 			want := 0.0
 			for _, id := range p.RoadIDs {
-				want += grams[eng.roadEdges[id][0]]
+				want += grams[eng.edgesReading[id][0]]
 			}
 			if math.Float64bits(p.Cost) != math.Float64bits(want) {
 				t.Fatalf("%s %d→%d: CO2 cost %.17g, in-order sum of edge grams %.17g", name, from, to, p.Cost, want)

@@ -70,7 +70,7 @@ func (e *Engine) emissionRow(sp emission.Pollutant, bucket int, tb *tables) page
 		recompute := func(i int32) {
 			recomputed++
 			v := e.cfg.SpeedsKmh[bucket] / 3.6 * e.cfg.classFactor(e.edges[i].Road.Class())
-			g := edgeEmissionGrams(e.cfg.Emission, tb.gradeAt.at(i), e.lengthM.at(i), v, e.cfg.SampleStepM)
+			g, _ := emission.CellGrams(emissionModel, tb.gradeAt.at(i), e.lengthM.at(i), v)
 			for p := range rows {
 				rows[p].set(i, g[p])
 			}
@@ -104,33 +104,6 @@ func (e *Engine) emissionRow(sp emission.Pollutant, bucket int, tb *tables) page
 	return tb.emis[bucket][sp]
 }
 
-// edgeEmissionGrams integrates the operating-mode rates along one edge at a
-// constant cruise speed, mirroring edgeFuelGallons cell for cell: grade is
-// sampled at each stepM cell's midpoint and per-cell grams accumulate as
-// rate × dt / 3600 per species. params must already be defaulted (Config
-// does this once).
-func edgeEmissionGrams(params emission.Params, grade func(float64) float64, lengthM, speedMS, stepM float64) emission.Grams {
-	var out emission.Grams
-	if lengthM <= 0 || speedMS <= 0 || stepM <= 0 {
-		return out
-	}
-	for s := 0.0; s < lengthM; s += stepM {
-		ds := stepM
-		if s+ds > lengthM {
-			ds = lengthM - s
-		}
-		if ds <= 0 {
-			break
-		}
-		dt := ds / speedMS
-		row := params.RatesGPH(speedMS, 0, grade(s+ds/2))
-		for p := range out {
-			out[p] += row[p] * dt / 3600
-		}
-	}
-	return out
-}
-
 // PlanEmissions evaluates the operating-mode pollutant grams of an already
 // answered plan — e.g. what a min-fuel route costs in NOx. Pollutant-
 // objective plans carry this in Plan.EmisG already; for other objectives
@@ -148,7 +121,7 @@ func (e *Engine) PlanEmissions(p Plan) (emission.Grams, error) {
 	for _, sp := range emission.Pollutants() {
 		row := e.emissionRow(sp, bucket, tb)
 		for _, id := range p.RoadIDs {
-			edges, ok := e.roadEdges[id]
+			edges, ok := e.edgesReading[id]
 			if !ok {
 				return emission.Grams{}, fmt.Errorf("ecoroute: plan road %q not in network", id)
 			}

@@ -179,7 +179,7 @@ func TestOneRoadTickSharesPages(t *testing.T) {
 		t.Fatal("tick did not produce a new snapshot")
 	}
 	roadPages := map[int32]bool{}
-	for _, i := range eng.roadEdges[target.ID()] {
+	for _, i := range eng.edgesReading[target.ID()] {
 		roadPages[i>>pageShift] = true
 	}
 	moved := map[int32]bool{}

@@ -78,12 +78,9 @@ type CloudStore interface {
 // CloudSource sources grades from crowd-fused cloud profiles. A road nobody
 // has driven falls back to the opposite direction's profile with the grade
 // sign flipped and the arc reversed (climbing one way is descending the
-// other); failing that, to Fallback (flat when nil).
+// other); failing that, to flat (grade 0) — the honest "unknown" value.
 type CloudSource struct {
 	Store CloudStore
-	// Fallback supplies grades for roads with no submissions in either
-	// direction. Nil means flat (grade 0) — the honest "unknown" value.
-	Fallback func(r *road.Road, s float64) float64
 }
 
 // Generation mirrors the store's global submission counter.
@@ -99,7 +96,8 @@ func (c CloudSource) ChangedSince(gen uint64) ([]string, uint64, bool) {
 // Edge stamps are disjoint by provenance — 3g+1 for a forward profile at
 // road generation g, 3g+2 for a reverse fallback, 0 for no data — so an edge
 // switching provenance (e.g. its own direction finally gets driven) always
-// changes stamp and recosts.
+// changes stamp and recosts, and Provenance reads the ladder's rung back
+// from the stamp alone.
 func (c CloudSource) Edge(fwd, rev *road.Road) EdgeGrades {
 	if p, gen, err := c.Store.FusedGeneration(fwd.ID()); err == nil {
 		return EdgeGrades{Gen: 3*gen + 1, At: p.GradeAt}
@@ -112,8 +110,18 @@ func (c CloudSource) Edge(fwd, rev *road.Road) EdgeGrades {
 			}}
 		}
 	}
-	if c.Fallback != nil {
-		return EdgeGrades{Gen: 0, At: func(s float64) float64 { return c.Fallback(fwd, s) }}
-	}
 	return EdgeGrades{Gen: 0, At: func(float64) float64 { return 0 }}
+}
+
+// Provenance decodes a CloudSource stamp into where the edge's grades came
+// from: "fused" (the road's own crowd profile), "reverse" (the opposite
+// direction's, sign-flipped) or "flat" (no data — grade assumed zero).
+func Provenance(stamp uint64) string {
+	switch stamp % 3 {
+	case 1:
+		return "fused"
+	case 2:
+		return "reverse"
+	}
+	return "flat"
 }

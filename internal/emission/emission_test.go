@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"roadgrade/internal/fuel"
 	"roadgrade/internal/geo"
 	"roadgrade/internal/road"
 )
@@ -200,11 +199,11 @@ func TestRoadEmissionsUphillExceedsFlat(t *testing.T) {
 	steep := testRoad(t, "steep", steepGr)
 	p := ForVehicle(Car)
 	speed := 40.0 / 3.6
-	fe, err := RoadEmissionsAt(flat, speed, fuel.TrueGrade, p)
+	fe, err := RoadEmissionsAt(flat, speed, flat.GradeAt, p)
 	if err != nil {
 		t.Fatalf("flat: %v", err)
 	}
-	se, err := RoadEmissionsAt(steep, speed, fuel.TrueGrade, p)
+	se, err := RoadEmissionsAt(steep, speed, steep.GradeAt, p)
 	if err != nil {
 		t.Fatalf("steep: %v", err)
 	}
@@ -218,7 +217,7 @@ func TestRoadEmissionsUphillExceedsFlat(t *testing.T) {
 	}
 	// Flat evaluation of the steep road must equal the flat road's rates:
 	// same length, same class, grade forced to zero.
-	sf, err := RoadEmissionsAt(steep, speed, fuel.FlatGrade, p)
+	sf, err := RoadEmissionsAt(steep, speed, func(float64) float64 { return 0 }, p)
 	if err != nil {
 		t.Fatalf("steep/flat: %v", err)
 	}
@@ -227,22 +226,21 @@ func TestRoadEmissionsUphillExceedsFlat(t *testing.T) {
 	}
 }
 
+// TestNetworkEmissions integrates every road of a generated network at
+// cruise: each row's every pollutant intensity is finite and positive.
 func TestNetworkEmissions(t *testing.T) {
 	net, err := road.GenerateNetwork(7, road.NetworkConfig{TargetStreetKM: 3})
 	if err != nil {
 		t.Fatalf("network: %v", err)
 	}
-	rows, err := NetworkEmissions(net, 40.0/3.6, fuel.TrueGrade, ForVehicle(Car))
-	if err != nil {
-		t.Fatalf("NetworkEmissions: %v", err)
-	}
-	if len(rows) != len(net.Edges) {
-		t.Fatalf("got %d rows for %d edges", len(rows), len(net.Edges))
-	}
-	for _, r := range rows {
+	for _, e := range net.Edges {
+		r, err := RoadEmissionsAt(e.Road, 40.0/3.6, e.Road.GradeAt, ForVehicle(Car))
+		if err != nil {
+			t.Fatalf("road %s: %v", e.Road.ID(), err)
+		}
 		for _, sp := range Pollutants() {
-			if r.GramsPerKm[sp] <= 0 || math.IsNaN(r.GramsPerKm[sp]) {
-				t.Fatalf("road %s %s = %v", r.RoadID, sp, r.GramsPerKm[sp])
+			if g := r.GramsPerKm[sp]; g <= 0 || math.IsNaN(g) || math.IsInf(g, 0) {
+				t.Fatalf("road %s %s = %v", r.RoadID, sp, g)
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"roadgrade/internal/fuel"
 	"roadgrade/internal/road"
 )
 
@@ -45,17 +44,50 @@ type RoadEmissions struct {
 	GramsPerKm Grams
 }
 
-// cellStepM matches the fused grade map's 5 m cell spacing: integrating at
-// the map's native resolution means no gradient information is discarded.
-const cellStepM = 5.0
+// CellStepM is the arc-length step of every per-road integration: the
+// fused grade map's 5 m cell spacing, so no gradient information is
+// discarded.
+const CellStepM = 5.0
+
+// CellGrams integrates the operating-mode rates along lengthM meters of road
+// driven at a constant speedMS: grade is sampled at the midpoint of every
+// CellStepM cell (the last cell holds what is left), and each cell adds
+// rate × dt / 3600 grams per pollutant, in travel order. It also returns the
+// mean of the sampled grades (radians). Both are zero when lengthM is not
+// positive. p must be complete (ForVehicle, or WithDefaults applied).
+//
+// This is the one cell loop behind the city map's rows (RoadEmissionsAt) and
+// the routing engine's pollutant costs, so the two agree bit for bit.
+func CellGrams(p Params, grade func(s float64) float64, lengthM, speedMS float64) (total Grams, meanGrade float64) {
+	rates := p.rateTable()
+	var sumGrade float64
+	var n int
+	for s := 0.0; s < lengthM; s += CellStepM {
+		ds := CellStepM
+		if s+ds > lengthM {
+			ds = lengthM - s
+		}
+		g := grade(s + ds/2)
+		row := rates[p.OpModeFor(speedMS, 0, g).Index()]
+		dt := ds / speedMS
+		for sp := range total {
+			total[sp] += row[sp] * dt / 3600
+		}
+		sumGrade += g
+		n++
+	}
+	if n > 0 {
+		meanGrade = sumGrade / float64(n)
+	}
+	return total, meanGrade
+}
 
 // RoadEmissionsAt integrates the operating-mode model along one road at
-// constant cruise speed, sampling the gradient at the midpoint of every
-// 5 m cell (mirroring fuel.RoadFuelAt's structure at the fused map's
-// resolution). Because the bin lookup is a step function of grade, a road
-// with one steep pitch can emit far more than its mean grade suggests —
-// exactly the non-linearity the per-cell integration preserves.
-func RoadEmissionsAt(r *road.Road, speedMS float64, grade fuel.GradeFunc, p Params) (RoadEmissions, error) {
+// constant cruise speed over its 5 m cells (CellGrams), given the road's
+// grade at arc length s. Because the bin lookup is a step function of
+// grade, a road with one steep pitch can emit far more than its mean grade
+// suggests — exactly the non-linearity the per-cell integration preserves.
+func RoadEmissionsAt(r *road.Road, speedMS float64, grade func(s float64) float64, p Params) (RoadEmissions, error) {
 	p = p.WithDefaults()
 	if r == nil {
 		return RoadEmissions{}, errors.New("emission: nil road")
@@ -69,52 +101,14 @@ func RoadEmissionsAt(r *road.Road, speedMS float64, grade fuel.GradeFunc, p Para
 	if err := p.Validate(); err != nil {
 		return RoadEmissions{}, err
 	}
+	// A road's length is positive: its polyline has distinct points.
 	length := r.Length()
-	rates := p.rateTable()
-	var total Grams
-	var sumGrade float64
-	var n int
-	for s := 0.0; s < length; s += cellStepM {
-		ds := cellStepM
-		if s+ds > length {
-			ds = length - s
-		}
-		g := grade(r, s+ds/2)
-		row := rates[p.OpModeFor(speedMS, 0, g).Index()]
-		dt := ds / speedMS
-		for sp := range total {
-			total[sp] += row[sp] * dt / 3600
-		}
-		sumGrade += g
-		n++
-	}
-	out := RoadEmissions{RoadID: r.ID(), Class: r.Class(), LengthM: length}
-	if n == 0 {
-		// Degenerate zero-length road: report the point rate's intensity.
-		g := grade(r, 0)
-		row := rates[p.OpModeFor(speedMS, 0, g).Index()]
-		out.MeanGradeDeg = g * 180 / math.Pi
-		out.GramsPerKm = row.Scale(1 / (speedMS * 3.6))
-		return out, nil
-	}
-	out.MeanGradeDeg = sumGrade / float64(n) * 180 / math.Pi
-	out.GramsPerKm = total.Scale(1000 / length)
-	return out, nil
-}
-
-// NetworkEmissions evaluates RoadEmissionsAt over every edge of a network
-// — the data behind the pollutant extension of the Figure 10(b) city map.
-func NetworkEmissions(net *road.Network, speedMS float64, grade fuel.GradeFunc, p Params) ([]RoadEmissions, error) {
-	if net == nil || len(net.Edges) == 0 {
-		return nil, errors.New("emission: empty network")
-	}
-	out := make([]RoadEmissions, 0, len(net.Edges))
-	for _, e := range net.Edges {
-		re, err := RoadEmissionsAt(e.Road, speedMS, grade, p)
-		if err != nil {
-			return nil, fmt.Errorf("emission: road %s: %w", e.Road.ID(), err)
-		}
-		out = append(out, re)
-	}
-	return out, nil
+	total, meanGrade := CellGrams(p, grade, length, speedMS)
+	return RoadEmissions{
+		RoadID:       r.ID(),
+		Class:        r.Class(),
+		LengthM:      length,
+		MeanGradeDeg: meanGrade * 180 / math.Pi,
+		GramsPerKm:   total.Scale(1000 / length),
+	}, nil
 }

@@ -55,8 +55,14 @@ func EmissionMaps(opt Options) (Table, error) {
 	}
 
 	// The cloud side: submit every road's truth profile, then read the
-	// emission table the way `GET /v1/emissions` serves it.
+	// emission table the way `GET /v1/emissions` serves it, from the routing
+	// engine's snapshot of the fused map.
 	srv := cloud.NewServer()
+	eng, err := ecoroute.NewEngine(net, ecoroute.CloudSource{Store: srv}, ecoroute.Config{})
+	if err != nil {
+		return Table{}, err
+	}
+	srv.EnableRouting(eng)
 	if err := srv.EnableEmissions(net); err != nil {
 		return Table{}, err
 	}
@@ -116,10 +122,6 @@ func EmissionMaps(opt Options) (Table, error) {
 	}
 
 	// The routing side: min-NOx vs min-fuel over the same fused map.
-	eng, err := ecoroute.NewEngine(net, ecoroute.CloudSource{Store: srv}, ecoroute.Config{})
-	if err != nil {
-		return Table{}, err
-	}
 	rng := rand.New(rand.NewSource(opt.Seed + 41))
 	type pair struct{ from, to int }
 	var pairs []pair

@@ -36,9 +36,10 @@ go test -race -count=10 -run 'TestCCHPredecessorRecycling|TestCCHRecycleConcurre
 # spans), SLO engine, and traceparent propagation across client retries and
 # the coalescer queue, under concurrent submitters.
 go test -race -count=2 -run 'TestTrace|TestSLO|TestExemplar|TestExposition|TestHealthz' ./internal/obs ./internal/cloud ./cmd/cloudfuse
-# Each city emission table is refreshed in place from the change feed and
-# served to clients as deltas merged into their own copies; two clients'
-# fetchers, a folder and EmissionTable readers race here.
+# Each city emission table is refreshed in place from the routing engine's
+# snapshot and served to clients as deltas merged into their own copies;
+# two clients' fetchers, a folder, EmissionTable readers and a /v1/route
+# reader, which refreshes the same snapshot, race here.
 go test -race -count=10 -run 'TestEmissionDeltaConcurrent' ./internal/cloud
 
 echo "== fuzz (emission query parameters) =="
@@ -66,6 +67,14 @@ echo "== fuzz (profile through both submit doors) =="
 # one on acceptance and not at all on rejection. Seeded from
 # internal/cloud/testdata/fuzz/FuzzSubmitProfile.
 go test -run '^$' -fuzz '^FuzzSubmitProfile$' -fuzztime=10s ./internal/cloud
+
+echo "== fuzz (gzip request bodies) =="
+# Raw bytes as gzip-encoded bodies of POST /v1/roads/{id}/profiles and
+# POST /v1/submit-batch: only 200/202/400/413/415, 413 exactly when the body
+# inflates past the door's cap, a rejected body leaves the store generation
+# unchanged and an accepted one moves it by the items accepted. Seeded from
+# internal/cloud/testdata/fuzz/FuzzGzipBody.
+go test -run '^$' -fuzz '^FuzzGzipBody$' -fuzztime=10s ./internal/cloud
 
 echo "== fuzz (traceparent header) =="
 # Raw header values through obs.ParseTraceparent: an accepted header has a
