@@ -15,6 +15,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -99,11 +100,11 @@ func singleQuery(eng *ecoroute.Engine, speed float64, from, to int, format strin
 		if err != nil {
 			return err
 		}
-		if p.EmisG == (emission.Grams{}) {
-			if p.EmisG, err = eng.PlanEmissions(p); err != nil {
-				return err
-			}
+		ev, err := eng.Evaluate(p)
+		if err != nil {
+			return err
 		}
+		p.EmisG = ev.EmisG
 		plans = append(plans, p)
 	}
 	if format == "json" {
@@ -147,8 +148,10 @@ func panelQuery(eng *ecoroute.Engine, net *road.Network, obj ecoroute.Objective,
 		if f == t {
 			continue
 		}
-		if _, err := eng.Route(ecoroute.Distance, speed, f, t); err != nil {
+		if _, err := eng.Route(ecoroute.Distance, speed, f, t); errors.Is(err, ecoroute.ErrNoPath) {
 			continue // disconnected pair; redraw
+		} else if err != nil {
+			return err
 		}
 		sample = append(sample, od{f, t})
 	}
@@ -164,13 +167,11 @@ func panelQuery(eng *ecoroute.Engine, net *road.Network, obj ecoroute.Objective,
 			row.MeanTimeS += plan.TimeS
 			row.MeanFuelGal += plan.FuelGal
 			row.MeanCO2G += plan.CO2G
-			g := plan.EmisG
-			if g == (emission.Grams{}) {
-				if g, err = eng.PlanEmissions(plan); err != nil {
-					return err
-				}
+			ev, err := eng.Evaluate(plan)
+			if err != nil {
+				return err
 			}
-			row.MeanNOxG += g[emission.NOx]
+			row.MeanNOxG += ev.EmisG[emission.NOx]
 		}
 		k := float64(len(sample))
 		row.MeanLengthM /= k

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"roadgrade/internal/ecoroute"
 	"roadgrade/internal/road"
@@ -109,5 +110,24 @@ func TestPanelQueryMeans(t *testing.T) {
 	}
 	if len(back) != len(rows) || math.Abs(back[2].MeanFuelGal-rows[2].MeanFuelGal) > 1e-12 {
 		t.Error("panel rows did not round-trip through JSON")
+	}
+}
+
+// TestPanelQueryBadSpeed: a cruise speed the engine refuses ends the panel
+// with the engine's error. The pair sampler redraws only a disconnected
+// pair; taking every failed route for one, it redrew forever.
+func TestPanelQueryBadSpeed(t *testing.T) {
+	eng, net := testEngine(t)
+	for _, speed := range []float64{0, -5, math.NaN()} {
+		done := make(chan error, 1)
+		go func() { done <- panelQuery(eng, net, ecoroute.Fuel, speed, 3, 1, "table") }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "cruise speed") {
+				t.Errorf("speed %v: got %v, want the invalid cruise speed error", speed, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("speed %v: panelQuery still drawing pairs after 10 s", speed)
+		}
 	}
 }

@@ -22,11 +22,11 @@ import (
 	"os"
 
 	"roadgrade/internal/core"
+	"roadgrade/internal/ecoroute"
 	"roadgrade/internal/frame"
 	"roadgrade/internal/fusion"
 	"roadgrade/internal/groundtruth"
 	"roadgrade/internal/road"
-	"roadgrade/internal/route"
 	"roadgrade/internal/sensors"
 	"roadgrade/internal/trace"
 	"roadgrade/internal/vehicle"
@@ -155,21 +155,25 @@ func buildRoad(kind string, lengthM, gradeDeg float64, seed int64) (*road.Road, 
 	}
 }
 
-// buildJourney routes across a synthetic city and concatenates the streets.
+// buildJourney routes corner to corner across a synthetic city by distance
+// and concatenates the streets.
 func buildJourney(seed int64) (*road.Road, error) {
 	net, err := road.GenerateNetwork(seed+1826, road.NetworkConfig{TargetStreetKM: 25})
 	if err != nil {
 		return nil, err
 	}
-	from := net.Nodes[0].ID
-	to := net.Nodes[len(net.Nodes)-1].ID
-	rt, err := route.Shortest(net, from, to, route.DistanceCost)
+	eng, err := ecoroute.NewEngine(net, ecoroute.FlatSource{}, ecoroute.Config{})
 	if err != nil {
 		return nil, err
 	}
-	roads := make([]*road.Road, 0, len(rt.Edges))
-	for _, e := range rt.Edges {
-		roads = append(roads, e.Road)
+	// Distance costs read no speed; any valid one will do.
+	plan, err := eng.Route(ecoroute.Distance, 40, net.Nodes[0].ID, net.Nodes[len(net.Nodes)-1].ID)
+	if err != nil {
+		return nil, err
+	}
+	roads, err := eng.Roads(plan)
+	if err != nil {
+		return nil, err
 	}
 	return road.Concat("journey", roads)
 }

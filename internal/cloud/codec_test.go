@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"roadgrade/internal/core"
 	"roadgrade/internal/fusion"
+	"roadgrade/internal/sensors"
 )
 
 // realisticProfile builds a paper-shaped submission: a smooth terrain
@@ -28,6 +30,50 @@ func realisticProfile(rng *rand.Rand, cells int) *fusion.Profile {
 		p.Var[i] = noise * noise
 	}
 	return p
+}
+
+// TestFusedLateStartUploads: tracks that start 40 m into the road reach no
+// leading cell of the fused profile. Those cells take the first covered
+// cell's grade and variance, so every variance is positive and both upload
+// codecs accept the profile.
+func TestFusedLateStartUploads(t *testing.T) {
+	const lengthM, startM, spacingM = 200.0, 40.0, 5.0
+	rng := rand.New(rand.NewSource(5))
+	var tracks []*core.Track
+	for _, src := range []sensors.VelocitySource{sensors.SourceGPS, sensors.SourceSpeedometer, sensors.SourceCANBus} {
+		tr := &core.Track{Source: src}
+		for s := startM; s <= lengthM; s++ {
+			tr.T = append(tr.T, s/10)
+			tr.S = append(tr.S, s)
+			tr.GradeRad = append(tr.GradeRad, 0.03+0.002*rng.NormFloat64())
+			tr.Var = append(tr.Var, 4e-6)
+		}
+		tracks = append(tracks, tr)
+	}
+	prof, err := fusion.FuseTracks(tracks, spacingM, lengthM)
+	if err != nil {
+		t.Fatalf("fuse: %v", err)
+	}
+	first := int(startM / spacingM)
+	for c := range prof.Var {
+		if !(prof.Var[c] > 0) {
+			t.Fatalf("cell %d: variance %v", c, prof.Var[c])
+		}
+		if c < first && (prof.GradeRad[c] != prof.GradeRad[first] || prof.Var[c] != prof.Var[first]) {
+			t.Errorf("leading cell %d: (%v, %v), want the first covered cell's (%v, %v)",
+				c, prof.GradeRad[c], prof.Var[c], prof.GradeRad[first], prof.Var[first])
+		}
+	}
+	if _, err := FromProfile(prof).toProfile(); err != nil {
+		t.Errorf("JSON profile: %v", err)
+	}
+	data, err := EncodeBatchBinary([]BatchItem{{RoadID: "r", Profile: prof}})
+	if err != nil {
+		t.Fatalf("binary encode: %v", err)
+	}
+	if _, err := DecodeBatchBinary(data); err != nil {
+		t.Errorf("binary decode: %v", err)
+	}
 }
 
 func testBatch(rng *rand.Rand, n, cells int) []BatchItem {

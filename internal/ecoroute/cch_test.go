@@ -57,8 +57,10 @@ func TestCCHMatchesDijkstra(t *testing.T) {
 			pairs = append(pairs, [2]int{from, to})
 		}
 	}
+	edgeOf := make(map[string]*road.Edge, len(net.Edges))
 	for _, ed := range net.Edges {
 		pairs = append(pairs, [2]int{ed.From, ed.To})
+		edgeOf[ed.Road.ID()] = ed
 	}
 	for _, p := range pairs {
 		from, to := p[0], p[1]
@@ -80,6 +82,11 @@ func TestCCHMatchesDijkstra(t *testing.T) {
 			}
 			if fast.Nodes[0] != from || fast.Nodes[len(fast.Nodes)-1] != to {
 				t.Errorf("%s %d→%d: unpacked path endpoints %v", obj, from, to, fast.Nodes)
+			}
+			for i, id := range fast.RoadIDs {
+				if ed := edgeOf[id]; ed.From != fast.Nodes[i] || ed.To != fast.Nodes[i+1] {
+					t.Fatalf("%s %d→%d: road %d (%s) does not join nodes %v", obj, from, to, i, id, fast.Nodes)
+				}
 			}
 		}
 	}

@@ -387,9 +387,9 @@ type Plan struct {
 	FuelGal float64
 	CO2G    float64
 	// EmisG holds the route's per-pollutant grams under the operating-mode
-	// model (indexed by emission.Pollutant). Filled only for pollutant
-	// objectives — their cost tables are already materialized then; other
-	// objectives leave it zero (use Engine.PlanEmissions to fill it).
+	// model (indexed by emission.Pollutant). Route fills it only for
+	// pollutant objectives — their cost tables are already materialized
+	// then; other objectives leave it zero (Engine.Evaluate fills it).
 	EmisG emission.Grams
 }
 
@@ -429,14 +429,8 @@ func (e *Engine) buildPlan(obj Objective, bucket int, tb *tables, from, to int, 
 		}
 	}
 	if _, ok := pollutantOf(obj); ok {
-		// The bucket's pollutant rows were materialized by costRow above;
-		// summing all four species is four row walks.
-		for _, sp := range emission.Pollutants() {
-			row := e.emissionRow(sp, bucket, tb)
-			for _, ei := range path {
-				p.EmisG[sp] += row.at(ei)
-			}
-		}
+		// The bucket's pollutant rows were materialized by costRow above.
+		p.EmisG = e.pathGrams(bucket, tb, path)
 	}
 	return p
 }
@@ -514,4 +508,71 @@ func (e *Engine) route(obj Objective, speedKmh float64, from, to int, fast bool)
 		return Plan{}, fmt.Errorf("%w from %d to %d", ErrNoPath, from, to)
 	}
 	return e.buildPlan(obj, bucket, tb, from, to, path), nil
+}
+
+// Evaluate re-costs an answered plan on this engine's current snapshot: the
+// same roads from the same origin, at the plan's speed and under its
+// objective, with all four pollutants filled. The plan may come from another
+// engine over the same network, so a route planned on estimated grades can
+// be priced on true ones. On the engine that answered it, Evaluate changes
+// only EmisG of a non-pollutant plan, which Route leaves zero.
+func (e *Engine) Evaluate(p Plan) (Plan, error) {
+	bucket, err := e.bucketFor(p.SpeedKmh)
+	if err != nil {
+		return Plan{}, err
+	}
+	path, err := e.planPath(p)
+	if err != nil {
+		return Plan{}, err
+	}
+	tb, err := e.fresh()
+	if err != nil {
+		return Plan{}, err
+	}
+	out := e.buildPlan(p.Objective, bucket, tb, p.From, p.To, path)
+	if _, ok := pollutantOf(p.Objective); !ok {
+		out.EmisG = e.pathGrams(bucket, tb, path)
+	}
+	return out, nil
+}
+
+// Roads returns the network roads an answered plan traverses, in travel
+// order.
+func (e *Engine) Roads(p Plan) ([]*road.Road, error) {
+	path, err := e.planPath(p)
+	if err != nil {
+		return nil, err
+	}
+	roads := make([]*road.Road, len(path))
+	for i, ei := range path {
+		roads[i] = e.edges[ei].Road
+	}
+	return roads, nil
+}
+
+// planPath maps a plan's road IDs onto this engine's edges, in travel order,
+// and checks that they lead from the plan's origin to its destination.
+func (e *Engine) planPath(p Plan) ([]int32, error) {
+	at, ok := e.idx[p.From]
+	if !ok {
+		return nil, fmt.Errorf("%w %d", ErrUnknownNode, p.From)
+	}
+	path := make([]int32, len(p.RoadIDs))
+	for i, id := range p.RoadIDs {
+		edges, ok := e.edgesReading[id]
+		if !ok {
+			return nil, fmt.Errorf("ecoroute: plan road %q not in network", id)
+		}
+		// A road's own edge comes first; the rest read it as a fallback.
+		ei := edges[0]
+		if int(e.tail[ei]) != at {
+			return nil, fmt.Errorf("ecoroute: plan road %q does not start at node %d", id, e.ids[at])
+		}
+		path[i] = ei
+		at = int(e.head[ei])
+	}
+	if e.ids[at] != p.To {
+		return nil, fmt.Errorf("ecoroute: plan ends at node %d, not %d", e.ids[at], p.To)
+	}
+	return path, nil
 }

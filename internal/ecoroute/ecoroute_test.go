@@ -2,10 +2,13 @@ package ecoroute
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"roadgrade/internal/emission"
 	"roadgrade/internal/fuel"
 	"roadgrade/internal/geo"
 	"roadgrade/internal/road"
@@ -205,6 +208,9 @@ func TestObjectivesDisagree(t *testing.T) {
 	if len(eco.RoadIDs) != 3 {
 		t.Errorf("eco route took %v, want the flat detour", eco.RoadIDs)
 	}
+	if eco.FuelGal >= dist.FuelGal {
+		t.Errorf("eco route burns %.6f gal, the shorter climb %.6f", eco.FuelGal, dist.FuelGal)
+	}
 	co2, err := eng.Route(CO2, 40, 1, 4)
 	if err != nil {
 		t.Fatalf("co2: %v", err)
@@ -372,6 +378,142 @@ func TestMatrixMatchesPointQueries(t *testing.T) {
 	}
 	if _, err := eng.Matrix(Fuel, 40, []int{-99}, nodes); !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("unknown matrix source: got %v, want ErrUnknownNode", err)
+	}
+}
+
+// samePlan fails unless got equals want by Float64bits in every field but
+// EmisG.
+func samePlan(t *testing.T, what string, got, want Plan) {
+	t.Helper()
+	bits := math.Float64bits
+	if got.From != want.From || got.To != want.To || got.Objective != want.Objective ||
+		bits(got.SpeedKmh) != bits(want.SpeedKmh) ||
+		!slices.Equal(got.RoadIDs, want.RoadIDs) || !slices.Equal(got.Nodes, want.Nodes) ||
+		bits(got.Cost) != bits(want.Cost) || bits(got.LengthM) != bits(want.LengthM) ||
+		bits(got.TimeS) != bits(want.TimeS) || bits(got.FuelGal) != bits(want.FuelGal) ||
+		bits(got.CO2G) != bits(want.CO2G) {
+		t.Fatalf("%s: got %+v, want %+v", what, got, want)
+	}
+}
+
+// sameGrams fails unless got equals want by Float64bits.
+func sameGrams(t *testing.T, what string, got, want emission.Grams) {
+	t.Helper()
+	for sp := range got {
+		if math.Float64bits(got[sp]) != math.Float64bits(want[sp]) {
+			t.Fatalf("%s: grams %v, want %v", what, got, want)
+		}
+	}
+}
+
+// TestEvaluateMatchesRoute: re-costing a plan on the engine that answered it
+// gives the plan back by Float64bits, under every objective, with EmisG the
+// travel-order per-road sums of the snapshot's pollutant rows — a pollutant
+// objective's own EmisG. A plan from another engine over the same network
+// is priced on the evaluating engine's grades, and a plan whose roads the
+// network lacks or that do not lead from its origin to its destination is
+// refused.
+func TestEvaluateMatchesRoute(t *testing.T) {
+	net, err := road.GenerateNetwork(59, road.NetworkConfig{TargetStreetKM: 6})
+	if err != nil {
+		t.Fatalf("network: %v", err)
+	}
+	eng, err := NewEngine(net, TruthSource{}, Config{})
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	flat, err := NewEngine(net, FlatSource{}, Config{})
+	if err != nil {
+		t.Fatalf("flat engine: %v", err)
+	}
+	tb, err := eng.fresh()
+	if err != nil {
+		t.Fatalf("tables: %v", err)
+	}
+	const kmh = 50
+	bucket, _ := eng.bucketFor(kmh)
+	rng := rand.New(rand.NewSource(3))
+	pairs := [][2]int{{net.Nodes[0].ID, net.Nodes[0].ID}}
+	for len(pairs) < 12 {
+		pairs = append(pairs, [2]int{net.Nodes[rng.Intn(len(net.Nodes))].ID, net.Nodes[rng.Intn(len(net.Nodes))].ID})
+	}
+	routed := 0
+	var p Plan // a plan of two roads or more, for the refusals below
+	for _, pr := range pairs {
+		from, to := pr[0], pr[1]
+		if _, err := eng.Route(Distance, kmh, from, to); errors.Is(err, ErrNoPath) {
+			continue
+		}
+		routed++
+		for _, obj := range Objectives() {
+			what := fmt.Sprintf("%s %d→%d", obj, from, to)
+			plan, err := eng.Route(obj, kmh, from, to)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			got, err := eng.Evaluate(plan)
+			if err != nil {
+				t.Fatalf("%s: Evaluate: %v", what, err)
+			}
+			samePlan(t, what, got, plan)
+			if len(plan.RoadIDs) > 1 {
+				p = plan
+			}
+			var want emission.Grams
+			for _, sp := range emission.Pollutants() {
+				row := eng.emissionRow(sp, bucket, tb)
+				for _, id := range plan.RoadIDs {
+					want[sp] += row.at(eng.edgesReading[id][0])
+				}
+			}
+			sameGrams(t, what, got.EmisG, want)
+			if _, ok := pollutantOf(obj); ok {
+				sameGrams(t, what+" plan", plan.EmisG, want)
+			}
+		}
+		// Distance ignores grades, so the flat engine takes the same path;
+		// priced on ground truth it is the truth engine's own plan.
+		fp, err := flat.Route(Distance, kmh, from, to)
+		if err != nil {
+			t.Fatalf("flat %d→%d: %v", from, to, err)
+		}
+		tp, err := eng.Route(Distance, kmh, from, to)
+		if err != nil {
+			t.Fatalf("distance %d→%d: %v", from, to, err)
+		}
+		got, err := eng.Evaluate(fp)
+		if err != nil {
+			t.Fatalf("flat plan %d→%d: Evaluate: %v", from, to, err)
+		}
+		samePlan(t, "flat plan on truth", got, tp)
+	}
+	if routed < 6 || p.RoadIDs == nil {
+		t.Fatalf("%d of %d pairs routable, none over two roads or more", routed, len(pairs))
+	}
+	bad := p
+	bad.RoadIDs = append([]string{"no-such-road"}, p.RoadIDs[1:]...)
+	if _, err := eng.Evaluate(bad); err == nil {
+		t.Error("unknown road: want error")
+	}
+	bad = p
+	bad.RoadIDs = p.RoadIDs[1:]
+	if _, err := eng.Evaluate(bad); err == nil {
+		t.Error("roads not leaving the origin: want error")
+	}
+	bad = p
+	bad.To = p.From
+	if _, err := eng.Evaluate(bad); err == nil {
+		t.Error("roads not reaching the destination: want error")
+	}
+	bad = p
+	bad.From = -99
+	if _, err := eng.Evaluate(bad); !errors.Is(err, ErrUnknownNode) {
+		t.Errorf("unknown origin: got %v, want ErrUnknownNode", err)
+	}
+	bad = p
+	bad.SpeedKmh = 0
+	if _, err := eng.Evaluate(bad); err == nil {
+		t.Error("zero speed: want error")
 	}
 }
 

@@ -1,8 +1,6 @@
 package ecoroute
 
 import (
-	"fmt"
-
 	"roadgrade/internal/emission"
 	"roadgrade/internal/obs"
 )
@@ -104,29 +102,14 @@ func (e *Engine) emissionRow(sp emission.Pollutant, bucket int, tb *tables) page
 	return tb.emis[bucket][sp]
 }
 
-// PlanEmissions evaluates the operating-mode pollutant grams of an already
-// answered plan — e.g. what a min-fuel route costs in NOx. Pollutant-
-// objective plans carry this in Plan.EmisG already; for other objectives
-// this walks the plan's roads over the current snapshot's emission rows.
-func (e *Engine) PlanEmissions(p Plan) (emission.Grams, error) {
-	bucket, err := e.bucketFor(p.SpeedKmh)
-	if err != nil {
-		return emission.Grams{}, err
-	}
-	tb, err := e.fresh()
-	if err != nil {
-		return emission.Grams{}, err
-	}
-	var out emission.Grams
+// pathGrams sums each pollutant's grams along an edge path in travel order.
+func (e *Engine) pathGrams(bucket int, tb *tables, path []int32) emission.Grams {
+	var g emission.Grams
 	for _, sp := range emission.Pollutants() {
 		row := e.emissionRow(sp, bucket, tb)
-		for _, id := range p.RoadIDs {
-			edges, ok := e.edgesReading[id]
-			if !ok {
-				return emission.Grams{}, fmt.Errorf("ecoroute: plan road %q not in network", id)
-			}
-			out[sp] += row.at(edges[0])
+		for _, ei := range path {
+			g[sp] += row.at(ei)
 		}
 	}
-	return out, nil
+	return g
 }

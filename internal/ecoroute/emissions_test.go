@@ -82,13 +82,13 @@ func TestMinNOxDivergesFromMinFuel(t *testing.T) {
 	if minNOx.FuelGal <= minFuel.FuelGal {
 		t.Errorf("min-NOx route fuel %.6f gal not above min-fuel's %.6f", minNOx.FuelGal, minFuel.FuelGal)
 	}
-	fuelRouteEmis, err := eng.PlanEmissions(minFuel)
+	fuelRoute, err := eng.Evaluate(minFuel)
 	if err != nil {
-		t.Fatalf("PlanEmissions: %v", err)
+		t.Fatalf("Evaluate: %v", err)
 	}
-	if fuelRouteEmis[emission.NOx] <= minNOx.EmisG[emission.NOx] {
+	if fuelRoute.EmisG[emission.NOx] <= minNOx.EmisG[emission.NOx] {
 		t.Errorf("min-fuel route NOx %.6f g not above min-NOx route's %.6f g",
-			fuelRouteEmis[emission.NOx], minNOx.EmisG[emission.NOx])
+			fuelRoute.EmisG[emission.NOx], minNOx.EmisG[emission.NOx])
 	}
 }
 
@@ -205,45 +205,4 @@ func TestEmissionRowsLazyAndIncremental(t *testing.T) {
 	if changedEdge < 0 {
 		t.Fatal("ticked road not found among edges")
 	}
-}
-
-// TestPlanEmissionsMatchesObjectivePlan: for a pollutant-objective plan,
-// PlanEmissions must reproduce the plan's own EmisG exactly (same rows,
-// same travel-order summation).
-func TestPlanEmissionsMatchesObjectivePlan(t *testing.T) {
-	net, err := road.GenerateNetwork(59, road.NetworkConfig{TargetStreetKM: 6})
-	if err != nil {
-		t.Fatalf("network: %v", err)
-	}
-	eng, err := NewEngine(net, TruthSource{}, Config{})
-	if err != nil {
-		t.Fatalf("engine: %v", err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for tries := 0; tries < 50; tries++ {
-		from := net.Nodes[rng.Intn(len(net.Nodes))].ID
-		to := net.Nodes[rng.Intn(len(net.Nodes))].ID
-		if from == to {
-			continue
-		}
-		p, err := eng.Route(CO, 40, from, to)
-		if errors.Is(err, ErrNoPath) {
-			continue
-		}
-		if err != nil {
-			t.Fatalf("route: %v", err)
-		}
-		got, err := eng.PlanEmissions(p)
-		if err != nil {
-			t.Fatalf("PlanEmissions: %v", err)
-		}
-		if got != p.EmisG {
-			t.Fatalf("PlanEmissions %v != plan EmisG %v", got, p.EmisG)
-		}
-		if p.EmisG[emission.CO] != p.Cost {
-			t.Fatalf("CO plan cost %v != EmisG[CO] %v", p.Cost, p.EmisG[emission.CO])
-		}
-		return
-	}
-	t.Skip("no routable pair found")
 }

@@ -154,11 +154,11 @@ func EmissionMaps(opt Options) (Table, error) {
 			continue
 		}
 		diverged++
-		fuelNOx, err := eng.PlanEmissions(minFuel)
+		fuelNOx, err := eng.Evaluate(minFuel)
 		if err != nil {
 			return Table{}, err
 		}
-		if g := fuelNOx[emission.NOx]; g > 0 {
+		if g := fuelNOx.EmisG[emission.NOx]; g > 0 {
 			noxSave += (g - minNOx.EmisG[emission.NOx]) / g
 		}
 		if minFuel.FuelGal > 0 {

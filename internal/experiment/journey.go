@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 
+	"roadgrade/internal/ecoroute"
 	"roadgrade/internal/groundtruth"
 	"roadgrade/internal/road"
-	"roadgrade/internal/route"
 	"roadgrade/internal/sensors"
 	"roadgrade/internal/vehicle"
 )
@@ -30,15 +30,17 @@ func Journey(opt Options) (Table, error) {
 		return Table{}, err
 	}
 	// Route corner to corner and concatenate the edges into one road.
-	from := net.Nodes[0].ID
-	to := net.Nodes[len(net.Nodes)-1].ID
-	rt, err := route.Shortest(net, from, to, route.DistanceCost)
+	eng, err := ecoroute.NewEngine(net, ecoroute.FlatSource{}, ecoroute.Config{})
 	if err != nil {
 		return Table{}, err
 	}
-	roads := make([]*road.Road, 0, len(rt.Edges))
-	for _, e := range rt.Edges {
-		roads = append(roads, e.Road)
+	plan, err := eng.Route(ecoroute.Distance, cruiseKmh, net.Nodes[0].ID, net.Nodes[len(net.Nodes)-1].ID)
+	if err != nil {
+		return Table{}, err
+	}
+	roads, err := eng.Roads(plan)
+	if err != nil {
+		return Table{}, err
 	}
 	journey, err := road.Concat("journey", roads)
 	if err != nil {

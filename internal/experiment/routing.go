@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 
-	"roadgrade/internal/fuel"
+	"roadgrade/internal/ecoroute"
 	"roadgrade/internal/fusion"
 	"roadgrade/internal/road"
-	"roadgrade/internal/route"
 	"roadgrade/internal/sensors"
 	"roadgrade/internal/vehicle"
 )
@@ -75,70 +74,75 @@ func Routing(opt Options) (Table, error) {
 	}); err != nil {
 		return Table{}, err
 	}
-	estimated := make(map[string]*fusion.Profile, len(jobs))
+	estimated := make(estimateSource, len(jobs))
 	for i, j := range jobs {
 		estimated[j.road.ID()] = profiles[i]
 	}
 	edgesDriven := len(jobs)
 
-	// Grade source backed by the estimates, falling back to flat where no
-	// vehicle has driven (short stubs).
-	estGrade := func(r *road.Road, s float64) float64 {
-		if prof, ok := estimated[r.ID()]; ok {
-			return prof.GradeAt(s)
-		}
-		return 0
+	// Plan at one uniform cruise speed, on the true grades and on the
+	// estimates (flat where no vehicle has driven: short stubs).
+	cfg := ecoroute.Config{ClassSpeedFactor: map[road.Class]float64{
+		road.ClassArterial: 1, road.ClassCollector: 1, road.ClassLocal: 1,
+	}}
+	truth, err := ecoroute.NewEngine(net, ecoroute.TruthSource{}, cfg)
+	if err != nil {
+		return Table{}, err
 	}
-
-	params := fuel.TableII()
-	speed := cruiseKmh / 3.6
+	est, err := ecoroute.NewEngine(net, estimated, cfg)
+	if err != nil {
+		return Table{}, err
+	}
 	from := net.Nodes[0].ID
 	to := net.Nodes[len(net.Nodes)-1].ID
-
-	truthRoute, err := route.Shortest(net, from, to, route.FuelCost(speed, fuel.TrueGrade, params))
+	truthRoute, err := truth.Route(ecoroute.Fuel, cruiseKmh, from, to)
 	if err != nil {
 		return Table{}, err
 	}
-	estRoute, err := route.Shortest(net, from, to, route.FuelCost(speed, estGrade, params))
+	estPlan, err := est.Route(ecoroute.Fuel, cruiseKmh, from, to)
 	if err != nil {
 		return Table{}, err
 	}
-	distRoute, err := route.Shortest(net, from, to, route.DistanceCost)
+	distRoute, err := truth.Route(ecoroute.Distance, cruiseKmh, from, to)
 	if err != nil {
 		return Table{}, err
 	}
-
-	// Evaluate every plan on the TRUE gradients.
-	evalFuel := func(rt route.Route) (float64, error) {
-		return rt.FuelGallons(speed, fuel.TrueGrade, params)
-	}
-	truthFuel, err := evalFuel(truthRoute)
+	// Every plan is priced on the TRUE gradients.
+	estRoute, err := truth.Evaluate(estPlan)
 	if err != nil {
 		return Table{}, err
 	}
-	estFuel, err := evalFuel(estRoute)
-	if err != nil {
-		return Table{}, err
-	}
-	distFuel, err := evalFuel(distRoute)
-	if err != nil {
-		return Table{}, err
-	}
-	regret := (estFuel - truthFuel) / truthFuel * 100
+	regret := (estRoute.FuelGal - truthRoute.FuelGal) / truthRoute.FuelGal * 100
 	return Table{
 		ID:     "Routing",
 		Title:  "Eco-routing on estimated vs true gradients",
 		Note:   "all plans are evaluated on the true gradients; 'regret' is the extra fuel from planning with estimates instead of truth",
 		Header: []string{"planner", "roads", "length (km)", "fuel on truth (gal)"},
 		Rows: [][]string{
-			{"true gradients", fmt.Sprintf("%d", len(truthRoute.Edges)),
-				cell(truthRoute.LengthM()/1000, 2), fmt.Sprintf("%.4f", truthFuel)},
-			{"estimated gradients", fmt.Sprintf("%d", len(estRoute.Edges)),
-				cell(estRoute.LengthM()/1000, 2), fmt.Sprintf("%.4f", estFuel)},
-			{"shortest distance", fmt.Sprintf("%d", len(distRoute.Edges)),
-				cell(distRoute.LengthM()/1000, 2), fmt.Sprintf("%.4f", distFuel)},
+			{"true gradients", fmt.Sprintf("%d", len(truthRoute.RoadIDs)),
+				cell(truthRoute.LengthM/1000, 2), fmt.Sprintf("%.4f", truthRoute.FuelGal)},
+			{"estimated gradients", fmt.Sprintf("%d", len(estRoute.RoadIDs)),
+				cell(estRoute.LengthM/1000, 2), fmt.Sprintf("%.4f", estRoute.FuelGal)},
+			{"shortest distance", fmt.Sprintf("%d", len(distRoute.RoadIDs)),
+				cell(distRoute.LengthM/1000, 2), fmt.Sprintf("%.4f", distRoute.FuelGal)},
 			{"regret of estimates", fmt.Sprintf("%.2f%%", regret), "", ""},
 			{"streets estimated", fmt.Sprintf("%d", edgesDriven), "", ""},
 		},
 	}, nil
+}
+
+// estimateSource serves each driven road's fused estimate and a flat grade
+// on roads no vehicle drove. The estimates never change, so neither does
+// the generation.
+type estimateSource map[string]*fusion.Profile
+
+// Generation always reports 0.
+func (estimateSource) Generation() uint64 { return 0 }
+
+// Edge serves the road's estimate, or flat.
+func (s estimateSource) Edge(fwd, rev *road.Road) ecoroute.EdgeGrades {
+	if prof, ok := s[fwd.ID()]; ok {
+		return ecoroute.EdgeGrades{Gen: 1, At: prof.GradeAt}
+	}
+	return ecoroute.FlatSource{}.Edge(fwd, rev)
 }

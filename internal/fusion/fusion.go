@@ -183,7 +183,8 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 // calibrated against the cross-track consensus: two rounds of estimating the
 // consensus profile and rescaling each track's P_k to its empirical deviation
 // variance. This keeps the Eq. (6) form while making the weights reflect
-// realized track quality.
+// realized track quality. A cell no track reaches takes the estimate of the
+// covered cell before it, or, before the first covered cell, of that one.
 //
 // Degenerate tracks (NaN samples, zero variance, implausible grades — see
 // CheckTrack) are quarantined rather than fused, so one corrupted velocity
@@ -242,6 +243,7 @@ func FuseTracksReport(tracks []*core.Track, spacingM, lengthM float64) (*Profile
 		GradeRad: make([]float64, cells),
 		Var:      make([]float64, cells),
 	}
+	first := -1 // first cell a track covers
 	for c := 0; c < cells; c++ {
 		prof.S[c] = float64(c) * spacingM
 		var sumInv, sumWeighted float64
@@ -261,9 +263,18 @@ func FuseTracksReport(tracks []*core.Track, spacingM, lengthM float64) (*Profile
 			}
 			continue
 		}
+		if first < 0 {
+			first = c
+		}
 		u := 1 / sumInv // Eq. (6b)
 		prof.GradeRad[c] = u * sumWeighted
 		prof.Var[c] = u
+	}
+	// Cells before the first covered one carry it backward, so no cell is
+	// left at zero variance, which the upload codecs reject.
+	for c := 0; c < first; c++ {
+		prof.GradeRad[c] = prof.GradeRad[first]
+		prof.Var[c] = prof.Var[first]
 	}
 	obsFuseSeconds.Observe(time.Since(start).Seconds())
 	return prof, reports, nil

@@ -18,6 +18,23 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== examples and CLI runs =="
+# The examples have no tests, so the steps above only compile them. Run each
+# once, with the journey drive and a small route panel, so a program that
+# fails at run time fails here.
+bin="$(mktemp -d)"
+trap 'rm -rf "$bin"' EXIT
+go build -o "$bin/" ./examples/... ./cmd/gradesim ./cmd/ecoroute
+for dir in examples/*/; do
+    name="$(basename "$dir")"
+    echo "-- $name"
+    "$bin/$name" > /dev/null
+done
+echo "-- gradesim -road journey"
+"$bin/gradesim" -road journey > /dev/null
+echo "-- ecoroute -km 20 -pairs 3"
+"$bin/ecoroute" -km 20 -pairs 3 > /dev/null
+
 echo "== go test -race =="
 # One uncached pass over every package under the race detector.
 go test -race -count=1 ./...
