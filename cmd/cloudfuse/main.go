@@ -168,7 +168,6 @@ func run() error {
 	routeKM := flag.Float64("route-km", 0, "enable GET /v1/route over a generated network of this many street-km (0 disables; 164.8 is the paper's area)")
 	routeSeed := flag.Int64("route-seed", 1827, "network generator seed for -route-km")
 	emissions := flag.Bool("emissions", false, "enable GET /v1/emissions (city-wide per-road pollutant table over the fused map; needs -route-km)")
-	coalesce := flag.Bool("coalesce", true, "batched submits fold through per-shard write coalescing with admission control")
 	queueDepth := flag.Int("queue-depth", 1024, "coalescer queue depth per shard (backpressure threshold)")
 	batchMax := flag.Int("batch-max", 256, "max submissions folded per shard-lock acquisition")
 	policyName := flag.String("fusion-policy", "naive", "per-road fusion policy: naive | huber | trimmed (robust policies weight submissions by device trust)")
@@ -198,13 +197,11 @@ func run() error {
 	if policy.Robust() {
 		logger.Info("robust fusion enabled", "policy", string(policy.Policy))
 	}
-	if *coalesce {
-		fusionSrv.EnableCoalescing(cloud.CoalesceConfig{
-			QueueDepth: *queueDepth,
-			BatchMax:   *batchMax,
-		})
-		logger.Info("write coalescing enabled", "queue_depth", *queueDepth, "batch_max", *batchMax)
-	}
+	fusionSrv.EnableCoalescing(cloud.CoalesceConfig{
+		QueueDepth: *queueDepth,
+		BatchMax:   *batchMax,
+	})
+	logger.Info("write coalescing enabled", "queue_depth", *queueDepth, "batch_max", *batchMax)
 	if *routeKM > 0 {
 		// Eco-routing over this server's own fused store: routes follow the
 		// crowd-sourced gradient map as submissions land, falling back to

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -30,9 +31,19 @@ import (
 
 func main() {
 	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "ecoroute: %v\n", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine is what the command prints for err: the message behind one
+// "ecoroute: " prefix, which the engine's own errors already carry.
+func errorLine(err error) string {
+	msg := err.Error()
+	if strings.HasPrefix(msg, "ecoroute: ") {
+		return msg
+	}
+	return "ecoroute: " + msg
 }
 
 // objectiveListText renders the valid -objective values, one per line, in
@@ -81,9 +92,9 @@ func run() error {
 
 	switch {
 	case *from >= 0 && *to >= 0:
-		return singleQuery(eng, *speed, *from, *to, *format)
+		return singleQuery(os.Stdout, eng, *speed, *from, *to, *format)
 	case *pairs > 0:
-		return panelQuery(eng, net, obj, *speed, *pairs, *seed, *format)
+		return panelQuery(os.Stdout, eng, net, obj, *speed, *pairs, *seed, *format)
 	default:
 		return fmt.Errorf("need either -from and -to, or -pairs")
 	}
@@ -93,7 +104,7 @@ func run() error {
 // be compared side by side. Pollutant grams are filled for every plan (not
 // just the pollutant objectives' own) so the table shows what a min-fuel
 // route costs in NOx and vice versa.
-func singleQuery(eng *ecoroute.Engine, speed float64, from, to int, format string) error {
+func singleQuery(out io.Writer, eng *ecoroute.Engine, speed float64, from, to int, format string) error {
 	plans := make([]ecoroute.Plan, 0, len(ecoroute.Objectives()))
 	for _, obj := range ecoroute.Objectives() {
 		p, err := eng.Route(obj, speed, from, to)
@@ -108,9 +119,9 @@ func singleQuery(eng *ecoroute.Engine, speed float64, from, to int, format strin
 		plans = append(plans, p)
 	}
 	if format == "json" {
-		return json.NewEncoder(os.Stdout).Encode(plans)
+		return json.NewEncoder(out).Encode(plans)
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "objective\troads\tlength (km)\ttime (s)\tfuel (gal)\tCO2 (kg)\tCO (g)\tNOx (g)\tHC (g)\tPM2.5 (g)")
 	for _, p := range plans {
 		fmt.Fprintf(w, "%s\t%d\t%.3f\t%.1f\t%.4f\t%.3f\t%.2f\t%.3f\t%.3f\t%.4f\n",
@@ -134,7 +145,7 @@ type panelRow struct {
 // panelQuery samples random connected O/D pairs and reports per-planner
 // means; the requested objective is listed alongside the distance and time
 // baselines.
-func panelQuery(eng *ecoroute.Engine, net *road.Network, obj ecoroute.Objective, speed float64, n int, seed int64, format string) error {
+func panelQuery(out io.Writer, eng *ecoroute.Engine, net *road.Network, obj ecoroute.Objective, speed float64, n int, seed int64, format string) error {
 	objectives := []ecoroute.Objective{ecoroute.Distance, ecoroute.Time}
 	if obj != ecoroute.Distance && obj != ecoroute.Time {
 		objectives = append(objectives, obj)
@@ -182,9 +193,9 @@ func panelQuery(eng *ecoroute.Engine, net *road.Network, obj ecoroute.Objective,
 		rows = append(rows, row)
 	}
 	if format == "json" {
-		return json.NewEncoder(os.Stdout).Encode(rows)
+		return json.NewEncoder(out).Encode(rows)
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "planner\tpairs\tmean length (km)\tmean time (s)\tmean fuel (gal)\tmean CO2 (kg)\tmean NOx (g)")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%d\t%.3f\t%.1f\t%.4f\t%.3f\t%.3f\n",

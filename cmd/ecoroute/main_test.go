@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -120,7 +123,7 @@ func TestPanelQueryBadSpeed(t *testing.T) {
 	eng, net := testEngine(t)
 	for _, speed := range []float64{0, -5, math.NaN()} {
 		done := make(chan error, 1)
-		go func() { done <- panelQuery(eng, net, ecoroute.Fuel, speed, 3, 1, "table") }()
+		go func() { done <- panelQuery(io.Discard, eng, net, ecoroute.Fuel, speed, 3, 1, "table") }()
 		select {
 		case err := <-done:
 			if err == nil || !strings.Contains(err.Error(), "cruise speed") {
@@ -129,5 +132,49 @@ func TestPanelQueryBadSpeed(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("speed %v: panelQuery still drawing pairs after 10 s", speed)
 		}
+	}
+}
+
+// TestSingleQueryJSON: -from/-to -format json names each plan's objective
+// ("Objective":"distance") rather than printing the enum's position.
+func TestSingleQueryJSON(t *testing.T) {
+	eng, net := testEngine(t)
+	from, to := net.Nodes[0].ID, -1
+	for _, n := range net.Nodes[1:] {
+		if _, err := eng.Route(ecoroute.Distance, 40, from, n.ID); err == nil {
+			to = n.ID
+			break
+		}
+	}
+	if to < 0 {
+		t.Fatal("no node reachable from node 0")
+	}
+	var out bytes.Buffer
+	if err := singleQuery(&out, eng, 40, from, to, "json"); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range ecoroute.Objectives() {
+		if want := `"Objective":"` + o.String() + `"`; !strings.Contains(out.String(), want) {
+			t.Errorf("JSON lacks %s: %.200s", want, out.String())
+		}
+	}
+}
+
+// TestErrorLinePrefixOnce: the command's name heads every error line once,
+// whether or not the error came from the engine with it already.
+func TestErrorLinePrefixOnce(t *testing.T) {
+	eng, _ := testEngine(t)
+	_, engineErr := eng.Route(ecoroute.Fuel, 40, 0, 99999)
+	if engineErr == nil {
+		t.Fatal("route to node 99999: want an error")
+	}
+	for _, err := range []error{engineErr, errors.New("need either -from and -to, or -pairs")} {
+		line := errorLine(err)
+		if !strings.HasPrefix(line, "ecoroute: ") || strings.Count(line, "ecoroute: ") != 1 {
+			t.Errorf("error line %q, want one ecoroute: prefix", line)
+		}
+	}
+	if got, want := errorLine(engineErr), "ecoroute: unknown node 99999"; got != want {
+		t.Errorf("error line %q, want %q", got, want)
 	}
 }

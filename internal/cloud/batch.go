@@ -26,7 +26,6 @@ import (
 	"io"
 	"mime"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -137,18 +136,37 @@ func acceptsGzip(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept-Encoding"), "gzip")
 }
 
-// handleSubmitBatch is the batched ingest door.
+// readBodyError answers a readBody failure: 413 past the door's cap, 415
+// for an unknown Content-Encoding, 400 otherwise. what prefixes the message
+// with the door's payload.
+func readBodyError(w http.ResponseWriter, err error, what string) {
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	} else if errors.Is(err, errUnsupportedEncoding) {
+		code = http.StatusUnsupportedMediaType
+	}
+	httpError(w, code, fmt.Errorf("%s: %w", what, err))
+}
+
+// obsBatchItems counts the batch door's items by outcome,
+// cloud_batch_items_total{status=...}.
+var obsBatchItems = func() map[string]*obs.Counter {
+	m := make(map[string]*obs.Counter, 4)
+	for _, status := range []string{statusAccepted, statusDuplicate, statusRejected, statusShed} {
+		m[status] = obs.Default.Counter("cloud_batch_items_total", obs.L("status", status))
+	}
+	return m
+}()
+
+// handleSubmitBatch is the batched ingest door. With a coalescer the items
+// queue for their shards' workers; without one each folds inline as a
+// one-item pass.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	buf, err := readBody(w, r, maxBatchBodyBytes)
 	if err != nil {
-		code := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			code = http.StatusRequestEntityTooLarge
-		} else if errors.Is(err, errUnsupportedEncoding) {
-			code = http.StatusUnsupportedMediaType
-		}
-		httpError(w, code, fmt.Errorf("reading batch: %w", err))
+		readBodyError(w, err, "reading batch")
 		return
 	}
 	defer putBodyBuf(buf)
@@ -167,37 +185,34 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	results := make([]BatchItemResult, len(items))
+	pend := make([]pendingItem, len(items))
 	shed := 0
-	if c := s.coal; c != nil {
+	if s.coal != nil {
 		// The handler span's context (set by instrument) crosses the queue
 		// boundary on each item; the fold span links back to it.
 		sc, _ := obs.SpanContextFrom(r.Context())
 		var done sync.WaitGroup
 		done.Add(len(items))
-		pend := make([]*pendingItem, len(items))
-		backing := make([]pendingItem, len(items))
 		for i := range items {
-			backing[i] = pendingItem{
-				roadID: items[i].RoadID,
-				key:    items[i].Key,
-				device: items[i].Device,
-				p:      items[i].Profile,
-				out:    &results[i],
-				done:   &done,
-				sc:     sc,
-			}
-			pend[i] = &backing[i]
+			pend[i] = pendingItem{BatchItem: items[i], done: &done, sc: sc}
 		}
 		shed = s.enqueue(pend)
 		done.Wait()
 	} else {
-		s.foldDirect(items, results)
+		for i := range items {
+			pend[i].BatchItem = items[i]
+			s.foldOne(&pend[i])
+		}
+	}
+	results := make([]BatchItemResult, len(pend))
+	for i := range pend {
+		results[i] = pend[i].res
+		obsBatchItems[results[i].Status].Inc()
 	}
 
 	code := http.StatusOK
 	if shed > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(s.coal.retryAfter()))
+		w.Header().Set("Retry-After", "1")
 		code = http.StatusTooManyRequests
 	}
 	writeBatchResponse(w, r, code, batchResponseDTO{Results: results})

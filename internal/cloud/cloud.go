@@ -220,29 +220,8 @@ func (s *Server) Submit(roadID string, p *fusion.Profile) error {
 // (reputation, learned bias) as part of the fold; an empty id submits
 // anonymously at full weight.
 func (s *Server) SubmitDevice(roadID, deviceID string, p *fusion.Profile) error {
-	if roadID == "" {
-		return errors.New("cloud: empty road id")
-	}
-	if p == nil || p.Len() == 0 {
-		return errors.New("cloud: empty profile")
-	}
-	if err := validDeviceID(deviceID); err != nil {
-		return err
-	}
-	var de *deviceEntry
-	if deviceID != "" {
-		de = s.deviceFor(deviceID)
-	}
-	rs := s.roadFor(roadID)
-	rs.mu.Lock()
-	if _, err := rs.addLocked(p, de); err != nil {
-		rs.mu.Unlock()
-		return fmt.Errorf("cloud: road %s: %w", roadID, err)
-	}
-	rs.gen++ // invalidates the fused snapshot and encoded caches
-	rs.mu.Unlock()
-	s.feed.record(1, roadID)
-	return nil
+	_, err := s.SubmitIdempotentDevice(roadID, "", deviceID, p)
+	return err
 }
 
 // StoreGeneration returns the count of accepted submissions — the O(1)
@@ -285,37 +264,30 @@ func (s *Server) FusedGeneration(roadID string) (*fusion.Profile, uint64, error)
 	return snap, gen, nil
 }
 
-// SubmitIdempotent stores a profile unless the idempotency key has already
-// been accepted, in which case it reports duplicate=true and stores nothing —
-// a retried upload after a lost response cannot double-count. An empty key
-// always stores. Keys are deduplicated within the road's shard (a client's
-// key embeds the road id, so its retries always land on the same ring).
-func (s *Server) SubmitIdempotent(roadID, key string, p *fusion.Profile) (duplicate bool, err error) {
-	return s.SubmitIdempotentDevice(roadID, key, "", p)
-}
-
-// SubmitIdempotentDevice is SubmitIdempotent with device attribution
-// (SubmitDevice's deviceID semantics).
+// SubmitIdempotentDevice stores a profile unless the idempotency key has
+// already been accepted, in which case it reports duplicate=true and stores
+// nothing — a retried upload after a lost response cannot double-count. An
+// empty key always stores. Keys are deduplicated within the road's shard (a
+// client's key embeds the road id, so its retries always land on the same
+// ring). deviceID has SubmitDevice's semantics. The submission folds inline,
+// as a one-item pass.
 func (s *Server) SubmitIdempotentDevice(roadID, key, deviceID string, p *fusion.Profile) (duplicate bool, err error) {
-	if key == "" {
-		return false, s.SubmitDevice(roadID, deviceID, p)
+	if roadID == "" {
+		return false, errors.New("cloud: empty road id")
 	}
-	// Reserve the key atomically so two concurrent retries of the same
-	// upload cannot both store.
-	sh := s.shardFor(roadID)
-	sh.mu.Lock()
-	dup := sh.dedup.reserve(key)
-	sh.mu.Unlock()
-	if dup {
-		return true, nil
+	if p == nil || p.Len() == 0 {
+		return false, errors.New("cloud: empty profile")
 	}
-	if err := s.SubmitDevice(roadID, deviceID, p); err != nil {
-		// Release the reservation: a rejected submission must stay
-		// retryable after the client fixes it.
-		sh.mu.Lock()
-		sh.dedup.release(key)
-		sh.mu.Unlock()
+	if err := validDeviceID(deviceID); err != nil {
 		return false, err
+	}
+	it := pendingItem{BatchItem: BatchItem{RoadID: roadID, Key: key, Device: deviceID, Profile: p}}
+	s.foldOne(&it)
+	switch it.res.Status {
+	case statusDuplicate:
+		return true, nil
+	case statusRejected:
+		return false, errors.New(it.res.Error)
 	}
 	return false, nil
 }
@@ -463,14 +435,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	buf, err := readBody(w, r, maxSubmitBodyBytes)
 	if err != nil {
-		code := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			code = http.StatusRequestEntityTooLarge
-		} else if errors.Is(err, errUnsupportedEncoding) {
-			code = http.StatusUnsupportedMediaType
-		}
-		httpError(w, code, fmt.Errorf("decoding profile: %w", err))
+		readBodyError(w, err, "decoding profile")
 		return
 	}
 	defer putBodyBuf(buf)

@@ -1,14 +1,21 @@
 package cloud
 
-// The write coalescer: the fleet-scale ingest path. Handlers validate and
-// decode submissions, then append them to a bounded per-shard queue; one
-// worker goroutine per shard drains its queue in batches and folds every
-// queued submission into the fusion accumulators under a single pass of lock
-// acquisitions — one shard-lock hold for all idempotency reservations, one
-// road-lock hold per road group — instead of the per-request
-// lock/bump/unlock the direct path pays. Fusion output is bit-identical to
-// the direct path: within a road, queued submissions fold in FIFO arrival
-// order, which is the same RobustAccumulator.Add order Submit would have used.
+// The store's write path: one fold, and the write coalescer that feeds it
+// passes.
+//
+// fold lands a pass of submissions in one shard in arrival order. Every
+// submission goes through it: the Go API and the single-profile door fold a
+// one-item pass inline (SubmitIdempotentDevice), the batch door folds each
+// item as a one-item pass on a server with no coalescer, and the
+// coalescer's workers fold the passes they drain.
+//
+// The coalescer is the fleet-scale ingest path. Handlers validate and decode
+// submissions, then append them to a bounded per-shard queue; one worker
+// goroutine per shard drains its queue in passes, so one shard-lock hold
+// covers a pass's idempotency reservations instead of one per request.
+// Because a pass folds in arrival order, the result is bit-identical to
+// submitting the same items one by one: every road's fused map and every
+// device's trust state.
 //
 // The queue is also the admission controller. Enqueue never blocks: when a
 // shard's queue is full the item is shed, the handler answers 429 with
@@ -16,40 +23,25 @@ package cloud
 // just the shed items — per-item idempotency keys make over-retry harmless.
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"roadgrade/internal/fusion"
 	"roadgrade/internal/obs"
 )
 
-// Write-path instrumentation: queue depth is the backpressure signal, the
-// batch-size histogram shows how much amortization the coalescer achieves
-// (mean batch size = items per lock pass), folds count lock passes, and the
-// shed counter is the load-shedding rate.
+// Coalescer instrumentation, counted by the workers alone: queue depth is
+// the backpressure signal, the batch-size histogram shows how much
+// amortization the coalescer achieves (mean batch size = items per pass),
+// folds count passes, and the shed counter is the load-shedding rate.
 var (
 	obsCoalesceFolds = obs.Default.Counter("cloud_coalesce_folds_total")
 	obsCoalesceBatch = obs.Default.Histogram("cloud_coalesce_batch_size",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
-	obsSubmitShed  = obs.Default.Counter("cloud_submit_shed_total")
-	obsBatchItems  = map[string]*obs.Counter{}
-	obsBatchItemMu sync.Mutex
+	obsSubmitShed = obs.Default.Counter("cloud_submit_shed_total")
 )
-
-// batchItemCounter returns the cloud_batch_items_total{status=...} counter,
-// pre-creating on first use (statuses are a small closed set).
-func batchItemCounter(status string) *obs.Counter {
-	obsBatchItemMu.Lock()
-	defer obsBatchItemMu.Unlock()
-	c, ok := obsBatchItems[status]
-	if !ok {
-		c = obs.Default.Counter("cloud_batch_items_total", obs.L("status", status))
-		obsBatchItems[status] = c
-	}
-	return c
-}
 
 // Per-item batch outcomes.
 const (
@@ -65,20 +57,17 @@ type BatchItemResult struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// pendingItem is one queued submission plus where to report its outcome.
-// The worker writes *out and then calls done.Done(); the enqueueing handler
-// reads results only after done.Wait(), so no further synchronization is
-// needed on out.
+// pendingItem is one submission of a fold pass and its outcome. A queued
+// item's worker writes res and then calls done.Done(); the enqueueing
+// handler reads res only after done.Wait(), so no further synchronization is
+// needed.
 type pendingItem struct {
-	roadID string
-	key    string
-	device string
-	p      *fusion.Profile
-	out    *BatchItemResult
-	done   *sync.WaitGroup
+	BatchItem
+	res  BatchItemResult
+	done *sync.WaitGroup // nil when folded inline
 	// sc is the enqueueing handler span's context; the fold span links back
 	// to it so a trace crosses the async queue boundary. Zero when the
-	// request was untraced.
+	// request was untraced or the item folds inline.
 	sc obs.SpanContext
 }
 
@@ -90,8 +79,6 @@ type CoalesceConfig struct {
 	// BatchMax caps how many queued items one fold pass drains
 	// (default 512).
 	BatchMax int
-	// RetryAfter is the hint returned with 429 responses (default 1s).
-	RetryAfter time.Duration
 }
 
 // withDefaults fills zero fields.
@@ -101,9 +88,6 @@ func (c CoalesceConfig) withDefaults() CoalesceConfig {
 	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 512
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
@@ -158,9 +142,6 @@ func (s *Server) EnableCoalescing(cfg CoalesceConfig) {
 	}
 }
 
-// Coalescing reports whether the batch path runs through the coalescer.
-func (s *Server) Coalescing() bool { return s.coal != nil }
-
 // Close stops the coalescer workers, folding everything already queued
 // before returning. Safe to call multiple times and on a server that never
 // enabled coalescing. After Close, batch submissions shed (the server is
@@ -185,24 +166,25 @@ func (s *Server) Close() {
 // enqueue appends items to their shard queues without blocking. Items that
 // don't fit (or arrive after Close) are marked shed immediately; the rest
 // will have their outcome written by a shard worker. Returns the number
-// shed. done must have been Add'ed for len(items) by the caller; shed items
-// are Done'd here.
-func (s *Server) enqueue(items []*pendingItem) (shed int) {
+// shed. The items' done must have been Add'ed for len(items) by the caller;
+// shed items are Done'd here.
+func (s *Server) enqueue(items []pendingItem) (shed int) {
 	c := s.coal
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	for _, it := range items {
+	for i := range items {
+		it := &items[i]
 		if c.closed {
-			it.out.Status = statusShed
+			it.res.Status = statusShed
 			it.done.Done()
 			shed++
 			continue
 		}
-		q := c.queues[fnv1a(it.roadID)&s.shardMask]
+		q := c.queues[fnv1a(it.RoadID)&s.shardMask]
 		select {
 		case q <- it:
 		default:
-			it.out.Status = statusShed
+			it.res.Status = statusShed
 			it.done.Done()
 			shed++
 		}
@@ -210,7 +192,6 @@ func (s *Server) enqueue(items []*pendingItem) (shed int) {
 	if shed > 0 {
 		c.shed.Add(uint64(shed))
 		obsSubmitShed.Add(uint64(shed))
-		batchItemCounter(statusShed).Add(uint64(shed))
 	}
 	return shed
 }
@@ -233,9 +214,14 @@ func (s *Server) coalesceWorker(i int) {
 	defer c.wg.Done()
 	q := c.queues[i]
 	buf := make([]*pendingItem, 0, c.cfg.BatchMax)
-	fold := func(it *pendingItem) {
-		buf = s.collect(append(buf[:0], it), q)
-		s.foldShard(&s.shards[i], buf)
+	pass := func(first *pendingItem) {
+		buf = s.collect(append(buf[:0], first), q)
+		obsCoalesceFolds.Inc()
+		obsCoalesceBatch.Observe(float64(len(buf)))
+		s.fold(&s.shards[i], buf)
+		for _, it := range buf {
+			it.done.Done()
+		}
 		// A stale pointer left in buf would pin its request's items, and
 		// every profile they carry, until a later batch overwrites it.
 		clear(buf)
@@ -243,14 +229,14 @@ func (s *Server) coalesceWorker(i int) {
 	for {
 		select {
 		case it := <-q:
-			fold(it)
+			pass(it)
 		case <-c.quit:
 			// Drain what made it into the queue before the close; enqueue
 			// is excluded by c.mu, so an empty queue here is final.
 			for {
 				select {
 				case it := <-q:
-					fold(it)
+					pass(it)
 				default:
 					return
 				}
@@ -272,109 +258,95 @@ func (s *Server) collect(buf []*pendingItem, q chan *pendingItem) []*pendingItem
 	return buf
 }
 
-// foldShard folds one collected batch into the shard's state:
+// fold lands one pass of submissions in shard sh, writing each item's
+// outcome to its res:
 //
 //  1. one shard-lock hold reserves every idempotency key (duplicates are
-//     settled here and skip the fold),
-//  2. one road-lock hold per road group adds that road's submissions in
-//     arrival order and bumps the generation once per accepted item,
-//  3. one shard-lock hold releases the keys of rejected submissions so
-//     they stay retryable.
+//     settled here and skip the fold); a pass without keys skips the lock;
+//  2. the other items are added in arrival order, each under its own road's
+//     lock, its device entry looked up before that lock is taken; each
+//     accepted item bumps its road's generation;
+//  3. one shard-lock hold releases the keys of rejected items, so they stay
+//     retryable;
+//  4. the change feed records each changed road once.
 //
-// The per-cell arithmetic is exactly RobustAccumulator.Add in the same order
-// the direct path would have run, so the fused output is bit-identical.
+// Arrival order across roads is what makes a pass bit-identical to folding
+// its items one by one: the RobustAccumulator.AddDeviceReport calls, and so
+// every road's fused cells and every device's trust state, come in the same
+// sequence either way.
 //
-// When any folded item carries a span context, the whole pass is wrapped in
-// a fold span — its own single-span trace, always kept by the tail sampler
+// When any item carries a span context, the whole pass is wrapped in a fold
+// span — its own single-span trace, always kept by the tail sampler
 // (keep=fold) — that links back to each distinct request span it folded for,
 // annotated with the robust-fusion outcome (downweighted/trimmed/clamped
 // cells) so a trace shows what trust machinery did to a submission.
-func (s *Server) foldShard(sh *shard, items []*pendingItem) {
-	obsCoalesceFolds.Inc()
-	obsCoalesceBatch.Observe(float64(len(items)))
-
-	var fold *obs.Span
+func (s *Server) fold(sh *shard, items []*pendingItem) {
+	var span *obs.Span
 	if tr := s.tracer(); tr.Enabled() {
 		var linked []obs.SpanContext
 		for _, it := range items {
-			if !it.sc.IsValid() {
-				continue
-			}
-			dup := false
-			for _, sc := range linked {
-				if sc == it.sc {
-					dup = true
-					break
-				}
-			}
-			if !dup {
+			if it.sc.IsValid() && !slices.Contains(linked, it.sc) {
 				linked = append(linked, it.sc)
 			}
 		}
 		if len(linked) > 0 {
-			fold = tr.Start("coalesce:fold", "cloud",
+			span = tr.Start("coalesce:fold", "cloud",
 				obs.L("keep", "fold"), obs.L("batch", strconv.Itoa(len(items))))
 			for _, sc := range linked {
-				fold.Link(sc)
+				span.Link(sc)
 			}
 		}
 	}
 
-	sh.mu.Lock()
-	for _, it := range items {
-		if it.key != "" && sh.dedup.reserve(it.key) {
-			it.out.Status = statusDuplicate
+	var dups, rejected int
+	if slices.ContainsFunc(items, func(it *pendingItem) bool { return it.Key != "" }) {
+		sh.mu.Lock()
+		for _, it := range items {
+			if it.Key != "" && sh.dedup.reserve(it.Key) {
+				it.res.Status = statusDuplicate
+				dups++
+			}
 		}
-	}
-	sh.mu.Unlock()
-
-	// Group by road preserving arrival order, both across groups and
-	// within each group.
-	order := make([]string, 0, 8)
-	groups := make(map[string][]*pendingItem, 8)
-	for _, it := range items {
-		if it.out.Status == statusDuplicate {
-			continue
-		}
-		if _, ok := groups[it.roadID]; !ok {
-			order = append(order, it.roadID)
-		}
-		groups[it.roadID] = append(groups[it.roadID], it)
+		sh.mu.Unlock()
 	}
 
 	var accepted uint64
 	var robust fusion.FoldReport
 	var rejectedKeys []string
-	changed := make([]string, 0, len(order)) // roads with an accepted item
-	for _, road := range order {
-		group := groups[road]
-		rs := s.roadFor(road)
-		before := accepted
+	// Roads with an accepted item, first acceptance first. The array keeps
+	// the inline one-item pass free of allocations.
+	var changedBuf [8]string
+	changed := changedBuf[:0]
+	for _, it := range items {
+		if it.res.Status == statusDuplicate {
+			continue
+		}
+		var de *deviceEntry
+		if it.Device != "" {
+			de = s.deviceFor(it.Device)
+		}
+		rs := s.roadFor(it.RoadID)
 		rs.mu.Lock()
-		for _, it := range group {
-			var de *deviceEntry
-			if it.device != "" {
-				de = s.deviceFor(it.device)
-			}
-			rep, err := rs.addLocked(it.p, de)
-			if err != nil {
-				it.out.Status = statusRejected
-				it.out.Error = err.Error()
-				if it.key != "" {
-					rejectedKeys = append(rejectedKeys, it.key)
-				}
-				continue
-			}
-			robust.Downweighted += rep.Downweighted
-			robust.Trimmed += rep.Trimmed
-			robust.Clamped += rep.Clamped
-			it.out.Status = statusAccepted
-			rs.gen++
-			accepted++
+		rep, err := rs.addLocked(it.Profile, de)
+		if err == nil {
+			rs.gen++ // invalidates the fused snapshot and encoded caches
 		}
 		rs.mu.Unlock()
-		if accepted > before {
-			changed = append(changed, road)
+		if err != nil {
+			it.res = BatchItemResult{Status: statusRejected, Error: err.Error()}
+			rejected++
+			if it.Key != "" {
+				rejectedKeys = append(rejectedKeys, it.Key)
+			}
+			continue
+		}
+		robust.Downweighted += rep.Downweighted
+		robust.Trimmed += rep.Trimmed
+		robust.Clamped += rep.Clamped
+		it.res.Status = statusAccepted
+		accepted++
+		if !slices.Contains(changed, it.RoadID) {
+			changed = append(changed, it.RoadID)
 		}
 	}
 	if len(rejectedKeys) > 0 {
@@ -387,63 +359,27 @@ func (s *Server) foldShard(sh *shard, items []*pendingItem) {
 	if accepted > 0 {
 		s.feed.record(accepted, changed...)
 	}
-	var dups, rejected int
-	for _, it := range items {
-		switch it.out.Status {
-		case statusAccepted:
-			batchItemCounter(statusAccepted).Inc()
-		case statusDuplicate:
-			batchItemCounter(statusDuplicate).Inc()
-			dups++
-		case statusRejected:
-			batchItemCounter(statusRejected).Inc()
-			rejected++
-		}
-	}
-	// End the fold span before releasing the handlers: by the time a batch
-	// response reaches the client, the fold's link into that request trace is
-	// already in the trace store.
-	if fold != nil {
-		fold.Annotate("accepted", strconv.FormatUint(accepted, 10))
-		fold.Annotate("duplicate", strconv.Itoa(dups))
-		fold.Annotate("rejected", strconv.Itoa(rejected))
-		fold.Annotate("downweighted_cells", strconv.FormatUint(robust.Downweighted, 10))
-		fold.Annotate("trimmed_cells", strconv.FormatUint(robust.Trimmed, 10))
-		fold.Annotate("clamped_cells", strconv.FormatUint(robust.Clamped, 10))
-		fold.End()
-	}
-	for _, it := range items {
-		it.done.Done()
+	// End the fold span before the caller releases the handlers: by the
+	// time a batch response reaches the client, the fold's link into that
+	// request trace is already in the trace store.
+	if span != nil {
+		span.Annotate("accepted", strconv.FormatUint(accepted, 10))
+		span.Annotate("duplicate", strconv.Itoa(dups))
+		span.Annotate("rejected", strconv.Itoa(rejected))
+		span.Annotate("downweighted_cells", strconv.FormatUint(robust.Downweighted, 10))
+		span.Annotate("trimmed_cells", strconv.FormatUint(robust.Trimmed, 10))
+		span.Annotate("clamped_cells", strconv.FormatUint(robust.Clamped, 10))
+		span.End()
 	}
 }
 
-// foldDirect is the non-coalescing batch fold: per-item SubmitIdempotent,
-// used when EnableCoalescing was not called. It still amortizes the HTTP
-// and decode cost across the batch, just not the lock acquisitions.
-func (s *Server) foldDirect(items []BatchItem, results []BatchItemResult) {
-	for i := range items {
-		dup, err := s.SubmitIdempotentDevice(items[i].RoadID, items[i].Key, items[i].Device, items[i].Profile)
-		switch {
-		case err != nil:
-			results[i] = BatchItemResult{Status: statusRejected, Error: err.Error()}
-			batchItemCounter(statusRejected).Inc()
-		case dup:
-			results[i] = BatchItemResult{Status: statusDuplicate}
-			batchItemCounter(statusDuplicate).Inc()
-		default:
-			results[i] = BatchItemResult{Status: statusAccepted}
-			batchItemCounter(statusAccepted).Inc()
-		}
+// foldOne folds one validated submission inline, as a one-item pass on the
+// caller's goroutine. A rejection's error names the road.
+func (s *Server) foldOne(it *pendingItem) {
+	s.fold(s.shardFor(it.RoadID), []*pendingItem{it})
+	if it.res.Status == statusRejected {
+		it.res.Error = "cloud: road " + it.RoadID + ": " + it.res.Error
 	}
-}
-
-// retryAfter returns the 429 hint in whole seconds (minimum 1).
-func (c *coalescer) retryAfter() int {
-	secs := int(c.cfg.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }
 
 // queueDepth returns the total queued items (for tests and health checks).

@@ -2,11 +2,15 @@ package cloud
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -123,6 +127,182 @@ func TestCoalescedFusionBitIdentical(t *testing.T) {
 	}
 }
 
+// arrivalOrderItems returns submissions to two roads of one shard: three
+// anonymous ones per road to establish a consensus, then one device with a
+// calibration offset alternating between the roads, anonymous traffic in
+// between.
+func arrivalOrderItems() []BatchItem {
+	rng := rand.New(rand.NewSource(23))
+	var items []BatchItem
+	add := func(road, device string, offset float64) {
+		p := realisticProfile(rng, 48)
+		for c := range p.GradeRad {
+			p.GradeRad[c] += offset
+		}
+		items = append(items, BatchItem{RoadID: road, Device: device, Profile: p})
+	}
+	for _, road := range []string{"r-a", "r-b"} {
+		for i := 0; i < 3; i++ {
+			add(road, "", 0)
+		}
+	}
+	for round := 0; round < 6; round++ {
+		add("r-a", "dev", 0.02)
+		add("r-b", "dev", 0.02)
+		add([]string{"r-a", "r-b"}[round%2], "", 0)
+	}
+	return items
+}
+
+// foldReference folds items in the given order into one fusion accumulator
+// per road and one device state, the way a server must.
+func foldReference(t *testing.T, items []BatchItem, window int, policy fusion.FusionPolicy) (map[string]*fusion.Profile, fusion.DeviceState) {
+	t.Helper()
+	accs := make(map[string]*fusion.RobustAccumulator)
+	dev := fusion.NewDeviceState()
+	for _, it := range items {
+		acc := accs[it.RoadID]
+		if acc == nil {
+			acc = fusion.NewRobustAccumulator(window, policy)
+			accs[it.RoadID] = acc
+		}
+		var st *fusion.DeviceState
+		if it.Device != "" {
+			st = dev
+		}
+		if _, err := acc.AddDeviceReport(it.Profile, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fused := make(map[string]*fusion.Profile)
+	for road, acc := range accs {
+		p, err := acc.Fused()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fused[road] = p
+	}
+	return fused, *dev
+}
+
+// sameFold reports where a fused map and device state differ by
+// Float64bits, or "" when they are equal.
+func sameFold(gotMap, wantMap map[string]*fusion.Profile, got, want fusion.DeviceState) string {
+	for road, w := range wantMap {
+		g := gotMap[road]
+		if g == nil || g.Len() != w.Len() {
+			return road + ": shape differs"
+		}
+		for c := range w.GradeRad {
+			if math.Float64bits(g.GradeRad[c]) != math.Float64bits(w.GradeRad[c]) ||
+				math.Float64bits(g.Var[c]) != math.Float64bits(w.Var[c]) {
+				return fmt.Sprintf("%s cell %d: (%v, %v), want (%v, %v)", road, c, g.GradeRad[c], g.Var[c], w.GradeRad[c], w.Var[c])
+			}
+		}
+	}
+	if math.Float64bits(got.Reputation) != math.Float64bits(want.Reputation) ||
+		math.Float64bits(got.BiasRad) != math.Float64bits(want.BiasRad) ||
+		math.Float64bits(got.LastAgreement) != math.Float64bits(want.LastAgreement) ||
+		got.Submissions != want.Submissions || got.Downweighted != want.Downweighted || got.BiasObs != want.BiasObs {
+		return fmt.Sprintf("device state %+v, want %+v", got, want)
+	}
+	return ""
+}
+
+// TestFoldArrivalOrder: one device's submissions, interleaved across two
+// roads of a one-shard server, fold in arrival order however they arrive —
+// as one pass of fold, through the batch door with and without a
+// coalescer, and one SubmitDevice at a time. Every result equals, by
+// Float64bits, fusion's accumulators and one DeviceState driven in arrival
+// order. A pass grouped by road would fold the device's r-a submissions
+// before its r-b ones, which the reference shows moves the map and the
+// device's learned bias.
+func TestFoldArrivalOrder(t *testing.T) {
+	const window = 8
+	policy := fusion.FusionPolicy{Policy: fusion.PolicyHuber}
+	items := arrivalOrderItems()
+	wantMap, wantDev := foldReference(t, items, window, policy)
+	if wantDev.BiasObs == 0 || wantDev.BiasRad == 0 {
+		t.Fatalf("the device learned no bias (%+v); the test cannot tell fold orders apart", wantDev)
+	}
+	byRoad := slices.Clone(items)
+	slices.SortStableFunc(byRoad, func(a, b BatchItem) int { return strings.Compare(a.RoadID, b.RoadID) })
+	if groupedMap, groupedDev := foldReference(t, byRoad, window, policy); sameFold(groupedMap, wantMap, groupedDev, wantDev) == "" {
+		t.Fatal("folding grouped by road gives the arrival-order result; the test cannot tell fold orders apart")
+	}
+
+	newServer := func() *Server {
+		srv := NewServerWithShards(1)
+		srv.Policy = policy
+		srv.MaxSubmissionsPerRoad = window
+		return srv
+	}
+	viaBatchDoor := func(t *testing.T, srv *Server) {
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		cli, err := NewClient(ts.URL, ts.Client())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cli.SubmitBatch(context.Background(), items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res {
+			if r.Status != statusAccepted {
+				t.Fatalf("item %d: %+v", i, r)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		submit func(t *testing.T, srv *Server)
+	}{
+		{"fold", func(t *testing.T, srv *Server) {
+			pass := make([]*pendingItem, len(items))
+			for i := range items {
+				pass[i] = &pendingItem{BatchItem: items[i]}
+			}
+			srv.fold(&srv.shards[0], pass)
+			for i, it := range pass {
+				if it.res.Status != statusAccepted {
+					t.Fatalf("item %d: %+v", i, it.res)
+				}
+			}
+		}},
+		{"coalesced-batch-door", func(t *testing.T, srv *Server) {
+			srv.EnableCoalescing(CoalesceConfig{})
+			defer srv.Close()
+			viaBatchDoor(t, srv)
+		}},
+		{"inline-batch-door", viaBatchDoor},
+		{"submit-device", func(t *testing.T, srv *Server) {
+			for _, it := range items {
+				if err := srv.SubmitDevice(it.RoadID, it.Device, it.Profile); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := newServer()
+			tc.submit(t, srv)
+			gotMap := make(map[string]*fusion.Profile)
+			for road := range wantMap {
+				p, err := srv.Fused(road)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotMap[road] = p
+			}
+			gotDev, _ := srv.DeviceState("dev")
+			if diff := sameFold(gotMap, wantMap, gotDev, wantDev); diff != "" {
+				t.Error(diff)
+			}
+		})
+	}
+}
+
 // TestCoalescerReleasesFoldedBatches: once a fold has answered its
 // submitters, the server holds no submitted profile — not in a road's
 // retained window, and not through the coalescer's reused batch buffer,
@@ -170,23 +350,20 @@ func enqueueAndWait(t *testing.T, srv *Server, rng *rand.Rand, n int) []weak.Poi
 	t.Helper()
 	var done sync.WaitGroup
 	done.Add(n)
-	results := make([]BatchItemResult, n)
-	backing := make([]pendingItem, n)
-	pend := make([]*pendingItem, n)
+	pend := make([]pendingItem, n)
 	sent := make([]weak.Pointer[fusion.Profile], n)
-	for i := range backing {
+	for i := range pend {
 		p := realisticProfile(rng, 30)
 		sent[i] = weak.Make(p)
-		backing[i] = pendingItem{roadID: fmt.Sprintf("r-%d", i%4), p: p, out: &results[i], done: &done}
-		pend[i] = &backing[i]
+		pend[i] = pendingItem{BatchItem: BatchItem{RoadID: fmt.Sprintf("r-%d", i%4), Profile: p}, done: &done}
 	}
 	if shed := srv.enqueue(pend); shed != 0 {
 		t.Fatalf("%d of %d items shed", shed, n)
 	}
 	done.Wait()
-	for i, r := range results {
-		if r.Status != statusAccepted {
-			t.Fatalf("item %d: %+v", i, r)
+	for i := range pend {
+		if pend[i].res.Status != statusAccepted {
+			t.Fatalf("item %d: %+v", i, pend[i].res)
 		}
 	}
 	return sent
@@ -351,7 +528,7 @@ func TestCoalescerSheds(t *testing.T) {
 	// deterministic way to overflow is to enqueue more than QueueDepth in
 	// one batch.
 	srv := NewServerWithShards(1)
-	srv.EnableCoalescing(CoalesceConfig{QueueDepth: 4, BatchMax: 2, RetryAfter: 3 * time.Second})
+	srv.EnableCoalescing(CoalesceConfig{QueueDepth: 4, BatchMax: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
@@ -382,8 +559,8 @@ func TestCoalescerSheds(t *testing.T) {
 	if shed == 0 {
 		t.Fatalf("expected shedding with queue depth 4 and 64 items; results: %d accepted", accepted)
 	}
-	if retryAfter != 3*time.Second {
-		t.Errorf("Retry-After = %v, want 3s", retryAfter)
+	if retryAfter != time.Second {
+		t.Errorf("Retry-After = %v, want 1s", retryAfter)
 	}
 
 	// The retrying client path recovers: re-driving the same batch (same
@@ -404,6 +581,111 @@ func TestCoalescerSheds(t *testing.T) {
 	}
 	if got := srv.Roads(); len(got) != 1 || got[0].Submissions != len(items) {
 		t.Errorf("stored %+v, want %d submissions exactly once", got, len(items))
+	}
+}
+
+// TestWritePathCounters pins what the write-path counters count. A batch
+// moves cloud_batch_items_total{status} by as many items as its response
+// gives that status, shed ones included. cloud_coalesce_batch_size takes
+// one observation per pass that cloud_coalesce_folds_total counts, and its
+// sum is the items the workers folded. A submission that folds inline
+// (Submit, the single-profile door, a batch on a server without a
+// coalescer) moves neither coalescer counter.
+func TestWritePathCounters(t *testing.T) {
+	type counts struct {
+		items        map[string]uint64
+		folds, sizes uint64
+		folded       float64
+	}
+	read := func() counts {
+		c := counts{items: make(map[string]uint64), folds: obsCoalesceFolds.Value(),
+			sizes: obsCoalesceBatch.Count(), folded: obsCoalesceBatch.Sum()}
+		for status, ctr := range obsBatchItems {
+			c.items[status] = ctr.Value()
+		}
+		return c
+	}
+	itemsMoved := func(t *testing.T, before, after counts, res []BatchItemResult) {
+		t.Helper()
+		want := make(map[string]uint64)
+		for _, r := range res {
+			want[r.Status]++
+		}
+		for status := range obsBatchItems {
+			if got := after.items[status] - before.items[status]; got != want[status] {
+				t.Errorf("cloud_batch_items_total{status=%q} moved by %d, want %d", status, got, want[status])
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	batch := func(n int, prefix string) []BatchItem {
+		items := make([]BatchItem, n)
+		for i := range items {
+			items[i] = BatchItem{RoadID: "r", Key: fmt.Sprintf("%s-%d", prefix, i%(n-2)), Profile: realisticProfile(rng, 10)}
+		}
+		items[n-1].Profile.SpacingM = 10 // rejected: the road folds 5 m cells
+		return items
+	}
+
+	// A queue of 4 in front of a 64-item batch sheds some of it.
+	srv := NewServerWithShards(1)
+	srv.EnableCoalescing(CoalesceConfig{QueueDepth: 4, BatchMax: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+	cli, err := NewClient(ts.URL, ts.Client(), WithRetry(1, time.Millisecond, time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := read()
+	res, _, err := cli.submitBatchOnce(context.Background(), batch(64, "c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := read()
+	itemsMoved(t, before, after, res)
+	shed := 0
+	for _, r := range res {
+		if r.Status == statusShed {
+			shed++
+		}
+	}
+	if shed == 0 || shed == len(res) {
+		t.Fatalf("%d of %d items shed: want some folded and some shed", shed, len(res))
+	}
+	if folds, sizes := after.folds-before.folds, after.sizes-before.sizes; folds == 0 || sizes != folds {
+		t.Errorf("%d passes counted, %d batch sizes observed; want the same, above 0", folds, sizes)
+	}
+	if got, want := after.folded-before.folded, float64(len(res)-shed); got != want {
+		t.Errorf("batch sizes sum to %v items, want the %v folded", got, want)
+	}
+
+	// Inline folds: Submit and the single-profile door of the coalescing
+	// server, and a batch on a server without a coalescer.
+	before = read()
+	if err := srv.Submit("r-inline", realisticProfile(rng, 10)); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(FromProfile(realisticProfile(rng, 10)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, b, _ := postProfileBody(srv, srv.Handler(), "/v1/roads/r-inline/profiles", body); code != http.StatusAccepted {
+		t.Fatalf("single door: HTTP %d: %s", code, b)
+	}
+	its := newHTTPServer(t, NewServerWithShards(1))
+	icli, err := NewClient(its.URL, its.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = icli.SubmitBatch(context.Background(), batch(8, "i")); err != nil {
+		t.Fatal(err)
+	}
+	after = read()
+	itemsMoved(t, before, after, res)
+	if after.folds != before.folds || after.sizes != before.sizes {
+		t.Errorf("inline folds moved the coalescer counters: %d passes, %d sizes, were %d, %d",
+			after.folds, after.sizes, before.folds, before.sizes)
 	}
 }
 

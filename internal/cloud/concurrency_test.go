@@ -110,9 +110,9 @@ func TestFusedJSONCache(t *testing.T) {
 	}
 }
 
-// TestConcurrentMixedLoadAcrossShards hammers SubmitIdempotent, Fused, and
-// Roads from many goroutines across many roads (so every shard sees traffic)
-// with a small retention window (so eviction/rebuild happens under
+// TestConcurrentMixedLoadAcrossShards hammers SubmitIdempotentDevice, Fused,
+// and Roads from many goroutines across many roads (so every shard sees
+// traffic) with a small retention window (so eviction/rebuild happens under
 // contention). Run under -race this is the serving path's data-race gate.
 func TestConcurrentMixedLoadAcrossShards(t *testing.T) {
 	s := NewServer()
@@ -134,13 +134,13 @@ func TestConcurrentMixedLoadAcrossShards(t *testing.T) {
 			for i := 0; i < ops; i++ {
 				id := roadID(rng.Intn(roads))
 				key := fmt.Sprintf("w%d-%d", w, i)
-				if _, err := s.SubmitIdempotent(id, key, randProfile(rng, 20)); err != nil {
+				if _, err := s.SubmitIdempotentDevice(id, key, "", randProfile(rng, 20)); err != nil {
 					t.Error(err)
 					return
 				}
 				// Occasionally retry the same key: must dedup, not store.
 				if i%7 == 0 {
-					if dup, err := s.SubmitIdempotent(id, key, randProfile(rng, 20)); err != nil || !dup {
+					if dup, err := s.SubmitIdempotentDevice(id, key, "", randProfile(rng, 20)); err != nil || !dup {
 						t.Errorf("retry of %s: dup=%v err=%v", key, dup, err)
 						return
 					}
@@ -210,7 +210,7 @@ func TestConcurrentIdempotencyOneWinner(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			dup, err := s.SubmitIdempotent("one-rd", "the-key", p)
+			dup, err := s.SubmitIdempotentDevice("one-rd", "the-key", "", p)
 			if err != nil {
 				t.Error(err)
 				return

@@ -13,14 +13,15 @@ package cloud
 // acyclic), which serializes a device's state updates across roads while two
 // different devices folding into the same road only serialize on the road.
 //
-// Cross-road determinism note: within one road, submissions fold in FIFO
-// order (direct path and coalescer alike), so a road's fused map is a pure
-// function of its submission sequence and of each submission's device-state
-// snapshot at fold time. A device interleaving submissions across roads on
-// different shards may have its reputation updates ordered differently
-// between runs; the bit-reproducibility guarantee is therefore per road for
-// a fixed per-road sequence of (profile, device-state) pairs — the property
-// the coalescer tests pin down.
+// Determinism note: every submission lands through one fold, which adds a
+// pass's items in arrival order, so within a shard the fold sequence is the
+// arrival sequence whether items fold one per pass (inline) or many (the
+// coalescer). For a fixed arrival sequence per shard, every road's fused
+// map and every device's trust state are therefore bit-reproducible, even
+// when a device interleaves submissions across roads of that shard
+// (TestFoldArrivalOrder). Across shards there is no single order: a device
+// whose roads hash to different shards, folded by different workers, may
+// have its updates ordered differently between runs.
 
 import (
 	"errors"

@@ -78,29 +78,24 @@ func foldByShard(t *testing.T, srv *Server, items []BatchItem, between func()) (
 	t.Helper()
 	groups := make(map[*shard][]*pendingItem)
 	var order []*shard
-	var wg sync.WaitGroup
 	for i := range items {
 		sh := srv.shardFor(items[i].RoadID)
 		if _, ok := groups[sh]; !ok {
 			order = append(order, sh)
 		}
-		wg.Add(1)
-		groups[sh] = append(groups[sh], &pendingItem{
-			roadID: items[i].RoadID, p: items[i].Profile, out: &BatchItemResult{}, done: &wg,
-		})
+		groups[sh] = append(groups[sh], &pendingItem{BatchItem: items[i]})
 	}
 	for n, sh := range order {
-		srv.foldShard(sh, groups[sh])
+		srv.fold(sh, groups[sh])
 		for _, it := range groups[sh] {
-			if it.out.Status != statusAccepted {
-				t.Fatalf("batch item for %s: %s %s", it.roadID, it.out.Status, it.out.Error)
+			if it.res.Status != statusAccepted {
+				t.Fatalf("batch item for %s: %s %s", it.RoadID, it.res.Status, it.res.Error)
 			}
 		}
 		if n == 0 && len(order) > 1 && between != nil {
 			between()
 		}
 	}
-	wg.Wait()
 	return len(order)
 }
 

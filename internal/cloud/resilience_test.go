@@ -127,14 +127,14 @@ func TestSubmitIdempotentRollbackOnError(t *testing.T) {
 	s := NewServer()
 	p := profileOf(5, []float64{0.01}, 1e-4)
 	// Empty road id fails Submit; the key must stay usable afterwards.
-	if _, err := s.SubmitIdempotent("", "k1", p); err == nil {
+	if _, err := s.SubmitIdempotentDevice("", "k1", "", p); err == nil {
 		t.Fatal("empty road id should error")
 	}
-	dup, err := s.SubmitIdempotent("r1", "k1", p)
+	dup, err := s.SubmitIdempotentDevice("r1", "k1", "", p)
 	if err != nil || dup {
 		t.Fatalf("key must be released after a failed submit: dup=%v err=%v", dup, err)
 	}
-	dup, err = s.SubmitIdempotent("r1", "k1", p)
+	dup, err = s.SubmitIdempotentDevice("r1", "k1", "", p)
 	if err != nil || !dup {
 		t.Fatalf("second use of an accepted key: dup=%v err=%v, want duplicate", dup, err)
 	}

@@ -78,11 +78,11 @@ type roadState struct {
 // when one is attached (de may be nil: anonymous submission). rs.mu must be
 // held for writing; the device entry's own lock is taken here — the lock
 // order is road lock → device lock, and device code never takes a road lock,
-// so the hierarchy is acyclic. The caller bumps generations and the
-// server-wide counter (the direct path bumps per call, the coalescer
-// amortizes across a fold batch). The returned report carries the fold's
-// robustness counts (downweighted/trimmed/clamped cells, post-fold
-// reputation) for span annotation; it is zero on error.
+// so the hierarchy is acyclic. Its one caller, Server.fold, bumps the road's
+// generation per accepted item and the server-wide counter once per pass.
+// The returned report carries the fold's robustness counts
+// (downweighted/trimmed/clamped cells, post-fold reputation) for span
+// annotation; it is zero on error.
 func (rs *roadState) addLocked(p *fusion.Profile, de *deviceEntry) (fusion.FoldReport, error) {
 	if rs.acc.Len() > 0 && rs.acc.Spacing() != p.SpacingM {
 		return fusion.FoldReport{}, fmt.Errorf("cloud: expects spacing %v, got %v", rs.acc.Spacing(), p.SpacingM)

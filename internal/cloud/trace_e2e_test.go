@@ -44,7 +44,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	// for cause (shed annotation, fold keep), not by luck.
 	st := srv.EnableTracing(obs.StoreConfig{Rand: func() float64 { return 1 }})
 	defer tr.Disable()
-	srv.EnableCoalescing(CoalesceConfig{QueueDepth: 1, BatchMax: 1, RetryAfter: 1 * time.Second})
+	srv.EnableCoalescing(CoalesceConfig{QueueDepth: 1, BatchMax: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
@@ -58,14 +58,11 @@ func TestTraceEndToEnd(t *testing.T) {
 	var blockedDone sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		blockedDone.Add(1)
-		it := &pendingItem{
-			roadID: "r-block",
-			key:    "blk-" + strconv.Itoa(i),
-			p:      realisticProfile(rng, 24),
-			out:    &BatchItemResult{},
-			done:   &blockedDone,
+		it := pendingItem{
+			BatchItem: BatchItem{RoadID: "r-block", Key: "blk-" + strconv.Itoa(i), Profile: realisticProfile(rng, 24)},
+			done:      &blockedDone,
 		}
-		if shed := srv.enqueue([]*pendingItem{it}); shed != 0 {
+		if shed := srv.enqueue([]pendingItem{it}); shed != 0 {
 			blockRS.mu.Unlock()
 			t.Fatalf("setup item %d shed", i)
 		}

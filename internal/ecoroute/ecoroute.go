@@ -88,6 +88,20 @@ func (o Objective) String() string {
 	}
 }
 
+// MarshalText encodes the objective by name, so a Plan's JSON reads
+// "Objective":"fuel" rather than the enum's position.
+func (o Objective) MarshalText() ([]byte, error) { return []byte(o.String()), nil }
+
+// UnmarshalText decodes an objective name through ParseObjective.
+func (o *Objective) UnmarshalText(text []byte) error {
+	obj, err := ParseObjective(string(text))
+	if err != nil {
+		return err
+	}
+	*o = obj
+	return nil
+}
+
 // Objectives lists every routing objective in stable order.
 func Objectives() []Objective {
 	return []Objective{Distance, Time, Fuel, CO2, NOx, CO, HC, PM}

@@ -1,11 +1,13 @@
 package ecoroute
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"roadgrade/internal/emission"
@@ -532,6 +534,29 @@ func TestParseObjective(t *testing.T) {
 	}
 	if _, err := ParseObjective("scenic"); err == nil {
 		t.Error("ParseObjective(scenic): want error")
+	}
+}
+
+// TestObjectiveText: every objective marshals to its name, so a Plan's JSON
+// reads "Objective":"fuel", and decodes back through ParseObjective; an
+// unknown name does not decode.
+func TestObjectiveText(t *testing.T) {
+	for _, o := range Objectives() {
+		b, err := json.Marshal(Plan{Objective: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := `"Objective":"` + o.String() + `"`; !strings.Contains(string(b), want) {
+			t.Errorf("%v marshals as %s, want %s", o, b, want)
+		}
+		var back Plan
+		if err := json.Unmarshal(b, &back); err != nil || back.Objective != o {
+			t.Errorf("%v round-trips to %v, %v", o, back.Objective, err)
+		}
+	}
+	var o Objective
+	if err := json.Unmarshal([]byte(`"scenic"`), &o); err == nil {
+		t.Error(`"scenic" decoded as an objective`)
 	}
 }
 

@@ -189,8 +189,8 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 // Degenerate tracks (NaN samples, zero variance, implausible grades — see
 // CheckTrack) are quarantined rather than fused, so one corrupted velocity
 // source degrades the result to the surviving tracks instead of poisoning the
-// consensus; FuseTracksReport exposes the verdicts. Fusing fails only when no
-// healthy track remains.
+// consensus; FuseTracksReport exposes the verdicts. Fusing fails when no
+// healthy track remains, or when none has a sample on the road.
 func FuseTracks(tracks []*core.Track, spacingM, lengthM float64) (*Profile, error) {
 	prof, _, err := FuseTracksReport(tracks, spacingM, lengthM)
 	return prof, err
@@ -269,6 +269,10 @@ func FuseTracksReport(tracks []*core.Track, spacingM, lengthM float64) (*Profile
 		u := 1 / sumInv // Eq. (6b)
 		prof.GradeRad[c] = u * sumWeighted
 		prof.Var[c] = u
+	}
+	if first < 0 {
+		return nil, reports, fmt.Errorf("fusion: no healthy track has a sample inside [0, %v] m (%d healthy)",
+			lengthM, len(healthy))
 	}
 	// Cells before the first covered one carry it backward, so no cell is
 	// left at zero variance, which the upload codecs reject.

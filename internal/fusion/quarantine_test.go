@@ -98,3 +98,23 @@ func TestFuseTracksAllQuarantinedErrors(t *testing.T) {
 		t.Error("fusion with no healthy tracks should error")
 	}
 }
+
+// TestFuseTracksNoCoverageErrors: a healthy track whose samples all lie past
+// the road's end covers no cell, so there is no profile to return; fusing
+// fails, with the verdicts, instead of returning cells at zero variance.
+func TestFuseTracksNoCoverageErrors(t *testing.T) {
+	tr := syntheticTrack(rand.New(rand.NewSource(14)), sensors.SourceGPS, 100, 0.01, flatTruth)
+	for i := range tr.S {
+		tr.S[i] += 300 // samples over 300–400 m
+	}
+	prof, reports, err := FuseTracksReport([]*core.Track{tr}, 5, 200)
+	if err == nil {
+		t.Fatalf("fusion onto a 200 m road gave %d cells and no error", prof.Len())
+	}
+	if prof != nil {
+		t.Error("a failed fusion returned a profile")
+	}
+	if len(reports) != 1 || reports[0].Quarantined {
+		t.Errorf("reports = %+v, want one healthy verdict", reports)
+	}
+}

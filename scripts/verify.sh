@@ -42,9 +42,12 @@ go test -race -count=1 ./...
 echo "== go test -race (repeated interleavings) =="
 # These tests race goroutines whose interleavings vary run to run, so one
 # pass proves little; repeat them.
-# The batched-ingest coalescer: enqueue, per-shard folding, and Close-time
-# draining, plus the shutdown and idempotency interleavings.
-go test -race -count=2 -run 'TestCoalescer|TestKeyRingConcurrent|TestBatched' ./internal/cloud
+# The one fold every submission lands through, fed by the coalescer's
+# per-shard workers and inline by the direct path: enqueue, passes and
+# Close-time draining, concurrent retries of one idempotency key through
+# both, and passes bit-identical to one-by-one folds for every road and
+# device.
+go test -race -count=2 -run 'TestCoalescer|TestKeyRingConcurrent|TestBatched|TestConcurrentIdempotencyOneWinner|TestCoalescedFusionBitIdentical|TestDeviceCoalescedBitIdentical|TestFoldArrivalOrder' ./internal/cloud
 # CCH weight-table recycling: a tick replays the current table's delta into
 # its predecessor's arrays once that table's reader count (checked under
 # cchWMu) has drained, and copies into fresh arrays while a reader holds it.
