@@ -125,7 +125,8 @@ type Server struct {
 	// recost when the counter moved.
 	feed changeFeed
 
-	// router, when set via EnableRouting, serves GET /v1/route;
+	// router, when set via EnableRouting, serves GET /v1/route, and every
+	// fold that accepts a submission wakes its snapshot publisher;
 	// routeQueries counts answered queries.
 	router       *ecoroute.Engine
 	routeQueries *obs.Counter

@@ -268,7 +268,13 @@ func (s *Server) collect(buf []*pendingItem, q chan *pendingItem) []*pendingItem
 //     accepted item bumps its road's generation;
 //  3. one shard-lock hold releases the keys of rejected items, so they stay
 //     retryable;
-//  4. the change feed records each changed road once.
+//  4. the change feed records each changed road once, with a publish of the
+//     routing engine marked pending around it: a query that reads the new
+//     generation waits for the engine's publisher, which the fold then
+//     wakes without waiting for it.
+//
+// A rejected item's error names the road, whichever door or pass it came
+// through: cloud: road r: <reason>.
 //
 // Arrival order across roads is what makes a pass bit-identical to folding
 // its items one by one: the RobustAccumulator.AddDeviceReport calls, and so
@@ -333,7 +339,7 @@ func (s *Server) fold(sh *shard, items []*pendingItem) {
 		}
 		rs.mu.Unlock()
 		if err != nil {
-			it.res = BatchItemResult{Status: statusRejected, Error: err.Error()}
+			it.res = BatchItemResult{Status: statusRejected, Error: "cloud: road " + it.RoadID + ": " + err.Error()}
 			rejected++
 			if it.Key != "" {
 				rejectedKeys = append(rejectedKeys, it.Key)
@@ -357,7 +363,14 @@ func (s *Server) fold(sh *shard, items []*pendingItem) {
 		sh.mu.Unlock()
 	}
 	if accepted > 0 {
+		eng := s.router
+		if eng != nil {
+			eng.MarkPending()
+		}
 		s.feed.record(accepted, changed...)
+		if eng != nil {
+			eng.Wake()
+		}
 	}
 	// End the fold span before the caller releases the handlers: by the
 	// time a batch response reaches the client, the fold's link into that
@@ -374,12 +387,9 @@ func (s *Server) fold(sh *shard, items []*pendingItem) {
 }
 
 // foldOne folds one validated submission inline, as a one-item pass on the
-// caller's goroutine. A rejection's error names the road.
+// caller's goroutine.
 func (s *Server) foldOne(it *pendingItem) {
 	s.fold(s.shardFor(it.RoadID), []*pendingItem{it})
-	if it.res.Status == statusRejected {
-		it.res.Error = "cloud: road " + it.RoadID + ": " + it.res.Error
-	}
 }
 
 // queueDepth returns the total queued items (for tests and health checks).

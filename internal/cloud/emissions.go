@@ -250,12 +250,12 @@ func (s *Server) emissionBody(vehicle emission.VehicleClass, speedKmh float64, d
 	return json.Marshal(d)
 }
 
-// tableLocked returns the key's table brought up to the current snapshot of
-// eng, the server's routing engine. em.mu must be held: the table is only
-// read or written under it, and the snapshot is read under it too.
-// Published snapshots only move forward, so a table never goes back a
-// generation. The lock order is em.mu, then the engine's; nothing takes
-// them the other way.
+// tableLocked returns the key's table brought up to the published snapshot
+// of eng, the server's routing engine, waiting for a pending publish as a
+// route query does. em.mu must be held: the table is only read or written
+// under it, and the snapshot is read under it too. Published snapshots only
+// move forward, so a table never goes back a generation. The lock order is
+// em.mu, then the engine's; nothing takes them the other way.
 //
 // The first build integrates every row. A refresh diffs the stamp row the
 // table was built from against the snapshot's, skipping the pages they

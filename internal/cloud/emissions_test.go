@@ -529,10 +529,10 @@ func TestEmissionsReadAttachedEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		r0 := refreshes.Value() // the fold wakes the publisher
 		if err := s.Submit(ed.Road.ID(), p); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
-		r0 := refreshes.Value()
 		tables(func(k emisKind, class emission.VehicleClass, got EmissionTableDTO) {
 			want := EmissionTableDTO{Generation: s.StoreGeneration(), Vehicle: k.vehicle, SpeedKmh: k.kmh,
 				Epoch: s.emis.epoch, Roads: make([]EmissionRoadDTO, len(net.Edges))}

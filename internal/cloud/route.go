@@ -22,9 +22,12 @@ import (
 // EnableRouting attaches an eco-routing engine, turning on GET /v1/route.
 // Call before Handler()/serving; the engine is typically built over this
 // server's own fused store (ecoroute.CloudSource{Store: s}), so routes follow
-// the crowd-sourced gradient map as submissions refine it. Emission tables
-// (EnableEmissions) read whichever engine is attached, so an engine that
-// replaces one must cost the same network from the same store.
+// the crowd-sourced gradient map as submissions refine it. Every fold that
+// accepts a submission wakes the attached engine's publisher, which builds
+// the next snapshot off the request path; a query that reads the new
+// generation waits for that publish. Emission tables (EnableEmissions) read
+// whichever engine is attached, so an engine that replaces one must cost the
+// same network from the same store.
 func (s *Server) EnableRouting(eng *ecoroute.Engine) {
 	s.router = eng
 	s.routeQueries = obs.Default.Counter("cloud_route_queries_total")

@@ -82,10 +82,11 @@ type roadState struct {
 // generation per accepted item and the server-wide counter once per pass.
 // The returned report carries the fold's robustness counts
 // (downweighted/trimmed/clamped cells, post-fold reputation) for span
-// annotation; it is zero on error.
+// annotation; it is zero on error. An error does not name the road: fold
+// prefixes it.
 func (rs *roadState) addLocked(p *fusion.Profile, de *deviceEntry) (fusion.FoldReport, error) {
 	if rs.acc.Len() > 0 && rs.acc.Spacing() != p.SpacingM {
-		return fusion.FoldReport{}, fmt.Errorf("cloud: expects spacing %v, got %v", rs.acc.Spacing(), p.SpacingM)
+		return fusion.FoldReport{}, fmt.Errorf("expects spacing %v, got %v", rs.acc.Spacing(), p.SpacingM)
 	}
 	if de == nil {
 		return rs.acc.AddDeviceReport(p, nil)

@@ -10,11 +10,13 @@ import (
 )
 
 // BenchmarkCountryTick25x times one routing tick in process, with no HTTP
-// and no concurrent reader: one road's upload, then the first route of each
-// kind the route-country probe asks for (fuel and NOx at 30 to 60 km/h).
-// Those routes pay the refresh, eight CCH re-customizations and four
-// pollutant row builds. The network is the 25× country network with every
-// road prefilled once, as in the benchmark's route-country workload.
+// and no concurrent reader, on the path the server runs: one road's upload,
+// whose fold wakes the engine's publisher, then the first route of each kind
+// the route-country probe asks for (fuel and NOx at 30 to 60 km/h). The
+// publisher recosts the road, rebuilds four pollutant rows and re-customizes
+// the eight tables over GOMAXPROCS goroutines; the routes wait for its
+// publish and then search. The network is the 25× country network with
+// every road prefilled once, as in the benchmark's route-country workload.
 func BenchmarkCountryTick25x(b *testing.B) {
 	net, err := road.GenerateNetwork(1827, road.CountryConfig(25))
 	if err != nil {
@@ -34,6 +36,7 @@ func BenchmarkCountryTick25x(b *testing.B) {
 	if err != nil {
 		b.Fatalf("engine: %v", err)
 	}
+	srv.EnableRouting(eng)
 	// Like the probe, route along the uploaded road.
 	probe := func(ed *road.Edge) {
 		for _, kmh := range []float64{30, 40, 50, 60} {

@@ -306,6 +306,23 @@ func TestMatrixCtxCancel(t *testing.T) {
 	checkScratchClean(t, "cancelled matrix", eng)
 }
 
+// pinnedWeights is one published snapshot's weight table, read under the
+// snapshot's pin until release.
+type pinnedWeights struct {
+	*cchWeights
+	tb *tables
+}
+
+func (p pinnedWeights) release() { p.tb.release() }
+
+// pinWeights returns the weight table a query of obj at bucket searches, as
+// the query gets it: from a pinned published snapshot, built on its first
+// ask.
+func (e *Engine) pinWeights(obj Objective, bucket int) pinnedWeights {
+	tb := e.snapshot(e.needOf(obj, bucket, true))
+	return pinnedWeights{tb.w[e.slotOf(metricFor(obj), bucket)], tb}
+}
+
 // TestCCHPredecessorRecycling pins the array reuse of re-customization: with
 // no reader left on a slot's predecessor, a tick derives the successor in
 // the predecessor's own arrays; a reader still holding the predecessor
@@ -321,20 +338,14 @@ func TestCCHPredecessorRecycling(t *testing.T) {
 		t.Fatalf("engine: %v", err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	// acquire returns the fuel table for the current snapshot, one reader
-	// reference held.
-	acquire := func() *cchWeights {
-		tb, err := eng.fresh()
-		if err != nil {
-			t.Fatalf("fresh: %v", err)
-		}
-		return eng.cchWeightsFor(Fuel, 0, tb)
-	}
+	// acquire returns the fuel table of the current snapshot, the snapshot
+	// pinned by one reader.
+	acquire := func() pinnedWeights { return eng.pinWeights(Fuel, 0) }
 	tick := func() *cchWeights {
 		store.submit(t, net.Edges[rng.Intn(len(net.Edges))].Road, 0.05*rng.Float64())
 		w := acquire()
 		w.release()
-		return w
+		return w.cchWeights
 	}
 	sameArrays := func(a, b *cchWeights) bool { return &a.up[0] == &b.up[0] && &a.viaDn[0] == &b.viaDn[0] }
 
@@ -410,14 +421,10 @@ func TestCCHRecycleConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
-				tb, err := eng.fresh()
-				if err != nil {
-					t.Errorf("reader %d: fresh: %v", r, err)
-					return
-				}
 				k := kinds[rng.Intn(len(kinds))]
 				bucket, _ := eng.bucketFor(k.kmh)
-				w := eng.cchWeightsFor(k.obj, bucket, tb)
+				w := eng.pinWeights(k.obj, bucket)
+				tb := w.tb
 				if r == 0 {
 					// Hold the table until two more ticks have superseded it.
 					if n := int(finished.Load()); n+1 < nTicks {
@@ -428,7 +435,7 @@ func TestCCHRecycleConcurrentReaders(t *testing.T) {
 					}
 				}
 				s, d := int32(rng.Intn(len(eng.ids))), int32(rng.Intn(len(eng.ids)))
-				path, ok := eng.searchCCHWeights(w, s, d)
+				path, ok := eng.searchCCHWeights(w.cchWeights, s, d)
 				w.release()
 				ref, refOK := eng.searchDijkstra(eng.costRow(k.obj, bucket, tb), s, d)
 				if ok != refOK {
@@ -456,13 +463,9 @@ func TestCCHRecycleConcurrentReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for k := 0; k < nTicks; k++ {
 		store.submit(t, net.Edges[rng.Intn(len(net.Edges))].Road, 0.08*(rng.Float64()-0.5))
-		tb, err := eng.fresh()
-		if err != nil {
-			t.Fatalf("tick %d: fresh: %v", k, err)
-		}
 		for _, kind := range kinds {
 			bucket, _ := eng.bucketFor(kind.kmh)
-			eng.cchWeightsFor(kind.obj, bucket, tb).release()
+			eng.pinWeights(kind.obj, bucket).release()
 		}
 		finished.Store(int32(k + 1))
 		close(done[k])

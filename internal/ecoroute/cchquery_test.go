@@ -133,14 +133,10 @@ func TestCCHQueryMatchesUnpruned(t *testing.T) {
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
-	tb, err := eng.fresh()
-	if err != nil {
-		t.Fatalf("tables: %v", err)
-	}
 	bucket, _ := eng.bucketFor(40)
 	for _, obj := range []Objective{Fuel, NOx} {
-		w := eng.cchWeightsFor(obj, bucket, tb)
-		checkQueriesAgree(t, obj.String(), eng, w, allPairs(eng))
+		w := eng.pinWeights(obj, bucket)
+		checkQueriesAgree(t, obj.String(), eng, w.cchWeights, allPairs(eng))
 		w.release()
 	}
 }
@@ -157,12 +153,10 @@ func TestCostRowsNonNegative(t *testing.T) {
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
-	tb, err := eng.fresh()
-	if err != nil {
-		t.Fatalf("tables: %v", err)
-	}
 	for _, obj := range Objectives() {
 		for b, kmh := range eng.cfg.SpeedsKmh {
+			tb := eng.snapshot(eng.needOf(obj, b, false))
+			tb.release()
 			row := eng.costRow(metricFor(obj), b, tb)
 			for i := range int32(len(eng.edges)) {
 				if c := row.at(i); !(c >= 0) {

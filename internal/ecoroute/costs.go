@@ -2,7 +2,6 @@ package ecoroute
 
 import (
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,8 +13,9 @@ import (
 
 // Cost-table instrumentation. Reused counts edges whose generation stamp was
 // unchanged on a refresh scan (cache hit — no re-integration); recomputed
-// counts edges whose grades changed (cache miss). Warm queries that skip the
-// scan entirely are the snapshot hits.
+// counts edges whose grades changed (cache miss). A query served from a
+// published snapshot it did not build is a snapshot hit. A publish that
+// moves the generation is one refresh, timed from its start to its store.
 var (
 	obsCostReused   = obs.Default.Counter("ecoroute_cost_cache_hits_total")
 	obsCostRecomp   = obs.Default.Counter("ecoroute_cost_cache_misses_total")
@@ -46,62 +46,52 @@ func observeRoute(obj Objective) func() {
 	return func() { h.Observe(time.Since(start).Seconds()) }
 }
 
-// tables is one immutable cost-table snapshot. Queries read it lock-free;
-// refreshes derive the next snapshot from the previous one (sharing its row
-// pages and copying only those that hold an edge the change feed re-stamps)
-// and swap the pointer.
+// tables is one immutable snapshot: cost rows, pollutant rows and CCH
+// weight tables at one source generation. Queries read it lock-free, pinned
+// (publish.go); the publisher derives the next snapshot from it (sharing its
+// row pages and copying only those that hold an edge the change feed
+// re-stamps) and swaps the pointer.
 type tables struct {
 	// gen is the source generation the snapshot reflects.
 	gen uint64
-	// version bumps whenever any edge cost actually changed; the CCH
-	// weights of grade-dependent metrics are keyed to it, so an unchanged
-	// refresh re-customizes nothing.
-	version uint64
 	// edgeGen[e] is the grade-data stamp edge e's costs were built from.
 	edgeGen pagedRow[uint64]
 	// fuel[b][e] is edge e's gallons at bucket b's class-adjusted speed.
 	fuel []pagedRow[float64]
 	// gradeAt[e] is the grade closure edge e's costs were integrated on,
-	// captured at rebuild time. Pollutant rows are built lazily AFTER the
-	// snapshot is published; reading grades from the source then could see
-	// newer data than edgeGen stamps — these closures pin the snapshot's
-	// view (profile snapshots are immutable).
+	// captured at rebuild time, so a consumer of the snapshot (the
+	// pollutant rows, the cloud's emission tables) reads the grades its
+	// stamps name, not newer ones (profile snapshots are immutable).
 	gradeAt pagedRow[func(float64) float64]
 
-	// Pollutant cost rows (emis[b][sp][e], grams) are built lazily per
-	// bucket — one integration pass fills all four species — so fuel-only
-	// users never pay for them (emissions.go).
-	emisOnce []sync.Once
-	emis     [][]pagedRow[float64]
+	// emis[b][sp][e] is edge e's grams of pollutant sp at bucket b (one
+	// integration pass fills all four species), nil until a query asks for
+	// the bucket, so fuel-only users never pay for them (emissions.go).
+	emis [][]pagedRow[float64]
+	// w[slot] is the CCH weight table of one (metric, bucket) customized on
+	// this snapshot's costs (slotOf), nil until a query asks for it.
+	w []*cchWeights
+
+	// refs counts the readers holding the snapshot (pin). Once a replaced
+	// snapshot's count drains, the publisher may recycle the arrays of the
+	// tables only it held.
+	refs atomic.Int32
 }
 
-// atomicTables is the published-snapshot slot.
-type atomicTables struct{ p atomic.Pointer[tables] }
-
-// fresh returns a snapshot that reflects the source's current generation,
-// refreshing stale edges first if needed. The warm path is one atomic load
-// plus one counter comparison.
+// fresh returns a published snapshot that reflects at least the source
+// generation read on arrival, waiting for a pending publish (snapshot). Its
+// stamps, grades and rows are never recycled, so a caller that reads only
+// them needs no pin, and the warm path takes none; its weight tables are
+// only safe to read under a pin.
 func (e *Engine) fresh() (*tables, error) {
 	gen := e.src.Generation()
-	if tb := e.cur.p.Load(); tb != nil && tb.gen == gen {
+	if tb := e.cur.Load(); tb != nil && tb.gen >= gen {
 		obsSnapshotHits.Inc()
 		return tb, nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	// Re-check under the lock: another query may have refreshed already.
-	// Re-read the generation so a submission that landed while we waited is
-	// folded into this refresh rather than triggering another.
-	gen = e.src.Generation()
-	if tb := e.cur.p.Load(); tb != nil && tb.gen == gen {
-		return tb, nil
-	}
-	start := time.Now()
-	next := e.rebuild(e.cur.p.Load(), gen)
-	e.cur.p.Store(next)
-	obsRefreshes.Inc()
-	obsRefreshSecs.Observe(time.Since(start).Seconds())
-	return next, nil
+	tb := e.snapshot(needNothing)
+	tb.release()
+	return tb, nil
 }
 
 // GradeView is a read-only view of one published snapshot's grade data: per
@@ -112,9 +102,9 @@ func (e *Engine) fresh() (*tables, error) {
 // view pins the whole snapshot.
 type GradeView struct{ tb *tables }
 
-// Grades returns a view of a snapshot that reflects the source's current
-// generation, refreshing it first if needed (the refresh a route query
-// runs). Published snapshots only move forward, so a later call never
+// Grades returns a view of a published snapshot that reflects at least the
+// source's generation on arrival, waiting for a pending publish as a route
+// query does. Published snapshots only move forward, so a later call never
 // returns an older snapshot.
 func (e *Engine) Grades() (GradeView, error) {
 	tb, err := e.fresh()
@@ -149,19 +139,20 @@ func (v GradeView) Changed(since Stamps, fn func(i int)) {
 // closures or cost rows.
 type Stamps struct{ row pagedRow[uint64] }
 
-// rebuild derives the next snapshot from prev. Rows, stamps and grade
-// closures share prev's pages; only the edges the source's change feed
-// names are re-read, and only those whose stamp moved are written, which
-// copies the pages that hold them. The first build, a wrapped feed and a
-// source without one fall back to re-reading every edge.
-func (e *Engine) rebuild(prev *tables, gen uint64) *tables {
+// rebuild derives the next snapshot from prev, at generation gen or the
+// newer one the change feed brings it to, and reports whether any stamp
+// moved. Rows, stamps and grade closures share prev's pages; only the edges
+// the source's change feed names are re-read, and only those whose stamp
+// moved are written, which copies the pages that hold them. The first
+// build, a wrapped feed and a source without one fall back to re-reading
+// every edge. The pollutant rows and weight tables carry over from prev
+// as they are; publish brings the asked ones up to the new costs.
+func (e *Engine) rebuild(prev *tables, gen uint64) (*tables, bool) {
 	nEdges := len(e.edges)
 	nBuckets := len(e.cfg.SpeedsKmh)
 	next := &tables{
-		gen:      gen,
-		fuel:     make([]pagedRow[float64], nBuckets),
-		emisOnce: make([]sync.Once, nBuckets),
-		emis:     make([][]pagedRow[float64], nBuckets),
+		gen:  gen,
+		fuel: make([]pagedRow[float64], nBuckets),
 	}
 	var stale []int32
 	full := true
@@ -171,7 +162,8 @@ func (e *Engine) rebuild(prev *tables, gen uint64) *tables {
 		}
 		next.edgeGen = prev.edgeGen.clone()
 		next.gradeAt = prev.gradeAt.clone()
-		next.version = prev.version
+		next.emis = slices.Clone(prev.emis)
+		next.w = slices.Clone(prev.w)
 		stale, next.gen, full = e.changedEdges(prev.gen, gen)
 	} else {
 		for b := range next.fuel {
@@ -179,6 +171,8 @@ func (e *Engine) rebuild(prev *tables, gen uint64) *tables {
 		}
 		next.edgeGen = newPagedRow[uint64](nEdges)
 		next.gradeAt = newPagedRow[func(float64) float64](nEdges)
+		next.emis = make([][]pagedRow[float64], nBuckets)
+		next.w = make([]*cchWeights, int(PM+1)*nBuckets)
 	}
 	if full {
 		obsFullScans.Inc()
@@ -206,10 +200,7 @@ func (e *Engine) rebuild(prev *tables, gen uint64) *tables {
 	}
 	obsCostRecomp.Add(uint64(changed))
 	obsCostReused.Add(uint64(nEdges - changed))
-	if changed > 0 {
-		next.version++
-	}
-	return next
+	return next, prev == nil || changed > 0
 }
 
 // changedEdges lists, in ascending order, the edges whose grades may have

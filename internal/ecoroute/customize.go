@@ -2,7 +2,6 @@ package ecoroute
 
 import (
 	"math"
-	"sync/atomic"
 
 	"roadgrade/internal/obs"
 )
@@ -27,8 +26,9 @@ var (
 
 // cchWeights is one immutable customized metric: per-arc upward (lo→hi) and
 // downward (hi→lo) shortest-path weights plus the via encoding that unpacks
-// them back into original edges. Queries read it lock-free; a re-fusion
-// builds a successor (incrementally) and the cache swaps the pointer.
+// them back into original edges. It belongs to the snapshots that carry it
+// (tables.w); queries read it under a pin, and a publish that moves a stamp
+// derives a successor (incrementally) for the next snapshot.
 //
 // via values: -1 = unreachable in that direction; v <= -2 = the original
 // edge with index -2-v; v >= 0 = the flat triangle index whose two arcs the
@@ -41,20 +41,11 @@ type cchWeights struct {
 	// snapshot's row yields exactly the dirty edges, reading only the pages
 	// the two rows do not share.
 	edgeGen pagedRow[uint64]
-	version uint64
 	// changed lists the arcs whose weights differ from the table this one
 	// was derived from (empty after a full customization). Replaying them
 	// into that table's arrays turns it into this one.
 	changed []int32
-	// refs counts in-flight readers. cchWeightsFor increments it under the
-	// cache mutex before handing the table out; every reader releases when
-	// its search ends. Once a table's successor has itself been superseded,
-	// a count of zero lets the next re-customization write into its arrays.
-	refs atomic.Int32
 }
-
-// release marks the end of one reader's use of the table.
-func (w *cchWeights) release() { w.refs.Add(-1) }
 
 // newCCHWeights allocates a weight table over nArcs arcs.
 func newCCHWeights(nArcs int) *cchWeights {
@@ -62,13 +53,6 @@ func newCCHWeights(nArcs int) *cchWeights {
 		up: make([]float64, nArcs), dn: make([]float64, nArcs),
 		viaUp: make([]int32, nArcs), viaDn: make([]int32, nArcs),
 	}
-}
-
-// cchSlot is one (metric, bucket)'s customizations: the current table and
-// pred, the table it was derived from. pred is out of reach of new readers,
-// so once its count drains it is the next re-customization's spare.
-type cchSlot struct {
-	cur, pred *cchWeights
 }
 
 // cchCustStats records how the most recent customization ran, for tests and
@@ -79,10 +63,11 @@ type cchCustStats struct {
 	totalArcs      int
 }
 
-// lastCustStats returns the stats of the engine's most recent customization.
+// lastCustStats returns the stats of the engine's most recent customization:
+// the last slot, in slot order, of the last publish that customized any.
 func (e *Engine) lastCustStats() cchCustStats {
-	e.cchWMu.Lock()
-	defer e.cchWMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.lastCust
 }
 
@@ -176,12 +161,12 @@ func (g *cch) customize(w *cchWeights, cost pagedRow[float64]) {
 // them changes last tests t on final weights. updateArc re-derives d from
 // its queued triangles alone.
 //
-// spare, when non-nil, is the table old was derived from, with no readers
-// left: replaying old.changed into its arrays makes them equal old's, and
-// the successor is derived there. Without one the successor copies old's
-// arrays into fresh ones. Returns the new table and the number of arcs
-// re-derived.
-func (g *cch) recustomize(old, spare *cchWeights, cost pagedRow[float64], edgeGen pagedRow[uint64], version uint64, work *arcWorklist) (*cchWeights, int) {
+// spare, when non-nil, is the table old was derived from, held by no pinned
+// snapshot: replaying old.changed into its arrays makes them equal old's,
+// and the successor is derived there. Without one the successor copies
+// old's arrays into fresh ones. Returns the new table and the number of
+// arcs re-derived.
+func (g *cch) recustomize(old, spare *cchWeights, cost pagedRow[float64], edgeGen pagedRow[uint64], work *arcWorklist) (*cchWeights, int) {
 	w := spare
 	if w != nil {
 		for _, a := range old.changed {
@@ -195,7 +180,7 @@ func (g *cch) recustomize(old, spare *cchWeights, cost pagedRow[float64], edgeGe
 		copy(w.viaUp, old.viaUp)
 		copy(w.viaDn, old.viaDn)
 	}
-	w.edgeGen, w.version = edgeGen, version
+	w.edgeGen = edgeGen
 	diffRows(old.edgeGen, edgeGen, func(i int32) {
 		if a := g.edgeArc[i]; a >= 0 {
 			work.push(a, -1)
@@ -349,69 +334,4 @@ func (q *arcWorklist) drop(a int32) {
 	for q.next() == a {
 		q.pop()
 	}
-}
-
-// weightKey names one customized metric in the cache: the search metric and
-// the speed bucket (0 for Distance, whose costs are bucket-independent).
-type weightKey struct {
-	metric Objective
-	bucket int
-}
-
-// cchWeightsFor returns (customizing if needed) the weight table for a metric
-// and bucket on the given snapshot. Distance ignores the bucket, Distance and
-// Time never invalidate, and grade-dependent metrics (Fuel and the
-// pollutants) are tied to the snapshot's cost version. A superseded
-// grade-dependent table is not discarded — it seeds the incremental
-// re-customization and stays as the slot's predecessor, whose arrays the
-// tick after next writes into once its readers have drained.
-//
-// The returned table has one reader reference held for the caller, who must
-// release() it when the search is done.
-func (e *Engine) cchWeightsFor(metric Objective, bucket int, tb *tables) *cchWeights {
-	g := e.cchGraph()
-	key := weightKey{metric: metric, bucket: bucket}
-	var version uint64
-	switch {
-	case metric == Distance:
-		key.bucket = 0 // distance costs are bucket-independent
-	case gradeDependent(metric):
-		version = tb.version
-	}
-	e.cchWMu.Lock()
-	defer e.cchWMu.Unlock()
-	sl := e.cchW[key]
-	if sl != nil && sl.cur.version == version {
-		sl.cur.refs.Add(1)
-		return sl.cur
-	}
-	cost := e.costRow(metric, bucket, tb)
-	stats := cchCustStats{totalArcs: len(g.arcLo)}
-	var w *cchWeights
-	if sl == nil {
-		w = newCCHWeights(len(g.arcLo))
-		g.customize(w, cost)
-		w.edgeGen, w.version = tb.edgeGen, version
-		sl = &cchSlot{}
-		e.cchW[key] = sl
-		stats.full = true
-		stats.recomputedArcs = stats.totalArcs
-		obsCCHCustFull.Inc()
-	} else {
-		// Readers acquire only the current table and only under cchWMu, so
-		// a predecessor's zero count is final. A reader still holding it
-		// forces a copy into fresh arrays instead.
-		spare := sl.pred
-		if spare != nil && spare.refs.Load() != 0 {
-			spare = nil
-		}
-		w, stats.recomputedArcs = g.recustomize(sl.cur, spare, cost, tb.edgeGen, version, &e.cchWork)
-		sl.pred = sl.cur
-		obsCCHCustIncr.Inc()
-	}
-	sl.cur = w
-	obsCCHArcs.Add(uint64(stats.recomputedArcs))
-	e.lastCust = stats
-	w.refs.Add(1)
-	return w
 }

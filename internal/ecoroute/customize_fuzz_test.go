@@ -67,8 +67,8 @@ var cchRecustomizeSeeds = []struct {
 
 // checkRecustomize replays input's ticks through recustomize twice per tick
 // — copying the current table into fresh arrays, and replaying its delta
-// into its predecessor's, as cchWeightsFor does once no reader holds the
-// predecessor — and requires each result to equal a full customization of
+// into its predecessor's, as a publish does once no pinned snapshot holds
+// the predecessor — and requires each result to equal a full customization of
 // the tick's cost row: weights by Float64bits, vias exactly, and a changed
 // list naming exactly the arcs that differ from the current table, in
 // ascending order. Each tick derives its cost and stamp rows copy-on-write
@@ -114,9 +114,9 @@ func checkRecustomize(t *testing.T, eng *Engine, input []byte) {
 				wantChanged = append(wantChanged, int32(a))
 			}
 		}
-		fresh, _ := g.recustomize(cur, nil, cost, gen, uint64(tick), &work)
+		fresh, _ := g.recustomize(cur, nil, cost, gen, &work)
 		sameTable(t, fmt.Sprintf("tick %d, fresh copy", tick), fresh, ref, wantChanged)
-		next, _ := g.recustomize(cur, pred, cost, gen, uint64(tick), &work)
+		next, _ := g.recustomize(cur, pred, cost, gen, &work)
 		sameTable(t, fmt.Sprintf("tick %d, predecessor replay", tick), next, ref, wantChanged)
 		if t.Failed() {
 			return

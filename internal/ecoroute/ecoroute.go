@@ -11,17 +11,19 @@
 //     direction, so every directed edge gets its own cost, per cruise-speed
 //     bucket (class-dependent speed factors make arterials faster than local
 //     streets, so fastest and shortest genuinely differ).
-//   - Cost tables are precomputed once and cached as immutable snapshots
-//     stamped with the grade source's generation counters. A cloud
-//     re-fusion bumps only the re-fused roads' generations, so a refresh
-//     recomputes only those edges (cache hits/misses are exported metrics).
+//   - Cost tables are precomputed once and published as immutable
+//     snapshots stamped with the grade source's generation counters. A
+//     cloud re-fusion bumps only the re-fused roads' generations, so the
+//     next snapshot recomputes only those edges (cache hits/misses are
+//     exported metrics). One publisher per engine builds it, woken by the
+//     source; queries only load a published snapshot (publish.go).
 //   - One fast search answers every query: a customizable contraction
 //     hierarchy (DESIGN.md §13). The topology is contracted once, each
-//     (metric, speed bucket) is customized on first use and re-customized
-//     incrementally when the source's generation ticks, point queries walk
-//     the elimination tree, and many-to-many matrices sweep it with target
-//     buckets. Plain Dijkstra (RouteDijkstra) stays as the reference: a
-//     plan's cost is bit-identical under both.
+//     (metric, speed bucket) is customized on its first query and
+//     re-customized incrementally by every publish after, point queries
+//     walk the elimination tree, and many-to-many matrices sweep it with
+//     target buckets. Plain Dijkstra (RouteDijkstra) stays as the
+//     reference: a plan's cost is bit-identical under both.
 package ecoroute
 
 import (
@@ -184,8 +186,8 @@ func (c Config) classFactor(cls road.Class) float64 {
 }
 
 // Engine answers routing queries over one network and one grade source.
-// Safe for concurrent use: queries run on immutable cost-table snapshots,
-// refreshes build a new snapshot and swap it in.
+// Safe for concurrent use: queries run on immutable published snapshots,
+// and the publisher builds the next one and swaps it in.
 type Engine struct {
 	net *road.Network
 	src GradeSource
@@ -216,29 +218,42 @@ type Engine struct {
 	// speed; fixed at construction (grades don't change time in this model).
 	timeS []pagedRow[float64]
 
-	mu  sync.Mutex // serializes refreshes
-	cur atomicTables
+	// cur is the published snapshot: rows, pollutant rows and weight
+	// tables at one source generation.
+	cur atomic.Pointer[tables]
 
-	// emisNewest[b] is the newest pollutant rows any snapshot built for
-	// bucket b, with the stamp row they were built against: the next build
-	// of that bucket, in whichever snapshot, starts from them.
-	emisNewest []atomic.Pointer[emisRows]
-
-	// Customizable contraction hierarchy: the metric-independent
-	// contraction is built once on first use; customized weight tables are
-	// cached per (metric, bucket), and re-fusions re-customize them
-	// incrementally.
-	cchOnce  sync.Once
-	cchG     *cch
-	cchWMu   sync.Mutex
-	cchW     map[weightKey]*cchSlot
-	cchWork  arcWorklist  // re-customization worklist, reused under cchWMu
-	cchPool  sync.Pool    // *cchScratch
+	// Publisher state (publish.go), under mu. pending counts source changes
+	// between MarkPending and Wake; dirty records a Wake (or a new ask)
+	// since the publish right's holder last read the asks and the
+	// generation; running is the publish right; askRows and askW are the
+	// pollutant buckets and weight slots queries have asked for.
+	mu       sync.Mutex
+	cond     sync.Cond // broadcast after every publish and Wake
+	pending  int
+	dirty    bool
+	running  bool
+	askRows  []bool
+	askW     []bool
 	lastCust cchCustStats // most recent customization's stats (tests, metrics)
+
+	// Owned by the publish right: the replaced snapshots a reader may still
+	// hold, per slot the table the current one was derived from (the next
+	// re-customization's spare once no pinned snapshot holds it), and one
+	// re-customization worklist per parallel goroutine.
+	retired []*tables
+	pred    []*cchWeights
+	work    []arcWorklist
+
+	// The metric-independent contraction, built once on first use, and
+	// pooled query scratch.
+	cchOnce    sync.Once
+	cchG       *cch
+	cchPool    sync.Pool // *cchScratch
+	bucketPool sync.Pool // *cchBuckets
 }
 
 // NewEngine indexes the network and prepares (but does not yet fill) the
-// cost tables; the first query triggers the initial build.
+// cost tables; the first query builds the first snapshot.
 func NewEngine(net *road.Network, src GradeSource, cfg Config) (*Engine, error) {
 	if net == nil || len(net.Nodes) == 0 {
 		return nil, errors.New("ecoroute: empty network")
@@ -254,15 +269,17 @@ func NewEngine(net *road.Network, src GradeSource, cfg Config) (*Engine, error) 
 	}
 
 	e := &Engine{
-		net:  net,
-		src:  src,
-		cfg:  cfg,
-		idx:  make(map[int]int, len(net.Nodes)),
-		ids:  make([]int, len(net.Nodes)),
-		cchW: make(map[weightKey]*cchSlot),
+		net: net,
+		src: src,
+		cfg: cfg,
+		idx: make(map[int]int, len(net.Nodes)),
+		ids: make([]int, len(net.Nodes)),
 
-		emisNewest: make([]atomic.Pointer[emisRows], len(cfg.SpeedsKmh)),
+		askRows: make([]bool, len(cfg.SpeedsKmh)),
+		askW:    make([]bool, int(PM+1)*len(cfg.SpeedsKmh)),
+		pred:    make([]*cchWeights, int(PM+1)*len(cfg.SpeedsKmh)),
 	}
+	e.cond.L = &e.mu
 	for i, n := range net.Nodes {
 		if _, dup := e.idx[n.ID]; dup {
 			return nil, fmt.Errorf("ecoroute: duplicate node id %d", n.ID)
@@ -443,16 +460,14 @@ func (e *Engine) buildPlan(obj Objective, bucket int, tb *tables, from, to int, 
 		}
 	}
 	if _, ok := pollutantOf(obj); ok {
-		// The bucket's pollutant rows were materialized by costRow above.
 		p.EmisG = e.pathGrams(bucket, tb, path)
 	}
 	return p
 }
 
 // costRow returns the per-edge cost row of a search metric (see metricFor:
-// CO2 searches Fuel's row and buildPlan scales its edges into grams). The
-// pollutant rows are built lazily per snapshot, one integration pass
-// filling all four species for a bucket.
+// CO2 searches Fuel's row and buildPlan scales its edges into grams). A
+// pollutant row needs a snapshot that holds its bucket's rows.
 func (e *Engine) costRow(metric Objective, bucket int, tb *tables) pagedRow[float64] {
 	switch metric {
 	case Distance:
@@ -505,16 +520,14 @@ func (e *Engine) route(obj Objective, speedKmh float64, from, to int, fast bool)
 	if !ok {
 		return Plan{}, fmt.Errorf("%w %d", ErrUnknownNode, to)
 	}
-	tb, err := e.fresh()
-	if err != nil {
-		return Plan{}, err
-	}
+	tb := e.snapshot(e.needOf(obj, bucket, fast && s != t))
+	defer tb.release()
 	if s == t {
 		return e.buildPlan(obj, bucket, tb, from, to, nil), nil
 	}
 	var path []int32
 	if fast {
-		path, ok = e.searchCCH(metricFor(obj), bucket, tb, int32(s), int32(t))
+		path, ok = e.searchCCHWeights(tb.w[e.slotOf(metricFor(obj), bucket)], int32(s), int32(t))
 	} else {
 		path, ok = e.searchDijkstra(e.costRow(metricFor(obj), bucket, tb), int32(s), int32(t))
 	}
@@ -524,7 +537,7 @@ func (e *Engine) route(obj Objective, speedKmh float64, from, to int, fast bool)
 	return e.buildPlan(obj, bucket, tb, from, to, path), nil
 }
 
-// Evaluate re-costs an answered plan on this engine's current snapshot: the
+// Evaluate re-costs an answered plan on this engine's published snapshot: the
 // same roads from the same origin, at the plan's speed and under its
 // objective, with all four pollutants filled. The plan may come from another
 // engine over the same network, so a route planned on estimated grades can
@@ -539,10 +552,8 @@ func (e *Engine) Evaluate(p Plan) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	tb, err := e.fresh()
-	if err != nil {
-		return Plan{}, err
-	}
+	tb := e.snapshot(need{rows: bucket, w: -1})
+	defer tb.release()
 	out := e.buildPlan(p.Objective, bucket, tb, p.From, p.To, path)
 	if _, ok := pollutantOf(p.Objective); !ok {
 		out.EmisG = e.pathGrams(bucket, tb, path)

@@ -428,12 +428,10 @@ func TestEvaluateMatchesRoute(t *testing.T) {
 	if err != nil {
 		t.Fatalf("flat engine: %v", err)
 	}
-	tb, err := eng.fresh()
-	if err != nil {
-		t.Fatalf("tables: %v", err)
-	}
 	const kmh = 50
 	bucket, _ := eng.bucketFor(kmh)
+	tb := eng.snapshot(need{rows: bucket, w: -1})
+	tb.release()
 	rng := rand.New(rand.NewSource(3))
 	pairs := [][2]int{{net.Nodes[0].ID, net.Nodes[0].ID}}
 	for len(pairs) < 12 {

@@ -7,14 +7,13 @@ import (
 
 // This file wires the operating-mode pollutant model (internal/emission)
 // into the cost-table machinery. Pollutant rows live inside the same
-// immutable snapshots as the fuel rows but are built lazily — one
-// integration pass per bucket fills all four species — and incrementally:
-// a build shares the pages of the newest rows any snapshot built for the
-// bucket and re-integrates only the edges whose stamp differs from theirs,
+// immutable snapshots as the fuel rows. The publisher builds a bucket's rows
+// once a query has asked for them, one integration pass filling all four
+// species, and incrementally: the next snapshot shares the pages of its
+// predecessor's rows and re-integrates only the edges whose stamp differs,
 // found by diffing the two stamp rows page by page. An edge's values are a
 // deterministic function of the grade data its stamp names, so the carried
-// entries are bit-identical to re-integrating, however many snapshots ago
-// the rows were built.
+// entries are bit-identical to re-integrating.
 
 var (
 	obsEmisBuilds = obs.Default.Counter("ecoroute_emission_row_builds_total")
@@ -38,8 +37,7 @@ func pollutantOf(obj Objective) (emission.Pollutant, bool) {
 }
 
 // gradeDependent reports whether a search metric's costs change when road
-// grades change — these metrics key their CCH weights to the snapshot's
-// cost version so a re-fusion re-customizes them.
+// grades change: a publish that moves a stamp re-customizes their tables.
 func gradeDependent(metric Objective) bool {
 	if metric == Fuel {
 		return true
@@ -48,57 +46,43 @@ func gradeDependent(metric Objective) bool {
 	return ok
 }
 
-// emisRows is one bucket's built pollutant rows (rows[sp][e], grams), the
-// stamp row they were built against, and the generation of the snapshot
-// that built them.
-type emisRows struct {
-	gen     uint64
-	edgeGen pagedRow[uint64]
-	rows    []pagedRow[float64]
+// buildRows fills bucket b's pollutant rows of next, the snapshot under
+// construction: from prev's rows, re-integrating the edges whose stamp
+// moved, or from scratch when prev has none.
+func (e *Engine) buildRows(prev, next *tables, bucket int) {
+	nEdges := len(e.edges)
+	rows := make([]pagedRow[float64], emission.NumPollutants)
+	recomputed := 0
+	recompute := func(i int32) {
+		recomputed++
+		v := e.cfg.SpeedsKmh[bucket] / 3.6 * e.cfg.classFactor(e.edges[i].Road.Class())
+		g, _ := emission.CellGrams(emissionModel, next.gradeAt.at(i), e.lengthM.at(i), v)
+		for p := range rows {
+			rows[p].set(i, g[p])
+		}
+	}
+	if prev != nil && prev.emis[bucket] != nil {
+		for p := range rows {
+			rows[p] = prev.emis[bucket][p].clone()
+		}
+		diffRows(prev.edgeGen, next.edgeGen, recompute)
+	} else {
+		for p := range rows {
+			rows[p] = newPagedRow[float64](nEdges)
+		}
+		for i := range nEdges {
+			recompute(int32(i))
+		}
+	}
+	obsEmisRecomp.Add(uint64(recomputed))
+	obsEmisReused.Add(uint64(nEdges - recomputed))
+	obsEmisBuilds.Inc()
+	next.emis[bucket] = rows
 }
 
 // emissionRow returns the per-edge gram cost row of one pollutant at one
-// bucket, materializing the bucket's four rows on first use.
+// bucket; the snapshot must hold the bucket's rows.
 func (e *Engine) emissionRow(sp emission.Pollutant, bucket int, tb *tables) pagedRow[float64] {
-	tb.emisOnce[bucket].Do(func() {
-		nEdges := len(e.edges)
-		base := e.emisNewest[bucket].Load()
-		rows := make([]pagedRow[float64], emission.NumPollutants)
-		recomputed := 0
-		recompute := func(i int32) {
-			recomputed++
-			v := e.cfg.SpeedsKmh[bucket] / 3.6 * e.cfg.classFactor(e.edges[i].Road.Class())
-			g, _ := emission.CellGrams(emissionModel, tb.gradeAt.at(i), e.lengthM.at(i), v)
-			for p := range rows {
-				rows[p].set(i, g[p])
-			}
-		}
-		if base != nil {
-			for p := range rows {
-				rows[p] = base.rows[p].clone()
-			}
-			diffRows(base.edgeGen, tb.edgeGen, recompute)
-		} else {
-			for p := range rows {
-				rows[p] = newPagedRow[float64](nEdges)
-			}
-			for i := range nEdges {
-				recompute(int32(i))
-			}
-		}
-		obsEmisRecomp.Add(uint64(recomputed))
-		obsEmisReused.Add(uint64(nEdges - recomputed))
-		tb.emis[bucket] = rows
-		obsEmisBuilds.Inc()
-		// Publish unless a newer snapshot already has; a late build on an
-		// old snapshot must not push the next build further back.
-		built := &emisRows{gen: tb.gen, edgeGen: tb.edgeGen, rows: rows}
-		for cur := base; cur == nil || cur.gen < tb.gen; cur = e.emisNewest[bucket].Load() {
-			if e.emisNewest[bucket].CompareAndSwap(cur, built) {
-				break
-			}
-		}
-	})
 	return tb.emis[bucket][sp]
 }
 

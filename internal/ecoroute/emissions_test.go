@@ -146,8 +146,8 @@ func TestPollutantRoutesBitIdentical(t *testing.T) {
 
 // TestEmissionRowsLazyAndIncremental pins the cost-table contract: pollutant
 // rows are not built until a pollutant objective is queried, and after a
-// one-road tick the next build copies every unchanged edge from the carried
-// snapshot bit-for-bit, re-integrating only the stamped road.
+// one-road tick the next build copies every unchanged edge from its
+// predecessor snapshot bit-for-bit, re-integrating only the stamped road.
 func TestEmissionRowsLazyAndIncremental(t *testing.T) {
 	net, err := road.GenerateNetwork(53, road.NetworkConfig{TargetStreetKM: 6})
 	if err != nil {
@@ -162,19 +162,23 @@ func TestEmissionRowsLazyAndIncremental(t *testing.T) {
 	if _, err := eng.Route(Fuel, 40, net.Edges[0].From, net.Edges[len(net.Edges)-1].To); err != nil && !errors.Is(err, ErrNoPath) {
 		t.Fatalf("fuel route: %v", err)
 	}
-	tb1 := eng.cur.p.Load()
-	if tb1.emis[0] != nil {
+	if tb := eng.cur.Load(); tb.emis[0] != nil {
 		t.Fatal("fuel-only query materialized pollutant rows — they must stay lazy")
+	}
+	if _, err := eng.Route(NOx, 40, net.Edges[0].From, net.Edges[len(net.Edges)-1].To); err != nil && !errors.Is(err, ErrNoPath) {
+		t.Fatalf("NOx route: %v", err)
+	}
+	tb1 := eng.cur.Load()
+	if tb1.emis[0] == nil {
+		t.Fatal("a NOx query did not publish the bucket's rows")
 	}
 	rowsBefore := make(map[emission.Pollutant][]float64)
 	for _, sp := range emission.Pollutants() {
 		rowsBefore[sp] = rowValues(eng.emissionRow(sp, 0, tb1))
 	}
-	if tb1.emis[0] == nil {
-		t.Fatal("emissionRow did not store the bucket's rows")
-	}
 
 	src.gen++
+	miss0 := obsEmisRecomp.Value()
 	tb2, err := eng.fresh()
 	if err != nil {
 		t.Fatalf("fresh: %v", err)
@@ -182,8 +186,11 @@ func TestEmissionRowsLazyAndIncremental(t *testing.T) {
 	if tb2 == tb1 {
 		t.Fatal("tick did not produce a new snapshot")
 	}
-	if base := eng.emisNewest[0].Load(); base == nil || base.gen != tb1.gen {
-		t.Fatal("the built pollutant rows were not kept for the next snapshot")
+	if tb2.emis[0] == nil {
+		t.Fatal("the refresh did not rebuild the asked bucket's rows")
+	}
+	if got := obsEmisRecomp.Value() - miss0; got != 1 {
+		t.Errorf("the refresh re-integrated %d edges, want the ticked road's 1", got)
 	}
 	changedEdge := -1
 	for _, sp := range emission.Pollutants() {

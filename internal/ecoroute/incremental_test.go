@@ -57,21 +57,19 @@ func checkAgainstFresh(t *testing.T, inc *Engine, tb *tables, store *fakeStore, 
 		if rows == nil {
 			continue
 		}
+		rtb := ref.snapshot(need{rows: b, w: -1})
 		for _, sp := range emission.Pollutants() {
 			sameBits(t, fmt.Sprintf("%s: %s[%d]", step, sp, b), rowValues(rows[sp]), rowValues(ref.emissionRow(sp, b, rtb)))
 		}
+		rtb.release()
 	}
-	inc.cchWMu.Lock()
-	slots := make(map[weightKey]*cchWeights, len(inc.cchW))
-	for k, sl := range inc.cchW {
-		if !gradeDependent(k.metric) || sl.cur.version == tb.version {
-			slots[k] = sl.cur
+	for slot, w := range tb.w {
+		if w == nil {
+			continue
 		}
-	}
-	inc.cchWMu.Unlock()
-	for k, w := range slots {
-		fw := ref.cchWeightsFor(k.metric, k.bucket, rtb)
-		what := fmt.Sprintf("%s: cch %s[%d]", step, k.metric, k.bucket)
+		metric, bucket := inc.slotKey(slot)
+		fw := ref.pinWeights(metric, bucket)
+		what := fmt.Sprintf("%s: cch %s[%d]", step, metric, bucket)
 		sameBits(t, what+" up", w.up, fw.up)
 		sameBits(t, what+" dn", w.dn, fw.dn)
 		for a := range w.viaUp {
@@ -214,25 +212,32 @@ func checkIncremental(t *testing.T, seed int64, levels []float64, km float64, st
 		}
 		switch {
 		case step == 6:
-			// The skipped bucket's next build starts from the rows built
-			// before the skip and re-integrates only the stamped edges.
+			// Every refresh since the skip kept the skipped bucket's rows
+			// current: the next one re-integrates only the stamped edges,
+			// in each asked bucket, and its NOx query builds nothing.
+			base, err := inc.fresh()
+			if err != nil {
+				t.Fatalf("%s: fresh: %v", name, err)
+			}
+			if base.emis[1] == nil {
+				t.Fatalf("%s: the skipped bucket's rows were dropped", name)
+			}
 			store.submit(t, net.Edges[rng.Intn(len(net.Edges))].Road, grade())
+			miss0 := obsEmisRecomp.Value() // ecoroute_emission_edge_cache_misses_total
 			tb, err := inc.fresh()
 			if err != nil {
 				t.Fatalf("%s: fresh: %v", name, err)
 			}
-			base := inc.emisNewest[1].Load()
 			stamped := 0
 			diffRows(base.edgeGen, tb.edgeGen, func(int32) { stamped++ })
 			if stamped == 0 || stamped >= len(net.Edges)/2 {
 				t.Fatalf("%s: %d of %d edges stamped since the skipped bucket's rows", name, stamped, len(net.Edges))
 			}
-			miss0 := obsEmisRecomp.Value() // ecoroute_emission_edge_cache_misses_total
 			if _, err := inc.Route(skipped.obj, skipped.kmh, pairs[0][0], pairs[0][1]); err != nil && !errors.Is(err, ErrNoPath) {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if got := obsEmisRecomp.Value() - miss0; got != uint64(stamped) {
-				t.Errorf("%s: skipped bucket's NOx query re-integrated %d edges, want the %d stamped", name, got, stamped)
+			if got := obsEmisRecomp.Value() - miss0; got != uint64(stamped*len(tb.emis)) {
+				t.Errorf("%s: the refresh and the skipped bucket's NOx query re-integrated %d edges, want the %d stamped in each of %d buckets", name, got, stamped, len(tb.emis))
 			}
 			read(name, append(kinds, skipped), false)
 		case step%7 == 3:

@@ -17,8 +17,8 @@ func (e *Engine) Matrix(obj Objective, speedKmh float64, sources, targets []int)
 // MatrixCtx is Matrix with cancellation: work stops (and ctx.Err() is
 // returned) as soon as the context is done, so an abandoned HTTP request
 // doesn't keep burning CPU on a grid nobody will read. The grid runs bucket
-// sweeps over the customized hierarchy (cchMatrix), checking the context
-// before each endpoint's sweep.
+// sweeps over the published snapshot's customized hierarchy (cchMatrix),
+// checking the context before each endpoint's sweep.
 func (e *Engine) MatrixCtx(ctx context.Context, obj Objective, speedKmh float64, sources, targets []int) ([][]float64, error) {
 	bucket, err := e.bucketFor(speedKmh)
 	if err != nil {
@@ -26,10 +26,6 @@ func (e *Engine) MatrixCtx(ctx context.Context, obj Objective, speedKmh float64,
 	}
 	if len(sources) == 0 || len(targets) == 0 {
 		return nil, fmt.Errorf("ecoroute: empty matrix query (%d sources, %d targets)", len(sources), len(targets))
-	}
-	tb, err := e.fresh()
-	if err != nil {
-		return nil, err
 	}
 	denseT, err := e.denseNodes(targets)
 	if err != nil {
@@ -44,7 +40,9 @@ func (e *Engine) MatrixCtx(ctx context.Context, obj Objective, speedKmh float64,
 		// The search runs on the fuel row; scale the reported costs.
 		scale = fuel.CO2GramsPerGallon
 	}
-	return e.cchMatrix(metricFor(obj), bucket, tb, denseS, denseT, scale, ctx.Err)
+	tb := e.snapshot(e.needOf(obj, bucket, true))
+	defer tb.release()
+	return e.cchMatrix(tb.w[e.slotOf(metricFor(obj), bucket)], denseS, denseT, scale, ctx.Err)
 }
 
 // denseNodes maps node IDs to dense indices.

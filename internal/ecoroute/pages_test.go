@@ -153,7 +153,7 @@ func TestOneRoadTickSharesPages(t *testing.T) {
 		}
 	}
 	route()
-	prev := eng.cur.p.Load()
+	prev := eng.cur.Load()
 	type snap struct {
 		stamps []uint64
 		rows   [][]float64
@@ -174,7 +174,7 @@ func TestOneRoadTickSharesPages(t *testing.T) {
 	target := eng.edges[2*pageLen-1].Road
 	store.submit(t, target, 0.05)
 	route()
-	next := eng.cur.p.Load()
+	next := eng.cur.Load()
 	if next == prev {
 		t.Fatal("tick did not produce a new snapshot")
 	}

@@ -141,14 +141,14 @@ func BenchmarkRouteScaleCCHRecustomizeTick100x(b *testing.B) {
 	// and runs before the timer starts.
 	var work arcWorklist
 	tick(1)
-	next, _ := g.recustomize(cur, nil, cost, gen, 1, &work)
+	next, _ := g.recustomize(cur, nil, cost, gen, &work)
 	pred := cur
 	cur = next
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tick(i)
-		next, _ = g.recustomize(cur, pred, cost, gen, uint64(i+2), &work)
+		next, _ = g.recustomize(cur, pred, cost, gen, &work)
 		pred, cur = cur, next
 	}
 }

@@ -48,10 +48,14 @@ echo "== go test -race (repeated interleavings) =="
 # both, and passes bit-identical to one-by-one folds for every road and
 # device.
 go test -race -count=2 -run 'TestCoalescer|TestKeyRingConcurrent|TestBatched|TestConcurrentIdempotencyOneWinner|TestCoalescedFusionBitIdentical|TestDeviceCoalescedBitIdentical|TestFoldArrivalOrder' ./internal/cloud
-# CCH weight-table recycling: a tick replays the current table's delta into
-# its predecessor's arrays once that table's reader count (checked under
-# cchWMu) has drained, and copies into fresh arrays while a reader holds it.
+# The snapshot publisher and CCH weight-table recycling: a publish replays
+# the current table's delta into its predecessor's arrays once no pinned
+# snapshot holds that table, and copies into fresh arrays while one does;
+# folds wake the publisher while HTTP readers route and fetch emission
+# tables, which wait for its publish and never build, and its goroutine
+# exits once the last fold is published.
 go test -race -count=10 -run 'TestCCHPredecessorRecycling|TestCCHRecycleConcurrentReaders' ./internal/ecoroute
+go test -race -count=10 -run 'TestPublisherNoQueryBuilds|TestPublisherGoroutineExits' ./internal/cloud
 # The tracer ring, tail-sampling trace store (late-span merge, linked-in fold
 # spans), SLO engine, and traceparent propagation across client retries and
 # the coalescer queue, under concurrent submitters.
