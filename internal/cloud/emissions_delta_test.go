@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"roadgrade/internal/emission"
 	"roadgrade/internal/fusion"
@@ -671,10 +672,12 @@ func TestKeepEmissionsNeverGoesBack(t *testing.T) {
 	}
 }
 
-// benchEmissionFetch times one road folded and the car table fetched over
-// HTTP per iteration, on the 164.8 km network; delta reuses one client,
-// full asks with a new client each time. The routing snapshot is refreshed
-// outside the timer after each fold (refreshRouting).
+// benchEmissionFetch times one fetch of the car table over HTTP per
+// iteration, on the 164.8 km network, after one road is folded; delta reuses
+// one client, full asks with a new client each time. The fold starts the
+// routing engine's publisher, so the fold and the publish run with the timer
+// stopped (refreshRouting), and the fold's wall time is reported apart as
+// fold-ns.
 func benchEmissionFetch(b *testing.B, delta bool) {
 	s, net := benchEmissionServer(b)
 	srv := httptest.NewServer(s.Handler())
@@ -692,12 +695,16 @@ func benchEmissionFetch(b *testing.B, delta bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var fold time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		start := time.Now()
 		if err := s.Submit(r.ID(), p); err != nil {
 			b.Fatal(err)
 		}
+		fold += time.Since(start)
 		refreshRouting(b, s)
 		if !delta {
 			c, _ = NewClient(srv.URL, srv.Client())
@@ -706,14 +713,13 @@ func benchEmissionFetch(b *testing.B, delta bool) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(fold.Nanoseconds())/float64(b.N), "fold-ns")
 }
 
 // BenchmarkEmissionFetchFull is the client's cost of one fold's freshness
 // without deltas: the server re-encodes and the client re-decodes every row.
-// The routing snapshot refresh is outside the timer.
 func BenchmarkEmissionFetchFull(b *testing.B) { benchEmissionFetch(b, false) }
 
 // BenchmarkEmissionFetchDelta is the same with the client's held table:
-// only the folded road's row crosses the wire. The routing snapshot refresh
-// is outside the timer.
+// only the folded road's row crosses the wire.
 func BenchmarkEmissionFetchDelta(b *testing.B) { benchEmissionFetch(b, true) }

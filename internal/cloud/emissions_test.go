@@ -304,11 +304,12 @@ func BenchmarkEmissionTableBuild(b *testing.B) {
 	}
 }
 
-// refreshRouting brings the routing snapshot up to the store with the
-// benchmark timer stopped. The emission benchmarks fold a road and then time
-// the table: the snapshot refresh between the two is the routing engine's
-// (BenchmarkEcoRouteInvalidate times it), which a server shares between
-// route queries and emission tables, so they leave it out.
+// refreshRouting waits, with the benchmark timer stopped, for the routing
+// engine to publish the snapshot of the store's newest fold, and then starts
+// the timer. The fold starts the engine's publisher without waiting for it;
+// the emission benchmarks leave the publish out of the table's time, since a
+// server shares it between route queries and emission tables
+// (BenchmarkCountryTick25x times a fold with its publish).
 func refreshRouting(b *testing.B, s *Server) {
 	b.StopTimer()
 	if _, err := s.router.Grades(); err != nil {
@@ -320,8 +321,8 @@ func refreshRouting(b *testing.B, s *Server) {
 // BenchmarkEmissionTableIncremental measures the steady-state serving cost
 // after one road's re-fusion: the table diffs its stamp row against the
 // routing snapshot's, carries every unchanged row forward, and exactly one
-// road re-integrates. The routing snapshot is refreshed outside the timer
-// after each fold (refreshRouting).
+// road re-integrates. The fold is timed; the publish it starts is waited
+// for with the timer stopped (refreshRouting).
 func BenchmarkEmissionTableIncremental(b *testing.B) {
 	s, net := benchEmissionServer(b)
 	if _, err := s.EmissionTable(emission.Car, 40); err != nil {

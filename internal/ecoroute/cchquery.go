@@ -1,9 +1,6 @@
 package ecoroute
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // This file is phase 3 of the CCH (DESIGN.md §13): queries. Point queries
 // need no priority queue at all — the upward search space from any node is a
@@ -198,124 +195,45 @@ func (g *cch) unpackDown(w *cchWeights, a int32, out *[]int32) {
 	g.unpackUp(w, tr.lo, out)
 }
 
-// cchBuckets holds a many-to-many query's target buckets in flat, pooled
-// arrays. The target sweeps deposit entries in ents, each naming its
-// bucket: head[u] is node u's bucket (-1 for none) and touched lists the
-// buckets' nodes. compact then groups the entries by bucket, in deposit
-// order, into flat, bucket k's entries at flat[off[k]:off[k+1]]. reset
-// clears head through touched, so the arrays go back to the pool as they
-// came.
-type cchBuckets struct {
-	head         []int32
-	touched, off []int32
-	ents, flat   []cchBucketEntry
-}
-
 // cchBucketEntry is one target's backward label deposited at a search-space
-// node: target column j can be reached from here for cost d. k is the
-// node's bucket while the entry waits in ents.
+// node: target column j can be reached from here for cost d.
 type cchBucketEntry struct {
-	k, j int32
-	d    float64
-}
-
-// add deposits column j's label d at node u.
-func (bk *cchBuckets) add(u, j int32, d float64) {
-	k := bk.head[u]
-	if k < 0 {
-		k = int32(len(bk.touched))
-		bk.head[u] = k
-		bk.touched = append(bk.touched, u)
-	}
-	bk.ents = append(bk.ents, cchBucketEntry{k: k, j: j, d: d})
-}
-
-// compact groups the deposited entries by bucket into flat.
-func (bk *cchBuckets) compact() {
-	bk.off = append(bk.off[:0], make([]int32, len(bk.touched)+1)...)
-	for _, ent := range bk.ents {
-		bk.off[ent.k+1]++
-	}
-	for k := range bk.touched {
-		bk.off[k+1] += bk.off[k]
-	}
-	bk.flat = slices.Grow(bk.flat[:0], len(bk.ents))[:len(bk.ents)]
-	for _, ent := range bk.ents {
-		bk.flat[bk.off[ent.k]] = ent
-		bk.off[ent.k]++
-	}
-	// The scatter advanced each offset to the next bucket's start.
-	copy(bk.off[1:], bk.off)
-	bk.off[0] = 0
-}
-
-// bucket returns node u's entries.
-func (bk *cchBuckets) bucket(u int32) []cchBucketEntry {
-	k := bk.head[u]
-	if k < 0 {
-		return nil
-	}
-	return bk.flat[bk.off[k]:bk.off[k+1]]
-}
-
-// reset empties every bucket, keeping the arrays' capacity.
-func (bk *cchBuckets) reset() {
-	for _, u := range bk.touched {
-		bk.head[u] = -1
-	}
-	bk.touched, bk.ents = bk.touched[:0], bk.ents[:0]
-}
-
-func (e *Engine) cchBucketsGet() *cchBuckets {
-	if bk, ok := e.bucketPool.Get().(*cchBuckets); ok {
-		return bk
-	}
-	bk := &cchBuckets{head: make([]int32, len(e.ids))}
-	for i := range bk.head {
-		bk.head[i] = -1
-	}
-	return bk
+	j int32
+	d float64
 }
 
 // cchMatrix answers the many-to-many grid over a customized table the caller
-// holds, with the bucket technique: one backward sweep per target deposits
-// (column, cost) entries along its root path; one forward sweep per source
-// then scans the buckets it meets. Total work is O((|S|+|T|)·path +
-// matches) — each endpoint is swept exactly once, versus |S| full
-// one-to-alls for the Dijkstra matrix. The buckets and the grid's cells live
-// in flat arrays, and a node's entries keep the targets' order. Each sweep
-// clears its root path before the next cancellation check, and the buckets
-// are emptied on return, so the scratch goes back to the pool clean on every
-// return.
+// holds (a pinned snapshot's), with the bucket technique: one backward sweep
+// per target deposits (column, cost) entries along its root path; one
+// forward sweep per source then scans the buckets it meets. Total work is
+// O((|S|+|T|)·path + matches) — each endpoint is swept exactly once, versus
+// |S| full one-to-alls for the Dijkstra matrix. Each sweep clears its root
+// path before the next cancellation check, so the scratch goes back to the
+// pool clean on every return.
 func (e *Engine) cchMatrix(w *cchWeights, denseS, denseT []int32, scale float64, cancelled func() error) ([][]float64, error) {
 	g := e.cchGraph()
 	sc := e.cchScratchGet()
 	defer e.cchPool.Put(sc)
-	bk := e.cchBucketsGet()
-	defer func() {
-		bk.reset()
-		e.bucketPool.Put(bk)
-	}()
 
+	buckets := make([][]cchBucketEntry, len(e.ids))
 	for j, t := range denseT {
 		if err := cancelled(); err != nil {
 			return nil, err
 		}
 		jj := int32(j)
 		tu := g.rank[t]
-		g.cchBackward(w, sc, tu, func(u int32) { bk.add(u, jj, sc.db[u]) })
+		g.cchBackward(w, sc, tu, func(u int32) {
+			buckets[u] = append(buckets[u], cchBucketEntry{j: jj, d: sc.db[u]})
+		})
 		sc.clearPath(g, tu) // buckets keep the values
 	}
-	bk.compact()
 
-	nT := len(denseT)
-	cells := make([]float64, len(denseS)*nT)
 	out := make([][]float64, len(denseS))
 	for i, s := range denseS {
 		if err := cancelled(); err != nil {
 			return nil, err
 		}
-		row := cells[i*nT : (i+1)*nT : (i+1)*nT]
+		row := make([]float64, len(denseT))
 		for j := range row {
 			row[j] = math.Inf(1)
 		}
@@ -326,7 +244,7 @@ func (e *Engine) cchMatrix(w *cchWeights, denseS, denseT []int32, scale float64,
 			if math.IsInf(du, 1) {
 				continue
 			}
-			for _, ent := range bk.bucket(u) {
+			for _, ent := range buckets[u] {
 				if c := du + ent.d; c < row[ent.j] {
 					row[ent.j] = c
 				}

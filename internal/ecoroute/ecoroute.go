@@ -246,10 +246,9 @@ type Engine struct {
 
 	// The metric-independent contraction, built once on first use, and
 	// pooled query scratch.
-	cchOnce    sync.Once
-	cchG       *cch
-	cchPool    sync.Pool // *cchScratch
-	bucketPool sync.Pool // *cchBuckets
+	cchOnce sync.Once
+	cchG    *cch
+	cchPool sync.Pool // *cchScratch
 }
 
 // NewEngine indexes the network and prepares (but does not yet fill) the

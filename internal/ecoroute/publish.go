@@ -212,20 +212,17 @@ func (e *Engine) run() {
 func (e *Engine) publishOnce(onQuery bool) {
 	askRows, askW := e.askRows, e.askW
 	e.mu.Unlock()
-	st, customized := e.publish(askRows, askW, onQuery)
+	e.publish(askRows, askW, onQuery)
 	e.mu.Lock()
-	if customized {
-		e.lastCust = st
-	}
 	e.cond.Broadcast()
 }
 
 // publish derives the next snapshot from the published one: at the
 // source's newest generation, with the pollutant rows of every asked bucket
 // and the weight table of every asked slot. It stores it with one atomic
-// store, unless nothing moved, and returns the stats of the last slot it
-// customized, if any. Only the holder of the publish right calls it.
-func (e *Engine) publish(askRows, askW []bool, onQuery bool) (cchCustStats, bool) {
+// store, unless nothing moved. Only the holder of the publish right calls
+// it, without mu.
+func (e *Engine) publish(askRows, askW []bool, onQuery bool) {
 	start := time.Now()
 	prev := e.cur.Load()
 	gen := e.src.Generation()
@@ -247,7 +244,7 @@ func (e *Engine) publish(askRows, askW []bool, onQuery bool) (cchCustStats, bool
 	}
 	if !refreshed {
 		if len(rowJobs)+len(wJobs) == 0 {
-			return cchCustStats{}, false
+			return
 		}
 		// A published snapshot never changes: the asks go into a copy.
 		next = &tables{gen: prev.gen, edgeGen: prev.edgeGen, fuel: prev.fuel, gradeAt: prev.gradeAt,
@@ -262,9 +259,12 @@ func (e *Engine) publish(askRows, askW []bool, onQuery bool) (cchCustStats, bool
 		stats[j] = e.customizeSlot(next, wJobs[j], &e.work[worker])
 	})
 
-	e.cur.Store(next)
-	if prev != nil {
-		e.retired = append(e.retired, prev)
+	// Count before the store, so a reader of the new snapshot never sees
+	// the counters or LastCustomization behind it.
+	if len(stats) > 0 {
+		e.mu.Lock()
+		e.lastCust = stats[len(stats)-1]
+		e.mu.Unlock()
 	}
 	if refreshed {
 		obsRefreshes.Inc()
@@ -277,10 +277,10 @@ func (e *Engine) publish(askRows, askW []bool, onQuery bool) (cchCustStats, bool
 		}
 		obsQueryBuilds.Add(uint64(builds))
 	}
-	if len(stats) == 0 {
-		return cchCustStats{}, false
+	e.cur.Store(next)
+	if prev != nil {
+		e.retired = append(e.retired, prev)
 	}
-	return stats[len(stats)-1], true
 }
 
 // customizeSlot fills one weight slot of the snapshot under construction: a
