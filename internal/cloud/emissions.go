@@ -35,6 +35,7 @@ import (
 	"roadgrade/internal/ecoroute"
 	"roadgrade/internal/emission"
 	"roadgrade/internal/obs"
+	"roadgrade/internal/par"
 	"roadgrade/internal/road"
 )
 
@@ -257,7 +258,8 @@ func (s *Server) emissionBody(vehicle emission.VehicleClass, speedKmh float64, d
 // move forward, so a table never goes back a generation. The lock order is
 // em.mu, then the engine's; nothing takes them the other way.
 //
-// The first build integrates every row. A refresh diffs the stamp row the
+// The first build integrates every row over GOMAXPROCS goroutines; when
+// roads fail, the error is the lowest-indexed one's. A refresh diffs the stamp row the
 // table was built from against the snapshot's, skipping the pages they
 // share, and re-integrates only the rows whose stamp moved: a stamp names
 // immutable grade data, so every other row already is what the snapshot
@@ -278,29 +280,9 @@ func (em *emissions) tableLocked(eng *ecoroute.Engine, key emisKey) (*emisTable,
 	params := emission.ForVehicle(key.vehicle)
 	speedMS := key.speed / 3.6
 	recomputed := 0
-	var rowErr error
-	integrate := func(i int) {
-		re, err := emission.RoadEmissionsAt(edges[i].Road, speedMS, v.GradeAt(i), params)
-		if err != nil {
-			rowErr = fmt.Errorf("cloud: road %s: %w", edges[i].Road.ID(), err)
-			return
-		}
-		t.dto.Roads[i] = EmissionRoadDTO{
-			RoadID:       re.RoadID,
-			Class:        roadClassName(re.Class),
-			LengthM:      re.LengthM,
-			MeanGradeDeg: re.MeanGradeDeg,
-			Provenance:   ecoroute.Provenance(v.Stamp(i)),
-			COGPerKm:     re.GramsPerKm[emission.CO],
-			NOxGPerKm:    re.GramsPerKm[emission.NOx],
-			HCGPerKm:     re.GramsPerKm[emission.HC],
-			PM25GPerKm:   re.GramsPerKm[emission.PM25],
-		}
-		t.rowGen[i] = gen
-		recomputed++
-	}
+	var rowErr error // the lowest-indexed failing road's
 	if t == nil {
-		t = &emisTable{
+		nt := &emisTable{
 			dto: EmissionTableDTO{
 				Vehicle:  key.vehicle.String(),
 				SpeedKmh: key.speed,
@@ -309,12 +291,37 @@ func (em *emissions) tableLocked(eng *ecoroute.Engine, key emisKey) (*emisTable,
 			},
 			rowGen: make([]uint64, len(edges)),
 		}
+		// The first build integrates every road over GOMAXPROCS goroutines,
+		// each writing only its own row.
+		var mu sync.Mutex
+		errAt := len(edges)
+		var firstErr error
+		par.Do(len(edges), func(_, i int) {
+			row, err := emissionRow(edges[i], i, v, speedMS, params)
+			if err != nil {
+				mu.Lock()
+				if i < errAt {
+					errAt, firstErr = i, err
+				}
+				mu.Unlock()
+				return
+			}
+			nt.dto.Roads[i], nt.rowGen[i] = row, gen
+		})
+		t, rowErr, recomputed = nt, firstErr, len(edges)
 		em.cache[key] = t
-		for i := range edges {
-			integrate(i)
-		}
 	} else {
-		v.Changed(t.built, integrate)
+		v.Changed(t.built, func(i int) {
+			row, err := emissionRow(edges[i], i, v, speedMS, params)
+			if err != nil {
+				if rowErr == nil {
+					rowErr = err
+				}
+				return
+			}
+			t.dto.Roads[i], t.rowGen[i] = row, gen
+			recomputed++
+		})
 	}
 	if rowErr != nil {
 		// Some rows may have moved and others not: start over next time.
@@ -328,6 +335,26 @@ func (em *emissions) tableLocked(eng *ecoroute.Engine, key emisKey) (*emisTable,
 	obsEmisRoads.Add(uint64(recomputed))
 	obsEmisSecs.Observe(time.Since(start).Seconds())
 	return t, nil
+}
+
+// emissionRow integrates edge i's emission row at a cruise speed on the
+// grades and stamp the snapshot view v holds for it.
+func emissionRow(ed *road.Edge, i int, v ecoroute.GradeView, speedMS float64, params emission.Params) (EmissionRoadDTO, error) {
+	re, err := emission.RoadEmissionsAt(ed.Road, speedMS, v.GradeAt(i), params)
+	if err != nil {
+		return EmissionRoadDTO{}, fmt.Errorf("cloud: road %s: %w", ed.Road.ID(), err)
+	}
+	return EmissionRoadDTO{
+		RoadID:       re.RoadID,
+		Class:        roadClassName(re.Class),
+		LengthM:      re.LengthM,
+		MeanGradeDeg: re.MeanGradeDeg,
+		Provenance:   ecoroute.Provenance(v.Stamp(i)),
+		COGPerKm:     re.GramsPerKm[emission.CO],
+		NOxGPerKm:    re.GramsPerKm[emission.NOx],
+		HCGPerKm:     re.GramsPerKm[emission.HC],
+		PM25GPerKm:   re.GramsPerKm[emission.PM25],
+	}, nil
 }
 
 // roadClassName labels a road class for the wire (mirrors the fuel map's

@@ -1,6 +1,9 @@
 package ecoroute
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // This file is phase 1 of the customizable contraction hierarchy (DESIGN.md
 // §13): the metric-independent contraction. It depends only on the network
@@ -10,9 +13,8 @@ import "sort"
 // Nodes are identified by RANK — their position in the nested-dissection
 // elimination order — throughout; dense engine indices appear only at the
 // order/rank translation boundary. An "arc" is an undirected edge {lo, hi}
-// (lo < hi in rank) of the chordal supergraph produced by the elimination
-// game: the original street graph plus every shortcut the contraction
-// inserts. Each arc later carries one upward (lo→hi) and one downward
+// (lo < hi in rank) of the chordal supergraph the elimination yields: the
+// original street graph plus every shortcut the contraction inserts. Each arc later carries one upward (lo→hi) and one downward
 // (hi→lo) weight per customized metric.
 
 // ndLeafSize is the cell size below which nested dissection stops splitting
@@ -67,9 +69,10 @@ type cchTri struct {
 	lo, hi, arc int32
 }
 
-// buildCCH contracts the engine's graph: nested-dissection order, elimination
-// game with clique fill-in, then the flat arc/triangle/dependent indices.
-// Everything is deterministic — sorted neighbor lists, index-ordered loops.
+// buildCCH contracts the engine's graph: nested-dissection order, the
+// symbolic elimination over the elimination tree, then the flat
+// arc/triangle/dependent indices. Everything is deterministic — sorted
+// upward sets, index-ordered loops.
 func buildCCH(e *Engine) *cch {
 	n := len(e.ids)
 	g := &cch{}
@@ -79,83 +82,107 @@ func buildCCH(e *Engine) *cch {
 		g.rank[v] = int32(r)
 	}
 
-	// Elimination game in rank space. nbr[u] holds u's current higher
-	// neighbors; contracting u (ascending) turns them into a clique.
-	nbr := make([]map[int32]struct{}, n)
-	add := func(lo, hi int32) {
-		if nbr[lo] == nil {
-			nbr[lo] = make(map[int32]struct{}, 8)
-		}
-		nbr[lo][hi] = struct{}{}
-	}
+	// Original edges grouped by their lower-rank endpoint, in edge order.
+	g.edgeArc = make([]int32, len(e.edges))
+	lowOff := make([]int32, n+1)
 	for i := range e.edges {
-		u, v := g.rank[e.tail[i]], g.rank[e.head[i]]
-		if u == v {
-			continue
+		if u, v := g.rank[e.tail[i]], g.rank[e.head[i]]; u != v {
+			lowOff[min(u, v)+1]++
+		} else {
+			g.edgeArc[i] = -1
 		}
-		if u > v {
-			u, v = v, u
-		}
-		add(u, v)
 	}
+	for u := range n {
+		lowOff[u+1] += lowOff[u]
+	}
+	lowEdge := make([]int32, lowOff[n])
+	lowCur := slices.Clone(lowOff[:n])
+	for i := range e.edges {
+		if u, v := g.rank[e.tail[i]], g.rank[e.head[i]]; u != v {
+			lo := min(u, v)
+			lowEdge[lowCur[lo]] = int32(i)
+			lowCur[lo]++
+		}
+	}
+	other := func(i, u int32) int32 {
+		if r := g.rank[e.tail[i]]; r != u {
+			return r
+		}
+		return g.rank[e.head[i]]
+	}
+
+	// Symbolic elimination in rank space, the elimination game without its
+	// fill-in: u's upward set is its original higher neighbours plus the
+	// upward sets of its elimination-tree children, minus u, and its parent
+	// is the set's smallest member. A child's set is final before u's,
+	// since the child's rank is lower. The sets land in rank order, each
+	// sorted, so arcHi grows already in (lo, hi) order, and an original
+	// edge's arc is its upper endpoint's position in the set.
 	g.parent = make([]int32, n)
-	upNbrs := make([][]int32, n)
-	for u := 0; u < n; u++ {
-		g.parent[u] = -1
-		set := nbr[u]
-		if len(set) == 0 {
-			continue
-		}
-		list := make([]int32, 0, len(set))
-		for v := range set {
-			list = append(list, v)
-		}
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-		upNbrs[u] = list
-		g.parent[u] = list[0]
-		for i := 0; i < len(list); i++ {
-			for j := i + 1; j < len(list); j++ {
-				add(list[i], list[j])
+	g.upOff = make([]int32, n+1)
+	hi := make([]int32, 0, 4*n)
+	firstChild := make([]int32, n) // elimination-tree children as linked lists
+	nextChild := make([]int32, n)
+	for u := range firstChild {
+		firstChild[u] = -1
+	}
+	stamp := make([]int32, n) // u+1 once w has joined u's set
+	pos := make([]int32, n)   // w's position in the set just sorted
+	for u := int32(0); u < int32(n); u++ {
+		start := int32(len(hi))
+		mark := u + 1
+		stamp[u] = mark // u is in every child's set, never in its own
+		for k := lowOff[u]; k < lowOff[u+1]; k++ {
+			if w := other(lowEdge[k], u); stamp[w] != mark {
+				stamp[w] = mark
+				hi = append(hi, w)
 			}
 		}
-		nbr[u] = nil // the set is frozen into upNbrs; free the map
+		for c := firstChild[u]; c >= 0; c = nextChild[c] {
+			for _, w := range hi[g.upOff[c]:g.upOff[c+1]] {
+				if stamp[w] != mark {
+					stamp[w] = mark
+					hi = append(hi, w)
+				}
+			}
+		}
+		set := hi[start:]
+		slices.Sort(set)
+		g.upOff[u+1] = int32(len(hi))
+		g.parent[u] = -1
+		if len(set) > 0 {
+			p := set[0]
+			g.parent[u] = p
+			nextChild[u] = firstChild[p]
+			firstChild[p] = u
+		}
+		for k, w := range set {
+			pos[w] = int32(k)
+		}
+		for k := lowOff[u]; k < lowOff[u+1]; k++ {
+			i := lowEdge[k]
+			g.edgeArc[i] = start + pos[other(i, u)]
+		}
 	}
-
-	// Flatten the arcs, sorted by (lo, hi): ascending u with sorted upNbrs[u]
-	// is already that order.
-	g.upOff = make([]int32, n+1)
-	for u := 0; u < n; u++ {
-		g.upOff[u+1] = g.upOff[u] + int32(len(upNbrs[u]))
-	}
-	nArcs := int(g.upOff[n])
+	nArcs := len(hi)
+	g.arcHi = slices.Clone(hi) // exact size: hi grew by appends
 	g.arcLo = make([]int32, nArcs)
-	g.arcHi = make([]int32, nArcs)
-	for u := 0; u < n; u++ {
-		at := g.upOff[u]
-		for _, v := range upNbrs[u] {
-			g.arcLo[at] = int32(u)
-			g.arcHi[at] = v
-			at++
+	for u := range int32(n) {
+		for a := g.upOff[u]; a < g.upOff[u+1]; a++ {
+			g.arcLo[a] = u
 		}
 	}
 
-	// Original edges → arcs.
-	g.edgeArc = make([]int32, len(e.edges))
+	// Original edges → arcs, in edge order per arc and direction.
 	upCnt := make([]int32, nArcs)
 	dnCnt := make([]int32, nArcs)
-	for i := range e.edges {
-		u, v := g.rank[e.tail[i]], g.rank[e.head[i]]
-		if u == v {
-			g.edgeArc[i] = -1
+	for i, a := range g.edgeArc {
+		if a < 0 {
 			continue
 		}
-		if u < v {
-			a := g.arcIndex(u, v)
-			g.edgeArc[i] = a
+		if g.rank[e.tail[i]] < g.rank[e.head[i]] {
 			upCnt[a]++
 		} else {
-			a := g.arcIndex(v, u)
-			g.edgeArc[i] = a
 			dnCnt[a]++
 		}
 	}
@@ -179,65 +206,53 @@ func buildCCH(e *Engine) *cch {
 		}
 	}
 
-	// Lower triangles: for every node x and ordered pair (u, v) of its upward
-	// neighbors, the clique fill guarantees arc {u, v} exists and gains the
-	// triangle ({x,u}, {x,v}). Counted then filled, both in the same
-	// deterministic enumeration order.
+	// Lower triangles: each node x and pair i < j of its upward set U give
+	// arc {U[i], U[j]} the triangle whose sides are x's arcs upOff[x]+i and
+	// upOff[x]+j. The owning arc sits in U[i]'s upward range, which holds
+	// every U[j] with j > i (the clique property) in ascending order, so
+	// one forward walk per i finds them all. Walking x in ascending order
+	// lists each arc's triangles by ascending x.
+	eachTri := func(fn func(x int32, i, j int, arc int32)) {
+		for x := range int32(n) {
+			set := g.arcHi[g.upOff[x]:g.upOff[x+1]]
+			for i, u := range set {
+				at := g.upOff[u]
+				for j := i + 1; j < len(set); j++ {
+					for g.arcHi[at] != set[j] {
+						at++
+					}
+					fn(x, i, j, at)
+				}
+			}
+		}
+	}
 	triCnt := make([]int32, nArcs)
-	for x := 0; x < n; x++ {
-		list := upNbrs[x]
-		for i := 0; i < len(list); i++ {
-			for j := i + 1; j < len(list); j++ {
-				triCnt[g.arcIndex(list[i], list[j])]++
-			}
-		}
-	}
+	eachTri(func(_ int32, _, _ int, arc int32) { triCnt[arc]++ })
 	g.triOff = prefixSum(triCnt)
-	nTri := int(g.triOff[nArcs])
-	g.tri = make([]cchTri, nTri)
-	triCur := make([]int32, nArcs)
-	for x := 0; x < n; x++ {
-		list := upNbrs[x]
-		for i := 0; i < len(list); i++ {
-			aLo := g.arcIndex(int32(x), list[i])
-			for j := i + 1; j < len(list); j++ {
-				a := g.arcIndex(list[i], list[j])
-				g.tri[g.triOff[a]+triCur[a]] = cchTri{lo: aLo, hi: g.arcIndex(int32(x), list[j]), arc: a}
-				triCur[a]++
-			}
-		}
-	}
+	g.tri = make([]cchTri, g.triOff[nArcs])
 
-	// Invert the triangle references into the dependents index.
+	// Dependents, filled in the same pass: x's arc upOff[x]+i is a side of
+	// exactly x's triangles that pair U[i] with another member U[j], one
+	// per j != i. Their owning arcs, and so the triangles, ascend with j.
 	depCnt := make([]int32, nArcs)
-	for _, tr := range g.tri {
-		depCnt[tr.lo]++
-		depCnt[tr.hi]++
+	for x := range n {
+		for a := g.upOff[x]; a < g.upOff[x+1]; a++ {
+			depCnt[a] = g.upOff[x+1] - g.upOff[x] - 1
+		}
 	}
 	g.depOff = prefixSum(depCnt)
 	g.depTri = make([]int32, g.depOff[nArcs])
-	depCur := make([]int32, nArcs)
-	for t, tr := range g.tri {
-		for _, b := range [2]int32{tr.lo, tr.hi} {
-			g.depTri[g.depOff[b]+depCur[b]] = int32(t)
-			depCur[b]++
-		}
-	}
+	triCur := triCnt
+	clear(triCur)
+	eachTri(func(x int32, i, j int, arc int32) {
+		t := g.triOff[arc] + triCur[arc]
+		triCur[arc]++
+		lo, hi := g.upOff[x]+int32(i), g.upOff[x]+int32(j)
+		g.tri[t] = cchTri{lo: lo, hi: hi, arc: arc}
+		g.depTri[g.depOff[lo]+int32(j-1)] = t
+		g.depTri[g.depOff[hi]+int32(i)] = t
+	})
 	return g
-}
-
-// arcIndex locates arc {lo, hi} by binary search in lo's sorted upward
-// range. Callers only ask for arcs the elimination game created.
-func (g *cch) arcIndex(lo, hi int32) int32 {
-	a, b := g.upOff[lo], g.upOff[lo+1]
-	for a < b {
-		if m := (a + b) / 2; g.arcHi[m] < hi {
-			a = m + 1
-		} else {
-			b = m
-		}
-	}
-	return a
 }
 
 // prefixSum turns per-item counts into CSR offsets (len(counts)+1 entries).

@@ -181,10 +181,12 @@ func (e *Engine) rebuild(prev *tables, gen uint64) (*tables, bool) {
 			stale[i] = int32(i)
 		}
 	}
-	changed := 0
+	// The source is read here, on the publishing goroutine, in edge order:
+	// a GradeSource need not be safe for concurrent Edge calls. The moved
+	// edges overwrite stale in place, still ascending.
+	moved := stale[:0]
 	for _, i := range stale {
-		ed := e.edges[i]
-		eg := e.src.Edge(ed.Road, e.siblingRoad(int(i)))
+		eg := e.src.Edge(e.edges[i].Road, e.siblingRoad(int(i)))
 		// A stamp names immutable grade data, so an unmoved stamp keeps the
 		// closure and costs it already has.
 		if prev != nil && eg.Gen == next.edgeGen.at(i) {
@@ -192,15 +194,31 @@ func (e *Engine) rebuild(prev *tables, gen uint64) (*tables, bool) {
 		}
 		next.edgeGen.set(i, eg.Gen)
 		next.gradeAt.set(i, eg.At)
-		for b := range next.fuel {
-			v := e.cfg.SpeedsKmh[b] / 3.6 * e.cfg.classFactor(ed.Road.Class())
-			next.fuel[b].set(i, edgeFuelGallons(eg.At, e.lengthM.at(i), v))
-		}
-		changed++
+		moved = append(moved, i)
 	}
-	obsCostRecomp.Add(uint64(changed))
-	obsCostReused.Add(uint64(nEdges - changed))
-	return next, prev == nil || changed > 0
+	// A first build or a full rescan integrates page by page over
+	// GOMAXPROCS goroutines. A tick's few edges stay inline, checked here
+	// so that its path creates no closure.
+	if len(moved) < pageLen {
+		e.recost(next, moved)
+	} else {
+		byPage(moved, func(run []int32) { e.recost(next, run) })
+	}
+	obsCostRecomp.Add(uint64(len(moved)))
+	obsCostReused.Add(uint64(nEdges - len(moved)))
+	return next, prev == nil || len(moved) > 0
+}
+
+// recost integrates the fuel rows of next, every bucket, at the listed
+// edges from the grade closures rebuild recorded.
+func (e *Engine) recost(next *tables, edges []int32) {
+	for _, i := range edges {
+		factor := e.cfg.classFactor(e.edges[i].Road.Class())
+		for b := range next.fuel {
+			v := e.cfg.SpeedsKmh[b] / 3.6 * factor
+			next.fuel[b].set(i, edgeFuelGallons(next.gradeAt.at(i), e.lengthM.at(i), v))
+		}
+	}
 }
 
 // changedEdges lists, in ascending order, the edges whose grades may have

@@ -48,36 +48,50 @@ func gradeDependent(metric Objective) bool {
 
 // buildRows fills bucket b's pollutant rows of next, the snapshot under
 // construction: from prev's rows, re-integrating the edges whose stamp
-// moved, or from scratch when prev has none.
+// moved, or from scratch when prev has none. A build from scratch
+// integrates page by page over GOMAXPROCS goroutines (byPage), also when it
+// runs as one of a publish's parallel jobs.
 func (e *Engine) buildRows(prev, next *tables, bucket int) {
 	nEdges := len(e.edges)
 	rows := make([]pagedRow[float64], emission.NumPollutants)
 	recomputed := 0
-	recompute := func(i int32) {
-		recomputed++
-		v := e.cfg.SpeedsKmh[bucket] / 3.6 * e.cfg.classFactor(e.edges[i].Road.Class())
-		g, _ := emission.CellGrams(emissionModel, next.gradeAt.at(i), e.lengthM.at(i), v)
-		for p := range rows {
-			rows[p].set(i, g[p])
-		}
-	}
 	if prev != nil && prev.emis[bucket] != nil {
 		for p := range rows {
 			rows[p] = prev.emis[bucket][p].clone()
 		}
-		diffRows(prev.edgeGen, next.edgeGen, recompute)
+		diffRows(prev.edgeGen, next.edgeGen, func(i int32) {
+			e.integrateGrams(next, rows, bucket, i)
+			recomputed++
+		})
 	} else {
 		for p := range rows {
 			rows[p] = newPagedRow[float64](nEdges)
 		}
-		for i := range nEdges {
-			recompute(int32(i))
+		all := make([]int32, nEdges)
+		for i := range all {
+			all[i] = int32(i)
 		}
+		byPage(all, func(run []int32) {
+			for _, i := range run {
+				e.integrateGrams(next, rows, bucket, i)
+			}
+		})
+		recomputed = nEdges
 	}
 	obsEmisRecomp.Add(uint64(recomputed))
 	obsEmisReused.Add(uint64(nEdges - recomputed))
 	obsEmisBuilds.Inc()
 	next.emis[bucket] = rows
+}
+
+// integrateGrams writes edge i's grams of every pollutant at bucket b into
+// rows, integrated on the grade closure next recorded for it.
+func (e *Engine) integrateGrams(next *tables, rows []pagedRow[float64], bucket int, i int32) {
+	v := e.cfg.SpeedsKmh[bucket] / 3.6 * e.cfg.classFactor(e.edges[i].Road.Class())
+	g, _ := emission.CellGrams(emissionModel, next.gradeAt.at(i), e.lengthM.at(i), v)
+	for p := range rows {
+		rows[p].set(i, g[p])
+	}
 }
 
 // emissionRow returns the per-edge gram cost row of one pollutant at one

@@ -1,6 +1,10 @@
 package ecoroute
 
-import "slices"
+import (
+	"slices"
+
+	"roadgrade/internal/par"
+)
 
 // This file is the storage behind every per-edge row of a snapshot: the
 // stamps, grade closures, fuel and pollutant rows, and the static distance
@@ -75,4 +79,25 @@ func diffRows[T comparable](a, b pagedRow[T], fn func(i int32)) {
 			}
 		}
 	}
+}
+
+// byPage calls fn with every entry of edges, an ascending list of edge
+// indices, split into the runs that fall in one page, each run once. A
+// list of a page or more spreads its runs over GOMAXPROCS goroutines
+// (par.Do); a shorter one is one run on the caller's goroutine. Every page
+// is then written by one goroutine, so a row's copy-on-write set needs no
+// lock as long as fn writes only the edges it is given.
+func byPage(edges []int32, fn func(run []int32)) {
+	if len(edges) < pageLen {
+		fn(edges)
+		return
+	}
+	var starts []int
+	for k, i := range edges {
+		if k == 0 || i>>pageShift != edges[k-1]>>pageShift {
+			starts = append(starts, k)
+		}
+	}
+	starts = append(starts, len(edges))
+	par.Do(len(starts)-1, func(_, j int) { fn(edges[starts[j]:starts[j+1]]) })
 }

@@ -1,13 +1,11 @@
 package ecoroute
 
 import (
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"roadgrade/internal/obs"
+	"roadgrade/internal/par"
 )
 
 // This file is the snapshot publisher (DESIGN.md §9). Queries only load a
@@ -318,28 +316,12 @@ func (e *Engine) customizeSlot(next *tables, slot int, work *arcWorklist) cchCus
 }
 
 // parallel calls fn(worker, j) for every j in [0, n), spread over up to
-// GOMAXPROCS goroutines, the caller's among them. worker indexes the
-// goroutine's worklist in e.work. Only the holder of the publish right
+// GOMAXPROCS goroutines, the caller's among them (par.Do). worker indexes
+// the goroutine's worklist in e.work. Only the holder of the publish right
 // calls it.
 func (e *Engine) parallel(n int, fn func(worker, j int)) {
-	workers := min(n, runtime.GOMAXPROCS(0))
-	for len(e.work) < workers {
+	for len(e.work) < par.Workers(n) {
 		e.work = append(e.work, arcWorklist{})
 	}
-	var next atomic.Int32
-	take := func(worker int) {
-		for j := int(next.Add(1)) - 1; j < n; j = int(next.Add(1)) - 1 {
-			fn(worker, j)
-		}
-	}
-	var wg sync.WaitGroup
-	for worker := 1; worker < workers; worker++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			take(worker)
-		}()
-	}
-	take(0)
-	wg.Wait()
+	par.Do(n, fn)
 }

@@ -1,70 +1,35 @@
 package experiment
 
 import (
-	"runtime"
 	"sync"
+	"sync/atomic"
+
+	"roadgrade/internal/par"
 )
 
-// parallelFor runs fn(i) for i in [0, n) on a bounded worker pool and
-// returns the first error. Each index must be independent; determinism comes
-// from assigning any randomness (seeds) to indices before the parallel
-// phase. After an error, remaining indices are skipped (drained) rather than
-// executed.
+// parallelFor runs fn(i) for i in [0, n) over GOMAXPROCS goroutines
+// (par.Do) and returns the first error. Each index must be independent;
+// determinism comes from assigning any randomness (seeds) to indices before
+// the parallel phase. After an error, remaining indices are skipped rather
+// than executed.
 func parallelFor(n int, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	var (
-		wg       sync.WaitGroup
+		failed   atomic.Bool
 		mu       sync.Mutex
 		firstErr error
 	)
-	// done is closed on the first error so the producer stops dispatching
-	// instead of feeding every remaining index through the drain path.
-	done := make(chan struct{})
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if failed() {
-					continue // drain in-flight work without running it
-				}
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-						close(done)
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-dispatch:
-	for i := 0; i < n; i++ {
-		select {
-		case next <- i:
-		case <-done:
-			break dispatch // abort; workers exit once next closes
+	par.Do(n, func(_, i int) {
+		if failed.Load() {
+			return
 		}
-	}
-	close(next)
-	wg.Wait()
+		if err := fn(i); err != nil {
+			mu.Lock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			mu.Unlock()
+			failed.Store(true)
+		}
+	})
 	return firstErr
 }

@@ -13,7 +13,9 @@ import (
 
 // ElevationField is anything that can report terrain altitude at a planar
 // position: the procedural Terrain, or a GridTerrain imported from real
-// elevation data.
+// elevation data. ElevationAt may be called from several goroutines at
+// once (GenerateNetwork samples its streets' profiles in parallel); both
+// implementations here only read.
 type ElevationField interface {
 	ElevationAt(p geo.ENU) float64
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"roadgrade/internal/geo"
+	"roadgrade/internal/par"
 )
 
 // Node is a road-network junction.
@@ -177,12 +178,16 @@ func (c NetworkConfig) withDefaults(seed int64) NetworkConfig {
 // identical output — the same node slice order, node IDs and positions, the
 // same edge slice order, and the same per-road IDs, geometry and profiles —
 // at every scale, from the 164.8 km city to country-size 10⁵–10⁶-edge
-// graphs. Everything derives from one sequentially-consumed rand source and
-// index-ordered loops (no map iteration), which is what makes the
-// routescale benchmarks' cross-run comparisons and the CCH node ordering
-// reproducible.
-// Construction streams: node and edge storage is preallocated from the grid
-// dimensions and every pass is linear in the street count.
+// graphs, and at every GOMAXPROCS. Every random draw comes from one
+// sequentially-consumed rand source in index-ordered loops (no map
+// iteration), which is what makes the routescale benchmarks' cross-run
+// comparisons and the CCH node ordering reproducible. The terrain profiles
+// take no randomness: they are sampled after the draws, over GOMAXPROCS
+// goroutines, each street's from its own geometry, so cfg.Terrain's
+// ElevationAt is called from several goroutines at once. When streets fail
+// to build, the error is the first one's in edge order.
+// Construction streams: node and street storage is preallocated from the
+// grid dimensions and every pass is linear in the street count.
 func GenerateNetwork(seed int64, cfg NetworkConfig) (*Network, error) {
 	cfg = cfg.withDefaults(seed)
 	rng := rand.New(rand.NewSource(seed))
@@ -213,52 +218,77 @@ func GenerateNetwork(seed int64, cfg NetworkConfig) (*Network, error) {
 		}
 	}
 
-	// Both directions of every grid street plus ~6% diagonals.
-	edges := make([]*Edge, 0, 2*(w*(h-1)+h*(w-1))+w*h/8)
+	// Both directions of every grid street plus ~6% diagonals. This pass
+	// draws every street's class and bow from rng in order and lays out
+	// its geometry; the terrain profiles, which take no randomness, are
+	// sampled after it over GOMAXPROCS goroutines.
+	streets := make([]street, 0, 2*(w*(h-1)+h*(w-1))+w*h/8)
 	var builtM float64
-	addStreet := func(a, b Node) error {
-		if builtM >= targetM {
-			return nil
+	var drawErr error // the first geometry error; no street after it is drawn
+	addStreet := func(a, b Node) {
+		if builtM >= targetM || drawErr != nil {
+			return
 		}
 		cls := classify(a, b, w, h, cfg.BlockM, rng)
-		fwd, err := buildStreet(fmt.Sprintf("st-%d-%d", a.ID, b.ID), a.Pos, b.Pos, cls, cfg, rng)
+		fwd, err := drawStreet(a, b, cls, rng)
 		if err != nil {
-			return err
+			drawErr = err
+			return
 		}
-		rev, err := buildStreet(fmt.Sprintf("st-%d-%d", b.ID, a.ID), b.Pos, a.Pos, cls, cfg, rng)
+		streets = append(streets, fwd)
+		rev, err := drawStreet(b, a, cls, rng)
 		if err != nil {
-			return err
+			drawErr = err
+			return
 		}
-		edges = append(edges,
-			&Edge{From: a.ID, To: b.ID, Road: fwd},
-			&Edge{From: b.ID, To: a.ID, Road: rev},
-		)
-		builtM += fwd.Length()
-		return nil
+		streets = append(streets, rev)
+		builtM += fwd.line.Length()
 	}
 
 	for iy := 0; iy < h; iy++ {
 		for ix := 0; ix < w; ix++ {
 			a := nodes[idAt(ix, iy)]
 			if ix+1 < w {
-				if err := addStreet(a, nodes[idAt(ix+1, iy)]); err != nil {
-					return nil, err
-				}
+				addStreet(a, nodes[idAt(ix+1, iy)])
 			}
 			if iy+1 < h {
-				if err := addStreet(a, nodes[idAt(ix, iy+1)]); err != nil {
-					return nil, err
-				}
+				addStreet(a, nodes[idAt(ix, iy+1)])
 			}
 			// Occasional diagonal connector for variety.
 			if ix+1 < w && iy+1 < h && rng.Float64() < 0.06 {
-				if err := addStreet(a, nodes[idAt(ix+1, iy+1)]); err != nil {
-					return nil, err
-				}
+				addStreet(a, nodes[idAt(ix+1, iy+1)])
 			}
 		}
 	}
+
+	// Profiles and roads, one street per item. Each street writes only its
+	// own slots, and the error returned is the lowest-indexed street's, as
+	// a street-by-street build would have met it first.
+	edges := make([]*Edge, len(streets))
+	errs := make([]error, len(streets))
+	par.Do(len(streets), func(_, i int) {
+		st := &streets[i]
+		r, err := st.build(cfg)
+		edges[i], errs[i] = &Edge{From: st.from, To: st.to, Road: r}, err
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	if drawErr != nil {
+		return nil, drawErr
+	}
 	return NewNetwork(nodes, edges)
+}
+
+// street is one directed street whose class and geometry are drawn and
+// whose profile is still to be sampled.
+type street struct {
+	id       string
+	from, to int
+	cls      Class
+	line     *geo.Polyline
 }
 
 // classify makes middle rows/columns arterial through-streets, edges local.
@@ -278,9 +308,11 @@ func classify(a, b Node, w, h int, blockM float64, rng *rand.Rand) Class {
 	}
 }
 
-// buildStreet creates a single directed road between two junctions with a
-// gentle midpoint bend and a terrain-derived profile.
-func buildStreet(id string, from, to geo.ENU, cls Class, cfg NetworkConfig, rng *rand.Rand) (*Road, error) {
+// drawStreet lays out a single directed road between two junctions with a
+// gentle midpoint bend, drawn from rng.
+func drawStreet(a, b Node, cls Class, rng *rand.Rand) (street, error) {
+	id := fmt.Sprintf("st-%d-%d", a.ID, b.ID)
+	from, to := a.Pos, b.Pos
 	heading := math.Atan2(to.N-from.N, to.E-from.E)
 	length := math.Hypot(to.E-from.E, to.N-from.N)
 	// Bowed midpoint gives curvature without leaving the endpoints.
@@ -292,18 +324,24 @@ func buildStreet(id string, from, to geo.ENU, cls Class, cfg NetworkConfig, rng 
 	pts := interpolateQuadratic(from, mid, to, int(math.Max(8, length/25)))
 	line, err := geo.NewPolyline(pts)
 	if err != nil {
-		return nil, fmt.Errorf("road: street %s geometry: %w", id, err)
+		return street{}, fmt.Errorf("road: street %s geometry: %w", id, err)
 	}
-	prof, err := ProfileAlongField(cfg.Terrain, line, 5)
+	return street{id: id, from: a.ID, to: b.ID, cls: cls, line: line}, nil
+}
+
+// build samples the street's terrain profile and makes its road. It reads
+// cfg.Terrain only, so streets build in parallel.
+func (st *street) build(cfg NetworkConfig) (*Road, error) {
+	prof, err := ProfileAlongField(cfg.Terrain, st.line, 5)
 	if err != nil {
-		return nil, fmt.Errorf("road: street %s profile: %w", id, err)
+		return nil, fmt.Errorf("road: street %s profile: %w", st.id, err)
 	}
 	lanes := 1
-	if cls == ClassArterial {
+	if st.cls == ClassArterial {
 		lanes = 2
 	}
-	sections := []Section{{StartS: 0, EndS: line.Length(), Lanes: lanes}}
-	return NewRoad(id, line, prof, sections, cls)
+	sections := []Section{{StartS: 0, EndS: st.line.Length(), Lanes: lanes}}
+	return NewRoad(st.id, st.line, prof, sections, st.cls)
 }
 
 // interpolateQuadratic samples a quadratic Bezier through (a, ctrl, b).

@@ -2,8 +2,10 @@ package road
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -70,6 +72,38 @@ func TestGenerateNetworkDeterministicAtScale(t *testing.T) {
 	// edges; a shortfall means the generator silently under-built.
 	if len(a.Edges) < 4000 {
 		t.Fatalf("expected a country-scale slice (≥4000 directed edges), got %d", len(a.Edges))
+	}
+}
+
+// TestGenerateNetworkFingerprint pins generated networks across builds, not
+// just within one process: the fingerprints below were computed by the
+// street-by-street generator that sampled each profile as it drew the
+// street, and the generator that samples them in parallel must match them
+// at one P and at four.
+func TestGenerateNetworkFingerprint(t *testing.T) {
+	cases := []struct {
+		name string
+		gen  func() (*Network, error)
+		want uint64
+	}{
+		{"charlottesville", Charlottesville, 0xe61b8d206f1034fb},
+		{"800km", func() (*Network, error) {
+			return GenerateNetwork(99, NetworkConfig{TargetStreetKM: 800, BlockM: 300})
+		}, 0x52c8c29ffec6769a},
+	}
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("gomaxprocs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, tc := range cases {
+				net, err := tc.gen()
+				if err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				if got := fingerprintNetwork(net); got != tc.want {
+					t.Errorf("%s: fingerprint %#x, want %#x", tc.name, got, tc.want)
+				}
+			}
+		})
 	}
 }
 
@@ -190,4 +224,17 @@ func BenchmarkRouteScaleAdjacencyMap(b *testing.B) {
 		adj[e.From] = append(adj[e.From], e)
 	}
 	adjacencySweep(b, func(id int) []*Edge { return adj[id] }, net.Nodes)
+}
+
+// BenchmarkGenerateNetwork25x generates the 25× country network, the
+// route-country benchmark's: the street draws, then the terrain profiles
+// over GOMAXPROCS goroutines. A BENCH.json cold-start row.
+func BenchmarkGenerateNetwork25x(b *testing.B) {
+	cfg := CountryConfig(25)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateNetwork(1827, cfg); err != nil {
+			b.Fatalf("generate: %v", err)
+		}
+	}
 }

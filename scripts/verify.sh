@@ -60,6 +60,16 @@ go test -race -count=10 -run 'TestPublisherNoQueryBuilds|TestPublisherGoroutineE
 # spans), SLO engine, and traceparent propagation across client retries and
 # the coalescer queue, under concurrent submitters.
 go test -race -count=2 -run 'TestTrace|TestSLO|TestExemplar|TestExposition|TestHealthz' ./internal/obs ./internal/cloud ./cmd/cloudfuse
+# The cold start splits its work over GOMAXPROCS goroutines: the terrain
+# profiles of a generated network, the page runs of a first row build or a
+# full rescan (nested inside the publisher's row jobs), and the first
+# emission table. What they build must not depend on how the work fell
+# across goroutines, so the tests that pin it to a serial build or a
+# committed value run at one P, where every loop is inline, and at four,
+# where the goroutines race; the contraction's own reference check rides
+# along at both.
+go test -race -count=1 -cpu 1,4 -run 'TestContractionMatchesReference|TestFirstBuildParallelMatchesSerial' ./internal/ecoroute
+go test -race -count=1 -cpu 1,4 -run 'TestGenerateNetworkFingerprint' ./internal/road
 # Each city emission table is refreshed in place from the routing engine's
 # snapshot and served to clients as deltas merged into their own copies;
 # two clients' fetchers, a folder, EmissionTable readers and a /v1/route
@@ -128,6 +138,14 @@ echo "== fuzz (CCH re-customization) =="
 # the unpruned reference's path for a fixed panel of node pairs. Seeded from
 # internal/ecoroute/testdata/fuzz/FuzzCCHRecustomize.
 go test -run '^$' -fuzz '^FuzzCCHRecustomize$' -fuzztime=10s ./internal/ecoroute
+
+echo "== fuzz (CCH contraction) =="
+# Networks of up to 64 nodes built from bytes (jittered positions, one-way
+# and two-way roads, parallel roads, isolated nodes, several components):
+# the contraction must equal the elimination game's, the test-only
+# reference, field by field, and a few routes must cost what Dijkstra's do
+# bit for bit. Seeded from internal/ecoroute/testdata/fuzz/FuzzCCHContract.
+go test -run '^$' -fuzz '^FuzzCCHContract$' -fuzztime=10s ./internal/ecoroute
 
 echo "== benchmark module =="
 # bench/ is a nested module, so the root ./... patterns above never build or
