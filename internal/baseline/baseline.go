@@ -31,9 +31,6 @@ type Result struct {
 	GradeRad []float64
 }
 
-// Len returns the number of samples.
-func (r *Result) Len() int { return len(r.T) }
-
 // AltEKFConfig tunes the altitude-EKF baseline.
 type AltEKFConfig struct {
 	// SpeedoSigma / BaroSigma are measurement noise standard deviations

@@ -58,8 +58,8 @@ func TestAltitudeEKFConstantGrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != len(trace.Records) {
-		t.Fatalf("result len %d", res.Len())
+	if len(res.T) != len(trace.Records) {
+		t.Fatalf("result len %d", len(res.T))
 	}
 	// After convergence the estimate should be near the truth, though
 	// looser than the proposed system (barometer-driven).

@@ -63,13 +63,13 @@ func (s *Server) EnableSLO(objectives []obs.Objective) error {
 }
 
 // SLOReport returns the current SLO evaluation and whether an engine is
-// installed. The engine snapshots its windows on demand via Tick, so callers
-// need no background goroutine for a fresh report.
+// installed. The report snapshots the engine's counters itself, as the
+// scrape-time burn gauges do, so callers need no background goroutine for a
+// fresh report.
 func (s *Server) SLOReport() (obs.SLOReport, bool) {
 	if s.slo == nil {
 		return obs.SLOReport{}, false
 	}
-	s.slo.Tick()
 	return s.slo.Report(), true
 }
 

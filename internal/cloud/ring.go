@@ -75,6 +75,3 @@ func (k *keyRing) release(key string) {
 		return
 	}
 }
-
-// live returns the number of reserved keys.
-func (k *keyRing) live() int { return len(k.seen) }

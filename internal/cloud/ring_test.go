@@ -27,8 +27,8 @@ func TestKeyRingReserveAndDup(t *testing.T) {
 	if !k.reserve("a") {
 		t.Error("second reserve of a should be a dup")
 	}
-	if k.live() != 1 {
-		t.Errorf("live = %d, want 1", k.live())
+	if len(k.seen) != 1 {
+		t.Errorf("live = %d, want 1", len(k.seen))
 	}
 	checkRingInvariant(t, k)
 }
@@ -115,8 +115,8 @@ func TestKeyRingWraparound(t *testing.T) {
 			k.release(key)
 		}
 		checkRingInvariant(t, k)
-		if k.live() > 4 {
-			t.Fatalf("live = %d exceeds capacity", k.live())
+		if len(k.seen) > 4 {
+			t.Fatalf("live = %d exceeds capacity", len(k.seen))
 		}
 	}
 }

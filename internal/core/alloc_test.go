@@ -41,7 +41,7 @@ func TestPhoneAllocations(t *testing.T) {
 			name string
 			rec  sensors.Record
 		}{{"healthy", rec}, {"resetting", spike}} {
-			resets := st.Resets()
+			resets := st.resets
 			if allocs := testing.AllocsPerRun(100, func() {
 				if _, err := st.Push(tc.rec); err != nil {
 					t.Fatal(err)
@@ -49,7 +49,7 @@ func TestPhoneAllocations(t *testing.T) {
 			}); allocs != 0 {
 				t.Errorf("%s push allocates %v times, want 0", tc.name, allocs)
 			}
-			if reset := st.Resets() > resets; reset != (tc.name == "resetting") {
+			if reset := st.resets > resets; reset != (tc.name == "resetting") {
 				t.Errorf("%s pushes reset the filter: %v", tc.name, reset)
 			}
 		}

@@ -81,9 +81,6 @@ type Config struct {
 	// deviations per √s (defaults 0.05 m/s, 0.012 rad).
 	ProcessNoiseV     float64
 	ProcessNoiseTheta float64
-	// MeasurementNoise overrides the per-source velocity measurement noise
-	// standard deviation; <= 0 uses the built-in per-source defaults.
-	MeasurementNoise float64
 	// InitialGradeVar is the prior variance on θ (default (2°)²).
 	InitialGradeVar float64
 	// NISGate is the innovation gate: a velocity measurement whose
@@ -308,13 +305,9 @@ func (p *Pipeline) EstimateTrack(trace *sensors.Trace, adj *Adjusted, src sensor
 		}
 	}
 
-	sigma := p.cfg.MeasurementNoise
-	if sigma <= 0 {
-		sigma = sourceNoise(src)
-	}
 	// One filter serves both sweep directions: the backward pass flips the
 	// model's Δt and resets the state and covariance.
-	f := newGradeFilter(p.cfg, trace.DT, sigma, firstValid(vels))
+	f := newGradeFilter(p.cfg, trace.DT, sourceNoise(src), firstValid(vels))
 	fwd, err := p.runPass(trace, vels, corrected, false, &f)
 	if err != nil {
 		return nil, err

@@ -65,28 +65,15 @@ func NewStreaming(cfg Config, line *geo.Polyline, src sensors.VelocitySource, dt
 	if err != nil {
 		return nil, fmt.Errorf("core: steering estimator: %w", err)
 	}
-	sigma := cfg.MeasurementNoise
-	if sigma <= 0 {
-		sigma = sourceNoise(src)
-	}
 	return &Streaming{
 		cfg:    cfg,
 		source: src,
 		idx:    line.Index(),
 		steer:  est,
-		filter: newGradeFilter(cfg, dt, sigma, 0),
+		filter: newGradeFilter(cfg, dt, sourceNoise(src), 0),
 		dt:     dt,
 	}, nil
 }
-
-// Rejected counts measurements refused by the innovation gate; Resets counts
-// automatic filter re-initializations after divergence. Both stay zero on a
-// healthy stream.
-func (st *Streaming) Rejected() int { return st.rejected }
-
-// Resets reports how many times divergence detection re-initialized the
-// filter.
-func (st *Streaming) Resets() int { return st.resets }
 
 // Push feeds one sensor record and returns the updated estimate. The first
 // record initializes the filter from the measured speed. Degraded input fails

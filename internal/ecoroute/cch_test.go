@@ -1,14 +1,12 @@
 package ecoroute
 
 import (
-	"context"
 	"errors"
 	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"roadgrade/internal/geo"
 	"roadgrade/internal/road"
@@ -182,128 +180,6 @@ func TestCCHNoPath(t *testing.T) {
 	if plan, err := eng.Route(Fuel, 40, 1, 2); err != nil || len(plan.RoadIDs) != 1 {
 		t.Errorf("same-island cch route: %+v, %v", plan, err)
 	}
-	grid, err := eng.Matrix(Fuel, 40, []int{1, 3}, []int{2, 4})
-	if err != nil {
-		t.Fatalf("matrix: %v", err)
-	}
-	if math.IsInf(grid[0][0], 1) || !math.IsInf(grid[0][1], 1) ||
-		!math.IsInf(grid[1][0], 1) || math.IsInf(grid[1][1], 1) {
-		t.Errorf("matrix reachability wrong: %v", grid)
-	}
-}
-
-// TestCCHMatrixMatchesPointQueries: on a rectangular grid (disjoint source
-// and target sets of different sizes) the bucket sweeps must agree with the
-// CCH point query, on the first customization and again after a tick that
-// re-customizes one road's weights incrementally — both paths must read the
-// same customized table.
-func TestCCHMatrixMatchesPointQueries(t *testing.T) {
-	net, err := road.GenerateNetwork(47, road.NetworkConfig{TargetStreetKM: 8})
-	if err != nil {
-		t.Fatalf("network: %v", err)
-	}
-	src := &tickSource{roadID: net.Edges[0].Road.ID()}
-	eng, err := NewEngine(net, src, Config{})
-	if err != nil {
-		t.Fatalf("engine: %v", err)
-	}
-	// The ticked road's ends lead the two sets, so its cell sees the tick.
-	sources, targets := []int{net.Edges[0].From}, []int{net.Edges[0].To}
-	seen := map[int]bool{sources[0]: true, targets[0]: true}
-	rng := rand.New(rand.NewSource(5))
-	for len(sources) < 5 || len(targets) < 7 {
-		id := net.Nodes[rng.Intn(len(net.Nodes))].ID
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		if len(sources) < 5 {
-			sources = append(sources, id)
-		} else {
-			targets = append(targets, id)
-		}
-	}
-	check := func(tag string) {
-		t.Helper()
-		// Fuel first: after the tick the matrix, not a point query, is
-		// the call that has to pick up the new snapshot.
-		for _, obj := range []Objective{Fuel, CO2, Distance, Time} {
-			grid, err := eng.Matrix(obj, 40, sources, targets)
-			if err != nil {
-				t.Fatalf("%s matrix %s: %v", tag, obj, err)
-			}
-			if len(grid) != len(sources) {
-				t.Fatalf("%s matrix %s: %d rows, want %d", tag, obj, len(grid), len(sources))
-			}
-			for i, from := range sources {
-				if len(grid[i]) != len(targets) {
-					t.Fatalf("%s matrix %s: row %d has %d cells, want %d", tag, obj, i, len(grid[i]), len(targets))
-				}
-				for j, to := range targets {
-					plan, err := eng.Route(obj, 40, from, to)
-					if errors.Is(err, ErrNoPath) {
-						if !math.IsInf(grid[i][j], 1) {
-							t.Errorf("%s %s %d→%d: matrix %v, want +Inf", tag, obj, from, to, grid[i][j])
-						}
-						continue
-					}
-					if err != nil {
-						t.Fatalf("%s %s %d→%d: %v", tag, obj, from, to, err)
-					}
-					if diff := math.Abs(grid[i][j] - plan.Cost); diff > 1e-9*math.Max(1, plan.Cost) {
-						t.Errorf("%s %s %d→%d: matrix cost %.12g, route cost %.12g", tag, obj, from, to, grid[i][j], plan.Cost)
-					}
-				}
-			}
-		}
-	}
-	check("first customization")
-	src.gen++
-	check("after tick")
-	if st := eng.lastCustStats(); st.full || st.recomputedArcs == 0 {
-		t.Fatalf("the tick should have re-customized incrementally: %+v", st)
-	}
-}
-
-// TestMatrixCtxCancel: a canceled context must abort the matrix promptly with
-// the context's error instead of finishing the grid, and a cancelled grid
-// must hand its scratch back to the pool clean.
-func TestMatrixCtxCancel(t *testing.T) {
-	net, err := road.GenerateNetwork(43, road.NetworkConfig{TargetStreetKM: 40})
-	if err != nil {
-		t.Fatalf("network: %v", err)
-	}
-	var nodes []int
-	for i := 0; i < 30; i++ {
-		nodes = append(nodes, net.Nodes[i*len(net.Nodes)/30].ID)
-	}
-	eng, err := NewEngine(net, TruthSource{}, Config{})
-	if err != nil {
-		t.Fatalf("engine: %v", err)
-	}
-	// Already-canceled context: no row may be computed.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := eng.MatrixCtx(ctx, Fuel, 40, nodes, nodes); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-canceled matrix: got %v, want context.Canceled", err)
-	}
-	// Mid-run cancel: the call must return well before a full grid would.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	timer := time.AfterFunc(10*time.Millisecond, cancel2)
-	start := time.Now()
-	_, err = eng.MatrixCtx(ctx2, Fuel, 40, nodes, nodes)
-	elapsed := time.Since(start)
-	timer.Stop()
-	cancel2()
-	if err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-run cancel: unexpected error %v", err)
-	}
-	// err == nil means the grid beat the timer, which is fine for speed;
-	// but a canceled run must not have kept grinding for seconds.
-	if err != nil && elapsed > 2*time.Second {
-		t.Errorf("canceled matrix still ran %v", elapsed)
-	}
-	checkScratchClean(t, "cancelled matrix", eng)
 }
 
 // pinnedWeights is one published snapshot's weight table, read under the

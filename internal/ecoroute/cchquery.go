@@ -7,8 +7,7 @@ import "math"
 // subset of its elimination-tree ancestor path, so both directions are plain
 // ascending walks along two root paths, and label order is settled by
 // construction (every arc into a path node comes from a lower path node).
-// The point query prunes the walk above the paths' meeting point; the
-// many-to-many matrix sweeps whole root paths with target buckets.
+// The point query prunes the walk above the paths' meeting point.
 
 // cchScratch holds one query's labels, by rank, sized to the node count.
 // Pooled scratches are all +Inf and -1: a sweep from u sets labels only on
@@ -58,29 +57,6 @@ func (g *cch) relax(wt, d []float64, p []int32, u int32) {
 			d[v] = nd
 			p[v] = lo + int32(i)
 		}
-	}
-}
-
-// cchForward sweeps s's root path ascending, relaxing every upward arc. After
-// it returns, df is final on the whole path (arcs into a path node all come
-// from strictly lower path nodes, which were processed first).
-func (g *cch) cchForward(w *cchWeights, sc *cchScratch, su int32) {
-	sc.df[su] = 0
-	for u := su; u >= 0; u = g.parent[u] {
-		g.relax(w.up, sc.df, sc.pf, u)
-	}
-}
-
-// cchBackward sweeps t's root path with downward weights, calling visit(u)
-// once per path node after db[u] is final (ascending order, same argument as
-// the forward sweep). visit sees every node where db is finite.
-func (g *cch) cchBackward(w *cchWeights, sc *cchScratch, tu int32, visit func(u int32)) {
-	sc.db[tu] = 0
-	for u := tu; u >= 0; u = g.parent[u] {
-		if !math.IsInf(sc.db[u], 1) {
-			visit(u)
-		}
-		g.relax(w.dn, sc.db, sc.pb, u)
 	}
 }
 
@@ -193,72 +169,4 @@ func (g *cch) unpackDown(w *cchWeights, a int32, out *[]int32) {
 	tr := g.tri[via]
 	g.unpackDown(w, tr.hi, out)
 	g.unpackUp(w, tr.lo, out)
-}
-
-// cchBucketEntry is one target's backward label deposited at a search-space
-// node: target column j can be reached from here for cost d.
-type cchBucketEntry struct {
-	j int32
-	d float64
-}
-
-// cchMatrix answers the many-to-many grid over a customized table the caller
-// holds (a pinned snapshot's), with the bucket technique: one backward sweep
-// per target deposits (column, cost) entries along its root path; one
-// forward sweep per source then scans the buckets it meets. Total work is
-// O((|S|+|T|)·path + matches) — each endpoint is swept exactly once, versus
-// |S| full one-to-alls for the Dijkstra matrix. Each sweep clears its root
-// path before the next cancellation check, so the scratch goes back to the
-// pool clean on every return.
-func (e *Engine) cchMatrix(w *cchWeights, denseS, denseT []int32, scale float64, cancelled func() error) ([][]float64, error) {
-	g := e.cchGraph()
-	sc := e.cchScratchGet()
-	defer e.cchPool.Put(sc)
-
-	buckets := make([][]cchBucketEntry, len(e.ids))
-	for j, t := range denseT {
-		if err := cancelled(); err != nil {
-			return nil, err
-		}
-		jj := int32(j)
-		tu := g.rank[t]
-		g.cchBackward(w, sc, tu, func(u int32) {
-			buckets[u] = append(buckets[u], cchBucketEntry{j: jj, d: sc.db[u]})
-		})
-		sc.clearPath(g, tu) // buckets keep the values
-	}
-
-	out := make([][]float64, len(denseS))
-	for i, s := range denseS {
-		if err := cancelled(); err != nil {
-			return nil, err
-		}
-		row := make([]float64, len(denseT))
-		for j := range row {
-			row[j] = math.Inf(1)
-		}
-		su := g.rank[s]
-		g.cchForward(w, sc, su)
-		for u := su; u >= 0; u = g.parent[u] {
-			du := sc.df[u]
-			if math.IsInf(du, 1) {
-				continue
-			}
-			for _, ent := range buckets[u] {
-				if c := du + ent.d; c < row[ent.j] {
-					row[ent.j] = c
-				}
-			}
-		}
-		sc.clearPath(g, su)
-		if scale != 1 {
-			for j := range row {
-				if !math.IsInf(row[j], 1) {
-					row[j] *= scale
-				}
-			}
-		}
-		out[i] = row
-	}
-	return out, nil
 }

@@ -56,7 +56,7 @@ func newCCHWeights(nArcs int) *cchWeights {
 }
 
 // cchCustStats records how the most recent customization ran, for tests and
-// the routescale experiment.
+// LastCustomization.
 type cchCustStats struct {
 	full           bool
 	recomputedArcs int

@@ -20,10 +20,9 @@
 //   - One fast search answers every query: a customizable contraction
 //     hierarchy (DESIGN.md §13). The topology is contracted once, each
 //     (metric, speed bucket) is customized on its first query and
-//     re-customized incrementally by every publish after, point queries
-//     walk the elimination tree, and many-to-many matrices sweep it with
-//     target buckets. Plain Dijkstra (RouteDijkstra) stays as the
-//     reference: a plan's cost is bit-identical under both.
+//     re-customized incrementally by every publish after, and point
+//     queries walk the elimination tree. Plain Dijkstra (RouteDijkstra)
+//     stays as the reference: a plan's cost is bit-identical under both.
 package ecoroute
 
 import (
@@ -372,11 +371,6 @@ func (e *Engine) Network() *road.Network { return e.net }
 
 // Source returns the engine's grade source.
 func (e *Engine) Source() GradeSource { return e.src }
-
-// SpeedsKmh returns the configured cruise-speed buckets.
-func (e *Engine) SpeedsKmh() []float64 {
-	return append([]float64(nil), e.cfg.SpeedsKmh...)
-}
 
 // bucketFor snaps a cruise speed to the nearest configured bucket.
 func (e *Engine) bucketFor(speedKmh float64) (int, error) {

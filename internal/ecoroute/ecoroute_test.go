@@ -324,65 +324,6 @@ func TestMinFuelNeverWorseThanShortest(t *testing.T) {
 	}
 }
 
-// TestMatrixMatchesPointQueries: the bucket-based many-to-many grid must
-// agree with the Dijkstra reference's point answers under every metric
-// family, including unreachable = +Inf and diagonal zeros.
-func TestMatrixMatchesPointQueries(t *testing.T) {
-	net, err := road.GenerateNetwork(47, road.NetworkConfig{TargetStreetKM: 8})
-	if err != nil {
-		t.Fatalf("network: %v", err)
-	}
-	eng, err := NewEngine(net, TruthSource{}, Config{})
-	if err != nil {
-		t.Fatalf("engine: %v", err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	var nodes []int
-	seen := map[int]bool{}
-	for len(nodes) < 8 {
-		id := net.Nodes[rng.Intn(len(net.Nodes))].ID
-		if !seen[id] {
-			seen[id] = true
-			nodes = append(nodes, id)
-		}
-	}
-	for _, obj := range []Objective{Distance, Time, Fuel, CO2} {
-		grid, err := eng.Matrix(obj, 40, nodes, nodes)
-		if err != nil {
-			t.Fatalf("matrix %s: %v", obj, err)
-		}
-		for i, from := range nodes {
-			for j, to := range nodes {
-				if from == to {
-					if grid[i][j] != 0 {
-						t.Errorf("%s: diagonal [%d][%d] = %v, want 0", obj, i, j, grid[i][j])
-					}
-					continue
-				}
-				plan, err := eng.RouteDijkstra(obj, 40, from, to)
-				if errors.Is(err, ErrNoPath) {
-					if !math.IsInf(grid[i][j], 1) {
-						t.Errorf("%s %d→%d: matrix %v, want +Inf for no path", obj, from, to, grid[i][j])
-					}
-					continue
-				}
-				if err != nil {
-					t.Fatalf("%s %d→%d: %v", obj, from, to, err)
-				}
-				if diff := math.Abs(grid[i][j] - plan.Cost); diff > 1e-9*math.Max(1, plan.Cost) {
-					t.Errorf("%s %d→%d: matrix cost %.12g, route cost %.12g", obj, from, to, grid[i][j], plan.Cost)
-				}
-			}
-		}
-	}
-	if _, err := eng.Matrix(Fuel, 40, nil, nodes); err == nil {
-		t.Error("empty source set: want error")
-	}
-	if _, err := eng.Matrix(Fuel, 40, []int{-99}, nodes); !errors.Is(err, ErrUnknownNode) {
-		t.Errorf("unknown matrix source: got %v, want ErrUnknownNode", err)
-	}
-}
-
 // samePlan fails unless got equals want by Float64bits in every field but
 // EmisG.
 func samePlan(t *testing.T, what string, got, want Plan) {

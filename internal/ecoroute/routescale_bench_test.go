@@ -11,10 +11,9 @@ import (
 // The routescale sweep, a BENCH.json family: graph size (1×/10×/100× the
 // paper's 164.8 km network, the 100× point being the ≥10⁵-directed-edge
 // country scale) × objective (fuel, distance), plus the customization cost
-// pair (full vs generation-tick incremental) and the 50×50 many-to-many
-// grid. Networks and engines are built once per process
-// and shared across benchmarks — benchmarks run sequentially, so plain maps
-// suffice.
+// pair (full vs generation-tick incremental). Networks and engines are built
+// once per process and shared across benchmarks — benchmarks run
+// sequentially, so plain maps suffice.
 
 var (
 	rsNets    = map[int]*road.Network{}
@@ -150,28 +149,5 @@ func BenchmarkRouteScaleCCHRecustomizeTick100x(b *testing.B) {
 		tick(i)
 		next, _ = g.recustomize(cur, pred, cost, gen, &work)
 		pred, cur = cur, next
-	}
-}
-
-func rsMatrixNodes(eng *Engine, n int) []int {
-	pairs := benchPairs(eng, n)
-	out := make([]int, n)
-	for i, p := range pairs {
-		out[i] = p[0]
-	}
-	return out
-}
-
-// BenchmarkRouteScaleCCHMatrix100x is the fleet-dispatch grid: 50×50 on the
-// country graph, answered by bucket sweeps over the hierarchy.
-func BenchmarkRouteScaleCCHMatrix100x(b *testing.B) {
-	eng := rsEngine(b, 100)
-	nodes := rsMatrixNodes(eng, 50)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Matrix(Fuel, 40, nodes, nodes); err != nil {
-			b.Fatalf("matrix: %v", err)
-		}
 	}
 }

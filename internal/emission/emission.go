@@ -67,16 +67,6 @@ func Pollutants() []Pollutant { return []Pollutant{CO, NOx, HC, PM25} }
 // Grams holds one value per pollutant, indexed by Pollutant.
 type Grams [NumPollutants]float64
 
-// Get returns the value for one pollutant.
-func (g Grams) Get(p Pollutant) float64 { return g[p] }
-
-// Add accumulates other into g.
-func (g *Grams) Add(other Grams) {
-	for i := range g {
-		g[i] += other[i]
-	}
-}
-
 // Scale multiplies every species by f.
 func (g Grams) Scale(f float64) Grams {
 	for i := range g {
@@ -114,9 +104,6 @@ func (c VehicleClass) String() string {
 		return fmt.Sprintf("VehicleClass(%d)", int(c))
 	}
 }
-
-// VehicleClasses lists the modeled classes in stable order.
-func VehicleClasses() []VehicleClass { return []VehicleClass{Car, Truck, Bus} }
 
 // ParseVehicleClass resolves a class name (case-insensitive).
 func ParseVehicleClass(s string) (VehicleClass, error) {
@@ -255,10 +242,7 @@ var opModeIndex = func() map[OpMode]int {
 	return m
 }()
 
-// OpModes lists the modeled bins in ascending ID order.
-func OpModes() []OpMode { return append([]OpMode(nil), opModes...) }
-
-// Index returns the bin's position in OpModes() (the rate-table row), or
+// Index returns the bin's position in opModes (the rate-table row), or
 // -1 for an unknown ID.
 func (op OpMode) Index() int {
 	if i, ok := opModeIndex[op]; ok {
@@ -404,14 +388,6 @@ var rateTables = func() [numVehicleClasses]RateTable {
 	return out
 }()
 
-// Rates returns the built-in rate table for a vehicle class.
-func Rates(c VehicleClass) RateTable {
-	if c < 0 || int(c) >= numVehicleClasses {
-		return rateTables[Car]
-	}
-	return rateTables[c]
-}
-
 // rateTable resolves the effective table: an override if set, otherwise
 // the class's built-in.
 func (p Params) rateTable() *RateTable {
@@ -422,11 +398,4 @@ func (p Params) rateTable() *RateTable {
 		return &rateTables[Car]
 	}
 	return &rateTables[p.Vehicle]
-}
-
-// RatesGPH returns the per-pollutant emission rates (grams/hour) for one
-// instant of operation: the rate row of the operating-mode bin that
-// (v, a, grade) classifies into.
-func (p Params) RatesGPH(vMS, aMS2, gradeRad float64) Grams {
-	return p.rateTable()[p.OpModeFor(vMS, aMS2, gradeRad).Index()]
 }

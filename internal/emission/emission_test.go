@@ -82,9 +82,9 @@ func TestOpModeBoundariesDeterministic(t *testing.T) {
 }
 
 func TestOpModeTableConsistency(t *testing.T) {
-	ops := OpModes()
+	ops := opModes
 	if len(ops) != NumOpModes {
-		t.Fatalf("OpModes() has %d bins, NumOpModes = %d", len(ops), NumOpModes)
+		t.Fatalf("opModes has %d bins, NumOpModes = %d", len(ops), NumOpModes)
 	}
 	for i, op := range ops {
 		if op.Index() != i {
@@ -102,12 +102,12 @@ func TestOpModeTableConsistency(t *testing.T) {
 func TestRatesStrictlyPositive(t *testing.T) {
 	// Dijkstra requires positive edge costs: every bin of every class's
 	// table must be strictly positive for every pollutant.
-	for _, c := range VehicleClasses() {
-		tab := Rates(c)
+	for _, c := range []VehicleClass{Car, Truck, Bus} {
+		tab := rateTables[c]
 		for i, row := range tab {
 			for _, sp := range Pollutants() {
 				if row[sp] <= 0 {
-					t.Fatalf("%s bin %d %s rate %v not positive", c, OpModes()[i], sp, row[sp])
+					t.Fatalf("%s bin %d %s rate %v not positive", c, opModes[i], sp, row[sp])
 				}
 			}
 		}
@@ -115,7 +115,7 @@ func TestRatesStrictlyPositive(t *testing.T) {
 }
 
 func TestTruckBusScaledFromCar(t *testing.T) {
-	car, truck := Rates(Car), Rates(Truck)
+	car, truck := rateTables[Car], rateTables[Truck]
 	if truck[0][NOx] <= car[0][NOx]*6 {
 		t.Fatalf("truck NOx %v not scaled up from car %v", truck[0][NOx], car[0][NOx])
 	}
@@ -155,7 +155,7 @@ func TestTripEmissionsMatchesManualSum(t *testing.T) {
 	}
 	var want Grams
 	for i := range v {
-		r := p.RatesGPH(v[i], a[i], g[i])
+		r := p.rateTable()[p.OpModeFor(v[i], a[i], g[i]).Index()]
 		for s := range want {
 			want[s] += r[s] * dt / 3600
 		}
@@ -247,7 +247,7 @@ func TestNetworkEmissions(t *testing.T) {
 }
 
 func TestParseVehicleClass(t *testing.T) {
-	for _, c := range VehicleClasses() {
+	for _, c := range []VehicleClass{Car, Truck, Bus} {
 		got, err := ParseVehicleClass(c.String())
 		if err != nil || got != c {
 			t.Fatalf("ParseVehicleClass(%q) = %v, %v", c.String(), got, err)

@@ -35,7 +35,6 @@ func Registry() map[string]Runner {
 		"misalignment": Misalignment,
 		"multivehicle": MultiVehicle,
 		"ablation":     Ablation,
-		"obssweep":     ObsSweep,
 		"robustness":   Robustness,
 		"robustsweep":  RobustnessSweep,
 		"poisonsweep":  PoisonSweep,
@@ -44,7 +43,6 @@ func Registry() map[string]Runner {
 		"routing":      Routing,
 		"ecoroutes":    EcoRoutes,
 		"emissionmaps": EmissionMaps,
-		"routescale":   RouteScale,
 	}
 }
 
@@ -72,24 +70,10 @@ func Run(name string, opt Options) (Table, error) {
 	return r(opt)
 }
 
-// measured marks experiments whose tables contain wall-clock measurements
-// (throughput, latency) rather than seed-deterministic values. All skips
-// them so the full-sweep output stays a pure function of -seed — the
-// determinism contract CI diffs against; they run only when requested by
-// name with -exp.
-var measured = map[string]bool{
-	"obssweep":   true,
-	"routescale": true,
-}
-
-// All runs every registered experiment in stable order, skipping
-// wall-clock-measured ones (see measured).
+// All runs every registered experiment in stable order.
 func All(opt Options) ([]Table, error) {
 	var out []Table
 	for _, name := range Names() {
-		if measured[name] {
-			continue
-		}
 		t, err := Run(name, opt)
 		if err != nil {
 			return nil, fmt.Errorf("experiment %s: %w", name, err)

@@ -13,7 +13,6 @@ import (
 
 	"roadgrade/internal/core"
 	"roadgrade/internal/fusion"
-	"roadgrade/internal/geo"
 	"roadgrade/internal/groundtruth"
 	"roadgrade/internal/lanechange"
 	"roadgrade/internal/road"
@@ -303,9 +302,4 @@ func medianOf(xs []float64) float64 {
 		return math.NaN()
 	}
 	return m
-}
-
-// cvilleProjector anchors local frames for geo-referencing output.
-func cvilleProjector() *geo.Projector {
-	return geo.NewProjector(geo.LatLon{Lat: 38.0293, Lon: -78.4767})
 }

@@ -35,8 +35,8 @@ func TestRegistryComplete(t *testing.T) {
 		"lanechange", "headline", "uplift",
 		// Extension studies.
 		"misalignment", "multivehicle", "ablation", "robustness", "robustsweep",
-		"poisonsweep", "speedsweep", "obssweep",
-		"journey", "routing", "ecoroutes", "emissionmaps", "routescale",
+		"poisonsweep", "speedsweep",
+		"journey", "routing", "ecoroutes", "emissionmaps",
 	}
 	reg := Registry()
 	for _, name := range want {

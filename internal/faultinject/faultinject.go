@@ -11,7 +11,6 @@
 package faultinject
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -72,16 +71,6 @@ func DefaultPlans() []Plan {
 		{Name: "accel-saturation", Faults: []Fault{&Saturation{}}},
 		{Name: "nan-burst", Faults: []Fault{&NaNBurst{}}},
 	}
-}
-
-// PlanByName finds a default plan.
-func PlanByName(name string) (Plan, error) {
-	for _, p := range DefaultPlans() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Plan{}, fmt.Errorf("faultinject: unknown plan %q", name)
 }
 
 // episodes walks the trace ticks and yields [start, end) index ranges of

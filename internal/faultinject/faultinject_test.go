@@ -99,16 +99,6 @@ func TestEveryPlanCorrupts(t *testing.T) {
 	}
 }
 
-func TestPlanByName(t *testing.T) {
-	p, err := faultinject.PlanByName("nan-burst")
-	if err != nil || p.Name != "nan-burst" {
-		t.Fatalf("PlanByName(nan-burst) = %v, %v", p.Name, err)
-	}
-	if _, err := faultinject.PlanByName("nope"); err == nil {
-		t.Error("unknown plan should error")
-	}
-}
-
 // TestPipelineSurvivesEveryPlan is the headline robustness acceptance: under
 // every single-fault plan at default severity, the full red-route pipeline —
 // adjustment, four estimation tracks, fusion — completes without panic and

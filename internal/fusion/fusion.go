@@ -16,9 +16,9 @@ import (
 )
 
 // Fusion instrumentation: how many tracks survived to be fused, how many
-// were quarantined (broken down by the CheckTrack verdict category), and how
-// long a fuse takes. Quarantine counters are pre-created per category so the
-// fuse path never builds label strings. Every batch FuseProfiles call is
+// were quarantined (broken down by the track check's verdict category), and
+// how long a fuse takes. Quarantine counters are pre-created per category so
+// the fuse path never builds label strings. Every batch FuseProfiles call is
 // counted, so a serving deployment can verify that fused reads come from the
 // incremental accumulator (the counter must stay flat while reads flow).
 var (
@@ -130,16 +130,10 @@ type TrackReport struct {
 	Reason      string
 }
 
-// CheckTrack returns nil for a healthy track, or the reason it must be
-// quarantined: empty or inconsistent layout, non-finite samples, non-positive
-// variance, or an implausible grade profile.
-func CheckTrack(t *core.Track) error {
-	_, err := checkTrackReason(t)
-	return err
-}
-
-// checkTrackReason is CheckTrack plus the coarse verdict category used as the
-// quarantine metric's reason label.
+// checkTrackReason returns nil for a healthy track, or the reason it must be
+// quarantined: empty or inconsistent layout, non-finite samples,
+// non-positive variance, or an implausible grade profile. It also returns
+// the coarse verdict category used as the quarantine metric's reason label.
 func checkTrackReason(t *core.Track) (string, error) {
 	if t == nil || t.Len() == 0 {
 		return reasonEmpty, errors.New("empty track")
@@ -186,10 +180,10 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 // realized track quality. A cell no track reaches takes the estimate of the
 // covered cell before it, or, before the first covered cell, of that one.
 //
-// Degenerate tracks (NaN samples, zero variance, implausible grades — see
-// CheckTrack) are quarantined rather than fused, so one corrupted velocity
-// source degrades the result to the surviving tracks instead of poisoning the
-// consensus; FuseTracksReport exposes the verdicts. Fusing fails when no
+// Degenerate tracks (NaN samples, zero variance, implausible grades) are
+// quarantined rather than fused, so one corrupted velocity source degrades
+// the result to the surviving tracks instead of poisoning the consensus;
+// FuseTracksReport exposes the verdicts. Fusing fails when no
 // healthy track remains, or when none has a sample on the road.
 func FuseTracks(tracks []*core.Track, spacingM, lengthM float64) (*Profile, error) {
 	prof, _, err := FuseTracksReport(tracks, spacingM, lengthM)

@@ -12,7 +12,7 @@ import (
 func TestCheckTrack(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	good := syntheticTrack(rng, sensors.SourceGPS, 300, 0.01, flatTruth)
-	if err := CheckTrack(good); err != nil {
+	if _, err := checkTrackReason(good); err != nil {
 		t.Fatalf("healthy track rejected: %v", err)
 	}
 	cases := []struct {
@@ -36,7 +36,7 @@ func TestCheckTrack(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))
 			tr := syntheticTrack(rng, sensors.SourceGPS, 300, 0.01, flatTruth)
 			tc.mutate(tr)
-			if err := CheckTrack(tr); err == nil {
+			if _, err := checkTrackReason(tr); err == nil {
 				t.Error("degenerate track passed health check")
 			}
 		})

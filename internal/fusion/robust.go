@@ -13,7 +13,7 @@ import (
 // Robust-fusion instrumentation: how often the bounded-influence machinery
 // actually fired (Huber down-weighting, residual clamping, trimming) and how
 // long a robust fold takes per policy. The per-policy histograms are
-// pre-created so the Add path never builds label strings. Every fold and
+// pre-created so the AddDevice path never builds label strings. Every fold and
 // every eviction rebuild is counted too, so a deployment can see how much
 // rebuild work evictions cost.
 var (
@@ -250,14 +250,14 @@ func (d *DeviceState) observe(st foldStats) {
 // where z[c] = (θ_sub − θ̄)/√(Var + U) is the standardized residual against
 // the current fused cell, ψ is the policy's weight function (Huber or hard
 // trim), and ρ is the submitting device's reputation weight. The accumulator
-// keeps the per-cell running totals Σ wi and Σ cw, so Add is O(cells) and
-// Fused materializes the profile from the totals in O(cells), with no batch
-// fuse.
+// keeps the per-cell running totals Σ wi and Σ cw, so AddDevice is O(cells)
+// and Fused materializes the profile from the totals in O(cells), with no
+// batch fuse.
 //
-// The weights are *frozen* at Add time — this is a sequential (online) robust
-// estimator. Freezing is what keeps the accumulator's complexity and
-// determinism guarantees intact: Add stays O(cells), eviction rebuilds are
-// pure additions of precomputed terms in arrival order (bit-reproducible;
+// The weights are *frozen* at AddDevice time — this is a sequential (online)
+// robust estimator. Freezing is what keeps the accumulator's complexity and
+// determinism guarantees intact: AddDevice stays O(cells), eviction rebuilds
+// are pure additions of precomputed terms in arrival order (bit-reproducible;
 // eviction never subtracts, since floating-point subtraction would drift),
 // and the same submission sequence always produces the bit-identical map, on
 // the direct path or through the write coalescer.
@@ -318,15 +318,8 @@ func NewRobustAccumulator(maxWindow int, policy FusionPolicy) *RobustAccumulator
 	return &RobustAccumulator{maxWindow: maxWindow, policy: policy.WithDefaults()}
 }
 
-// Policy returns the accumulator's fusion policy (with defaults applied).
-func (a *RobustAccumulator) Policy() FusionPolicy { return a.policy }
-
 // Len returns the number of retained submissions.
 func (a *RobustAccumulator) Len() int { return a.subs }
-
-// Cells returns the current fused grid length (the longest retained
-// submission).
-func (a *RobustAccumulator) Cells() int { return a.cells }
 
 // Spacing returns the grid spacing, or 0 while empty.
 func (a *RobustAccumulator) Spacing() float64 {
@@ -335,9 +328,6 @@ func (a *RobustAccumulator) Spacing() float64 {
 	}
 	return a.spacing
 }
-
-// Add folds one anonymous submission in: AddDevice with no device state.
-func (a *RobustAccumulator) Add(p *Profile) error { return a.AddDevice(p, nil) }
 
 // AddDevice folds one submission from the given device into the running
 // totals, evicting the oldest retained submission first when the window is

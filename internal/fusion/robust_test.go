@@ -97,7 +97,7 @@ func checkNaiveMatchesBatch(t *testing.T, withDevices bool) {
 			if withDevices {
 				err = acc.AddDevice(p, devices[i%len(devices)])
 			} else {
-				err = acc.Add(p)
+				err = acc.AddDevice(p, nil)
 			}
 			if err != nil {
 				t.Fatalf("window %d add %d: %v", window, i, err)
@@ -165,7 +165,7 @@ func TestRobustPlaneStrideGrowth(t *testing.T) {
 	wantStride := map[int]int{4: 0, 5: 10, 6: 10, 7: 10, 11: 10, 12: 10, 13: 50, 18: 50, 19: 10}
 	var all []*Profile
 	for i, p := range seq {
-		if err := acc.Add(p); err != nil {
+		if err := acc.AddDevice(p, nil); err != nil {
 			t.Fatal(err)
 		}
 		all = append(all, p)
@@ -194,17 +194,17 @@ func TestRobustPlaneStrideGrowth(t *testing.T) {
 			t.Fatalf("after %d adds: planes of %d floats at stride %d for %d retained cells",
 				i+1, len(acc.wi), acc.stride, total)
 		}
-		if p == long && acc.Cells() != long.Len() {
-			t.Fatalf("cells = %d with the long row retained, want %d", acc.Cells(), long.Len())
+		if p == long && acc.cells != long.Len() {
+			t.Fatalf("cells = %d with the long row retained, want %d", acc.cells, long.Len())
 		}
 	}
-	if acc.Cells() != 10 || cap(acc.sumInv) > 40 || cap(acc.nSub) > 40 {
+	if acc.cells != 10 || cap(acc.sumInv) > 40 || cap(acc.nSub) > 40 {
 		t.Fatalf("cells = %d, totals of capacity %d and %d after the longer rows left, want 10 and at most 40",
-			acc.Cells(), cap(acc.sumInv), cap(acc.nSub))
+			acc.cells, cap(acc.sumInv), cap(acc.nSub))
 	}
 	p := prof(10)
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := acc.Add(p); err != nil {
+		if err := acc.AddDevice(p, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -229,7 +229,7 @@ func TestRobustMinConsensusCounts(t *testing.T) {
 					t.Fatal(err)
 				}
 				all = append(all, p)
-				want := make([]int32, acc.Cells())
+				want := make([]int32, acc.cells)
 				for _, q := range lastN(all, window) {
 					for c := range q.Var {
 						if q.Var[c] > 0 {
@@ -256,7 +256,7 @@ func TestRobustTermsOverwriteRow(t *testing.T) {
 		rng := rand.New(rand.NewSource(5))
 		acc := NewRobustAccumulator(0, FusionPolicy{Policy: policy})
 		for i := 0; i < 8; i++ {
-			if err := acc.Add(randomProfile(rng, 5)); err != nil {
+			if err := acc.AddDevice(randomProfile(rng, 5), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -297,7 +297,7 @@ func TestAccumulatorWindowShrinksCells(t *testing.T) {
 	short := &Profile{SpacingM: 5, S: []float64{0, 5}, GradeRad: []float64{0.02, 0.03}, Var: []float64{1e-4, 1e-4}}
 	acc := NewRobustAccumulator(2, FusionPolicy{Policy: PolicyNaive})
 	for _, p := range []*Profile{long, short, short} {
-		if err := acc.Add(p); err != nil {
+		if err := acc.AddDevice(p, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -321,7 +321,7 @@ func TestAccumulatorWindowShrinksCells(t *testing.T) {
 // mutating one result must not corrupt a later read.
 func TestAccumulatorFusedIsFresh(t *testing.T) {
 	acc := NewRobustAccumulator(4, FusionPolicy{Policy: PolicyNaive})
-	if err := acc.Add(randomProfile(rand.New(rand.NewSource(3)), 5)); err != nil {
+	if err := acc.AddDevice(randomProfile(rand.New(rand.NewSource(3)), 5), nil); err != nil {
 		t.Fatal(err)
 	}
 	a, _ := acc.Fused()
@@ -378,10 +378,10 @@ func TestRobustBoundedInfluence(t *testing.T) {
 				naive := NewRobustAccumulator(0, FusionPolicy{Policy: PolicyNaive})
 				rng2 := rand.New(rand.NewSource(7))
 				for i := 0; i < n; i++ {
-					_ = naive.Add(syntheticProfile(cells, 5, 0, 0.002, rng2))
+					_ = naive.AddDevice(syntheticProfile(cells, 5, 0, 0.002, rng2), nil)
 				}
 				nb, _ := naive.Fused()
-				_ = naive.Add(adv)
+				_ = naive.AddDevice(adv, nil)
 				na, _ := naive.Fused()
 				moved := math.Abs(na.GradeRad[10] - nb.GradeRad[10])
 				if moved < 0.1 {
@@ -557,17 +557,17 @@ func TestRobustAccumulatorValidation(t *testing.T) {
 	if _, err := acc.Fused(); err == nil {
 		t.Error("empty accumulator should refuse to fuse")
 	}
-	if err := acc.Add(nil); err == nil {
+	if err := acc.AddDevice(nil, nil); err == nil {
 		t.Error("nil profile should error")
 	}
-	if err := acc.Add(&Profile{SpacingM: 5}); err == nil {
+	if err := acc.AddDevice(&Profile{SpacingM: 5}, nil); err == nil {
 		t.Error("empty profile should error")
 	}
 	p := randomProfile(rand.New(rand.NewSource(1)), 5)
-	if err := acc.Add(p); err != nil {
+	if err := acc.AddDevice(p, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := acc.Add(randomProfile(rand.New(rand.NewSource(2)), 3)); err == nil {
+	if err := acc.AddDevice(randomProfile(rand.New(rand.NewSource(2)), 3), nil); err == nil {
 		t.Error("spacing mismatch should error")
 	}
 	if acc.Len() != 1 {
@@ -576,7 +576,7 @@ func TestRobustAccumulatorValidation(t *testing.T) {
 	if acc.Spacing() != 5 {
 		t.Errorf("Spacing = %v, want 5", acc.Spacing())
 	}
-	if got := acc.Policy().Policy; got != PolicyHuber {
+	if got := acc.policy.Policy; got != PolicyHuber {
 		t.Errorf("Policy() = %q", got)
 	}
 }

@@ -8,10 +8,7 @@
 // counter-clockwise from East, matching the paper's X_E (East) / Y_E axes.
 package geo
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // EarthRadiusM is the mean earth radius in meters.
 const EarthRadiusM = 6371008.8
@@ -20,11 +17,6 @@ const EarthRadiusM = 6371008.8
 type LatLon struct {
 	Lat float64 `json:"lat"`
 	Lon float64 `json:"lon"`
-}
-
-// String renders the position with enough digits for ~1 cm resolution.
-func (p LatLon) String() string {
-	return fmt.Sprintf("(%.7f, %.7f)", p.Lat, p.Lon)
 }
 
 // Radians converts degrees to radians.
@@ -64,9 +56,6 @@ func NewProjector(origin LatLon) *Projector {
 	return &Projector{origin: origin, cosLat0: math.Cos(Radians(origin.Lat))}
 }
 
-// Origin returns the anchor position.
-func (p *Projector) Origin() LatLon { return p.origin }
-
 // ToENU projects a position into the local frame.
 func (p *Projector) ToENU(pos LatLon) ENU {
 	return ENU{
@@ -83,17 +72,9 @@ func (p *Projector) ToLatLon(e ENU) LatLon {
 	}
 }
 
-// BearingFromEast returns the direction of travel from a to b, measured
-// counter-clockwise from the earth East direction, in (-π, π].
-func BearingFromEast(a, b LatLon) float64 {
-	dE := EarthRadiusM * Radians(b.Lon-a.Lon) * math.Cos(Radians((a.Lat+b.Lat)/2))
-	dN := EarthRadiusM * Radians(b.Lat-a.Lat)
-	return math.Atan2(dN, dE)
-}
-
 // PaperSegmentDirection is the §III-D formula arctan((λ_E-λ_S)/(φ_E-φ_S))
 // computed exactly as printed, kept for fidelity with the reference-profile
-// construction. Prefer BearingFromEast for metric-correct directions.
+// construction.
 func PaperSegmentDirection(start, end LatLon) float64 {
 	return math.Atan((end.Lon - start.Lon) / (end.Lat - start.Lat))
 }

@@ -41,9 +41,6 @@ func TestHaversineSymmetric(t *testing.T) {
 
 func TestProjectorRoundTrip(t *testing.T) {
 	p := NewProjector(cville)
-	if p.Origin() != cville {
-		t.Error("Origin mismatch")
-	}
 	f := func(dLat, dLon float64) bool {
 		// Constrain offsets to city scale (~0.2 degrees).
 		pos := LatLon{
@@ -66,27 +63,6 @@ func TestProjectorAgreesWithHaversine(t *testing.T) {
 	hav := HaversineM(cville, pos)
 	if math.Abs(planar-hav)/hav > 0.001 {
 		t.Errorf("planar %v vs haversine %v", planar, hav)
-	}
-}
-
-func TestBearingFromEast(t *testing.T) {
-	tests := []struct {
-		name string
-		to   LatLon
-		want float64
-	}{
-		{"east", LatLon{Lat: cville.Lat, Lon: cville.Lon + 0.01}, 0},
-		{"north", LatLon{Lat: cville.Lat + 0.01, Lon: cville.Lon}, math.Pi / 2},
-		{"west", LatLon{Lat: cville.Lat, Lon: cville.Lon - 0.01}, math.Pi},
-		{"south", LatLon{Lat: cville.Lat - 0.01, Lon: cville.Lon}, -math.Pi / 2},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got := BearingFromEast(cville, tt.to)
-			if math.Abs(AngleDiff(got, tt.want)) > 1e-6 {
-				t.Errorf("bearing = %v, want %v", got, tt.want)
-			}
-		})
 	}
 }
 
@@ -146,12 +122,6 @@ func TestAngleDiff(t *testing.T) {
 	// Crossing the wrap point.
 	if got := AngleDiff(math.Pi-0.1, -math.Pi+0.1); math.Abs(got-0.2) > 1e-12 {
 		t.Errorf("AngleDiff across wrap = %v, want 0.2", got)
-	}
-}
-
-func TestLatLonString(t *testing.T) {
-	if cville.String() == "" {
-		t.Error("empty String")
 	}
 }
 

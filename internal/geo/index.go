@@ -102,9 +102,6 @@ func clampInt(v, lo, hi int) int {
 	return v
 }
 
-// Line returns the underlying polyline.
-func (ip *IndexedPolyline) Line() *Polyline { return ip.line }
-
 // ClosestS returns the arc length of the point on the polyline nearest to q
 // and the distance to it, identical to Polyline.ClosestS but sub-linear in
 // the segment count for queries near the line.

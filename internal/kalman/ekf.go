@@ -1,5 +1,5 @@
-// Package kalman provides a generic Extended Kalman Filter and an RTS
-// smoother over it, used by the altitude-EKF baseline. The filter is generic
+// Package kalman provides a generic Extended Kalman Filter, used by the
+// altitude-EKF baseline. The filter is generic
 // over a user-supplied nonlinear process/measurement model with analytic
 // Jacobians, and uses the Joseph-form covariance update for numerical
 // robustness over long traces. The road gradient estimator runs its own
@@ -245,20 +245,8 @@ func (f *Filter) Healthy() bool {
 	return true
 }
 
-// State returns a copy of the current state estimate.
-func (f *Filter) State() []float64 { return mat.CloneVec(f.x) }
-
 // StateAt returns one component of the state estimate without copying.
 func (f *Filter) StateAt(i int) float64 { return f.x[i] }
-
-// SetState overwrites the state estimate (e.g. re-anchoring after a gap).
-func (f *Filter) SetState(x []float64) error {
-	if len(x) != f.model.StateDim {
-		return fmt.Errorf("kalman: state dim %d, want %d", len(x), f.model.StateDim)
-	}
-	f.x = mat.CloneVec(x)
-	return nil
-}
 
 // Covariance returns a copy of the current estimate covariance.
 func (f *Filter) Covariance() *mat.Matrix { return f.p.Clone() }

@@ -1,6 +1,7 @@
-// Package mat provides small dense matrix and vector algebra used throughout
-// the road-gradient estimation pipeline: Kalman filter covariance updates,
-// local-regression normal equations and track-fusion convex combinations.
+// Package mat provides small dense matrix and vector algebra: the generic
+// Kalman filter's covariance updates (the altitude-EKF baseline), and the
+// generic references that the phone's fixed-size grade filter and LOESS fit
+// are tested against.
 //
 // The Go standard library has no linear algebra, so this package implements
 // the needed subset from scratch. Matrices are row-major, value-semantics-free
@@ -12,15 +13,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 )
 
 // ErrSingular is returned when a factorization or solve encounters a matrix
 // that is singular to working precision.
 var ErrSingular = errors.New("mat: matrix is singular")
-
-// ErrNotPSD is returned by Cholesky when the matrix is not positive definite.
-var ErrNotPSD = errors.New("mat: matrix is not positive definite")
 
 // Matrix is a dense, row-major matrix.
 type Matrix struct {
@@ -106,28 +103,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mat: row %d out of range %d", i, m.rows))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: col %d out of range %d", j, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := range out {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
 // Mul returns a * b.
 func Mul(a, b *Matrix) *Matrix {
 	if a.cols != b.rows {
@@ -150,9 +125,6 @@ func Mul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// Mul3 returns a * b * c, a common Kalman-update shape.
-func Mul3(a, b, c *Matrix) *Matrix { return Mul(Mul(a, b), c) }
-
 // Sum returns a + b.
 func Sum(a, b *Matrix) *Matrix {
 	if a.rows != b.rows || a.cols != b.cols {
@@ -173,15 +145,6 @@ func Sub(a, b *Matrix) *Matrix {
 	out := New(a.rows, a.cols)
 	for i := range out.data {
 		out.data[i] = a.data[i] - b.data[i]
-	}
-	return out
-}
-
-// Scale returns s * a.
-func Scale(s float64, a *Matrix) *Matrix {
-	out := a.Clone()
-	for i := range out.data {
-		out.data[i] *= s
 	}
 	return out
 }
@@ -216,7 +179,6 @@ func Symmetrize(a *Matrix) *Matrix {
 type lu struct {
 	f    *Matrix // packed L (unit lower, implicit 1s) and U
 	perm []int   // row permutation
-	sign int     // permutation sign, for Det
 }
 
 func factorLU(a *Matrix) (*lu, error) {
@@ -229,7 +191,6 @@ func factorLU(a *Matrix) (*lu, error) {
 	for i := range perm {
 		perm[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Partial pivot: largest magnitude in column k at/below the diagonal.
 		p, max := k, math.Abs(f.data[k*n+k])
@@ -246,7 +207,6 @@ func factorLU(a *Matrix) (*lu, error) {
 				f.data[k*n+j], f.data[p*n+j] = f.data[p*n+j], f.data[k*n+j]
 			}
 			perm[k], perm[p] = perm[p], perm[k]
-			sign = -sign
 		}
 		piv := f.data[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -257,7 +217,7 @@ func factorLU(a *Matrix) (*lu, error) {
 			}
 		}
 	}
-	return &lu{f: f, perm: perm, sign: sign}, nil
+	return &lu{f: f, perm: perm}, nil
 }
 
 // solveVec solves Ax = b given the factorization.
@@ -324,60 +284,6 @@ func Inverse(a *Matrix) (*Matrix, error) {
 	return Solve(a, Identity(a.rows))
 }
 
-// Det returns the determinant of a square matrix. A singular matrix yields 0.
-func Det(a *Matrix) float64 {
-	f, err := factorLU(a)
-	if err != nil {
-		if errors.Is(err, ErrSingular) {
-			return 0
-		}
-		panic(err)
-	}
-	n := a.rows
-	det := float64(f.sign)
-	for i := 0; i < n; i++ {
-		det *= f.f.data[i*n+i]
-	}
-	return det
-}
-
-// Cholesky returns the lower-triangular L with A = L Lᵀ, or ErrNotPSD.
-func Cholesky(a *Matrix) (*Matrix, error) {
-	if a.rows != a.cols {
-		return nil, fmt.Errorf("mat: Cholesky requires square matrix, got %dx%d", a.rows, a.cols)
-	}
-	n := a.rows
-	l := New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a.data[i*n+j]
-			for k := 0; k < j; k++ {
-				sum -= l.data[i*n+k] * l.data[j*n+k]
-			}
-			if i == j {
-				if sum <= 0 || math.IsNaN(sum) {
-					return nil, ErrNotPSD
-				}
-				l.data[i*n+i] = math.Sqrt(sum)
-			} else {
-				l.data[i*n+j] = sum / l.data[j*n+j]
-			}
-		}
-	}
-	return l, nil
-}
-
-// IsPSD reports whether a symmetric matrix is positive semi-definite, within
-// tolerance tol added to the diagonal.
-func IsPSD(a *Matrix, tol float64) bool {
-	shifted := a.Clone()
-	for i := 0; i < shifted.rows; i++ {
-		shifted.data[i*shifted.cols+i] += tol
-	}
-	_, err := Cholesky(Symmetrize(shifted))
-	return err == nil
-}
-
 // MulVec returns A v as a new slice.
 func MulVec(a *Matrix, v []float64) []float64 {
 	if a.cols != len(v) {
@@ -393,61 +299,4 @@ func MulVec(a *Matrix, v []float64) []float64 {
 		out[i] = s
 	}
 	return out
-}
-
-// OuterProduct returns u vᵀ.
-func OuterProduct(u, v []float64) *Matrix {
-	out := New(len(u), len(v))
-	for i, uv := range u {
-		for j, vv := range v {
-			out.data[i*out.cols+j] = uv * vv
-		}
-	}
-	return out
-}
-
-// Trace returns the sum of diagonal elements of a square matrix.
-func Trace(a *Matrix) float64 {
-	if a.rows != a.cols {
-		panic("mat: Trace requires a square matrix")
-	}
-	var t float64
-	for i := 0; i < a.rows; i++ {
-		t += a.data[i*a.cols+i]
-	}
-	return t
-}
-
-// MaxAbsDiff returns max |a_ij - b_ij|; a convenience for tests and
-// convergence checks.
-func MaxAbsDiff(a, b *Matrix) float64 {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic("mat: MaxAbsDiff dimension mismatch")
-	}
-	var max float64
-	for i := range a.data {
-		if d := math.Abs(a.data[i] - b.data[i]); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.rows; i++ {
-		b.WriteString("[")
-		for j := 0; j < m.cols; j++ {
-			if j > 0 {
-				b.WriteString(" ")
-			}
-			fmt.Fprintf(&b, "%.6g", m.data[i*m.cols+j])
-		}
-		b.WriteString("]")
-		if i != m.rows-1 {
-			b.WriteString("\n")
-		}
-	}
-	return b.String()
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -40,46 +41,27 @@ func TestFromRowsRaggedPanics(t *testing.T) {
 }
 
 func TestIdentityAndDiag(t *testing.T) {
-	id := Identity(3)
-	d := Diag(1, 1, 1)
-	if MaxAbsDiff(id, d) != 0 {
-		t.Errorf("Identity(3) != Diag(1,1,1)")
-	}
+	mustEqual(t, Identity(3), Diag(1, 1, 1), "Identity(3) against Diag(1,1,1)")
 }
 
 func TestMul(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	got := Mul(a, b)
-	want := FromRows([][]float64{{19, 22}, {43, 50}})
-	if MaxAbsDiff(got, want) > 1e-12 {
-		t.Errorf("Mul = %v, want %v", got, want)
-	}
+	mustEqual(t, Mul(a, b), FromRows([][]float64{{19, 22}, {43, 50}}), "Mul")
 }
 
 func TestMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randomMatrix(rng, 4, 4)
-	if MaxAbsDiff(Mul(a, Identity(4)), a) > 1e-12 {
-		t.Error("A*I != A")
-	}
-	if MaxAbsDiff(Mul(Identity(4), a), a) > 1e-12 {
-		t.Error("I*A != A")
-	}
+	mustEqual(t, Mul(a, Identity(4)), a, "A*I")
+	mustEqual(t, Mul(Identity(4), a), a, "I*A")
 }
 
-func TestSumSubScale(t *testing.T) {
+func TestSumSub(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{4, 3}, {2, 1}})
-	if got, want := Sum(a, b), FromRows([][]float64{{5, 5}, {5, 5}}); MaxAbsDiff(got, want) != 0 {
-		t.Errorf("Sum = %v", got)
-	}
-	if got, want := Sub(a, b), FromRows([][]float64{{-3, -1}, {1, 3}}); MaxAbsDiff(got, want) != 0 {
-		t.Errorf("Sub = %v", got)
-	}
-	if got, want := Scale(2, a), FromRows([][]float64{{2, 4}, {6, 8}}); MaxAbsDiff(got, want) != 0 {
-		t.Errorf("Scale = %v", got)
-	}
+	mustEqual(t, Sum(a, b), FromRows([][]float64{{5, 5}, {5, 5}}), "Sum")
+	mustEqual(t, Sub(a, b), FromRows([][]float64{{-3, -1}, {1, 3}}), "Sub")
 }
 
 func TestTranspose(t *testing.T) {
@@ -115,29 +97,6 @@ func TestSolveSingular(t *testing.T) {
 	if _, err := Solve(a, Identity(2)); !errors.Is(err, ErrSingular) {
 		t.Errorf("Solve singular err = %v, want ErrSingular", err)
 	}
-	if got := Det(a); got != 0 {
-		t.Errorf("Det(singular) = %v, want 0", got)
-	}
-}
-
-func TestDet(t *testing.T) {
-	tests := []struct {
-		name string
-		m    *Matrix
-		want float64
-	}{
-		{"identity", Identity(3), 1},
-		{"2x2", FromRows([][]float64{{1, 2}, {3, 4}}), -2},
-		{"3x3", FromRows([][]float64{{2, 0, 0}, {0, 3, 0}, {0, 0, 4}}), 24},
-		{"permuted", FromRows([][]float64{{0, 1}, {1, 0}}), -1},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := Det(tt.m); math.Abs(got-tt.want) > 1e-10 {
-				t.Errorf("Det = %v, want %v", got, tt.want)
-			}
-		})
-	}
 }
 
 func TestInverseRoundTrip(t *testing.T) {
@@ -148,36 +107,14 @@ func TestInverseRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d Inverse: %v", n, err)
 		}
-		if d := MaxAbsDiff(Mul(a, inv), Identity(n)); d > 1e-9 {
-			t.Errorf("n=%d: |A*A^-1 - I| = %g", n, d)
+		prod, id := Mul(a, inv), Identity(n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if d := math.Abs(prod.At(i, j) - id.At(i, j)); d > 1e-9 {
+					t.Errorf("n=%d: (A*A^-1 - I)[%d][%d] = %g", n, i, j, d)
+				}
+			}
 		}
-	}
-}
-
-func TestCholesky(t *testing.T) {
-	a := FromRows([][]float64{{4, 2}, {2, 3}})
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatalf("Cholesky: %v", err)
-	}
-	if d := MaxAbsDiff(Mul(l, Transpose(l)), a); d > 1e-12 {
-		t.Errorf("LL^T differs from A by %g", d)
-	}
-}
-
-func TestCholeskyNotPSD(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := Cholesky(a); !errors.Is(err, ErrNotPSD) {
-		t.Errorf("Cholesky err = %v, want ErrNotPSD", err)
-	}
-}
-
-func TestIsPSD(t *testing.T) {
-	if !IsPSD(FromRows([][]float64{{2, 1}, {1, 2}}), 1e-12) {
-		t.Error("PSD matrix reported as not PSD")
-	}
-	if IsPSD(FromRows([][]float64{{1, 2}, {2, 1}}), 1e-12) {
-		t.Error("indefinite matrix reported as PSD")
 	}
 }
 
@@ -189,20 +126,6 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-func TestOuterProduct(t *testing.T) {
-	got := OuterProduct([]float64{1, 2}, []float64{3, 4, 5})
-	want := FromRows([][]float64{{3, 4, 5}, {6, 8, 10}})
-	if MaxAbsDiff(got, want) != 0 {
-		t.Errorf("OuterProduct = %v", got)
-	}
-}
-
-func TestTrace(t *testing.T) {
-	if got := Trace(FromRows([][]float64{{1, 9}, {9, 2}})); got != 3 {
-		t.Errorf("Trace = %v, want 3", got)
-	}
-}
-
 func TestSymmetrize(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {4, 3}})
 	s := Symmetrize(a)
@@ -211,17 +134,8 @@ func TestSymmetrize(t *testing.T) {
 	}
 }
 
-func TestRowColClone(t *testing.T) {
+func TestClone(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	r := a.Row(1)
-	r[0] = 99 // must not alias
-	if a.At(1, 0) != 3 {
-		t.Error("Row returned aliasing slice")
-	}
-	c := a.Col(0)
-	if c[0] != 1 || c[1] != 3 {
-		t.Errorf("Col = %v", c)
-	}
 	cl := a.Clone()
 	cl.Set(0, 0, -1)
 	if a.At(0, 0) != 1 {
@@ -258,7 +172,8 @@ func TestSolveProperty(t *testing.T) {
 	}
 }
 
-// Property: (A B)^T = B^T A^T.
+// Property: (A B)^T = B^T A^T, bit for bit: both sides sum the same products
+// in the same order.
 func TestTransposeMulProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -267,24 +182,7 @@ func TestTransposeMulProperty(t *testing.T) {
 		b := randomMatrix(r, m, p)
 		lhs := Transpose(Mul(a, b))
 		rhs := Mul(Transpose(b), Transpose(a))
-		return MaxAbsDiff(lhs, rhs) < 1e-10
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: det(AB) = det(A) det(B).
-func TestDetProductProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(4)
-		a := randomMatrix(r, n, n)
-		b := randomMatrix(r, n, n)
-		lhs := Det(Mul(a, b))
-		rhs := Det(a) * Det(b)
-		scale := math.Max(1, math.Abs(lhs))
-		return math.Abs(lhs-rhs)/scale < 1e-8
+		return reflect.DeepEqual(lhs, rhs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -294,35 +192,13 @@ func TestDetProductProperty(t *testing.T) {
 func TestVecHelpers(t *testing.T) {
 	u := []float64{1, 2, 3}
 	v := []float64{4, 5, 6}
-	if got := Dot(u, v); got != 32 {
-		t.Errorf("Dot = %v", got)
-	}
-	if got := Norm2([]float64{3, 4}); got != 5 {
-		t.Errorf("Norm2 = %v", got)
-	}
-	if got := AxPlusY(2, u, v); got[0] != 6 || got[2] != 12 {
-		t.Errorf("AxPlusY = %v", got)
-	}
 	if got := SubVec(v, u); got[0] != 3 || got[2] != 3 {
 		t.Errorf("SubVec = %v", got)
-	}
-	if got := AddVec(v, u); got[0] != 5 || got[2] != 9 {
-		t.Errorf("AddVec = %v", got)
-	}
-	if got := ScaleVec(3, u); got[1] != 6 {
-		t.Errorf("ScaleVec = %v", got)
 	}
 	c := CloneVec(u)
 	c[0] = 9
 	if u[0] != 1 {
 		t.Error("CloneVec aliases input")
-	}
-}
-
-func TestStringSmoke(t *testing.T) {
-	s := FromRows([][]float64{{1, 2}, {3, 4}}).String()
-	if s == "" {
-		t.Error("String returned empty")
 	}
 }
 

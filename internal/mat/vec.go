@@ -1,45 +1,9 @@
 package mat
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Vector helpers operate on plain []float64 so callers do not need to wrap
 // sensor streams in Matrix values.
-
-// Dot returns the inner product of u and v.
-func Dot(u, v []float64) float64 {
-	if len(u) != len(v) {
-		panic(fmt.Sprintf("mat: Dot length mismatch %d vs %d", len(u), len(v)))
-	}
-	var s float64
-	for i, uv := range u {
-		s += uv * v[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// AxPlusY returns a*x + y element-wise as a new slice.
-func AxPlusY(a float64, x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mat: AxPlusY length mismatch %d vs %d", len(x), len(y)))
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = a*x[i] + y[i]
-	}
-	return out
-}
 
 // SubVec returns u - v element-wise as a new slice.
 func SubVec(u, v []float64) []float64 {
@@ -49,27 +13,6 @@ func SubVec(u, v []float64) []float64 {
 	out := make([]float64, len(u))
 	for i := range u {
 		out[i] = u[i] - v[i]
-	}
-	return out
-}
-
-// AddVec returns u + v element-wise as a new slice.
-func AddVec(u, v []float64) []float64 {
-	if len(u) != len(v) {
-		panic(fmt.Sprintf("mat: AddVec length mismatch %d vs %d", len(u), len(v)))
-	}
-	out := make([]float64, len(u))
-	for i := range u {
-		out[i] = u[i] + v[i]
-	}
-	return out
-}
-
-// ScaleVec returns a*v as a new slice.
-func ScaleVec(a float64, v []float64) []float64 {
-	out := make([]float64, len(v))
-	for i := range v {
-		out[i] = a * v[i]
 	}
 	return out
 }

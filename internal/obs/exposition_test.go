@@ -217,7 +217,7 @@ func TestExpositionConformance(t *testing.T) {
 	r.SetHelp("requests_total", "Requests by outcome.\nSecond line.")
 	r.Counter("requests_total", L("route", nasty)).Add(3)
 	r.Counter("requests_total", L("route", "plain")).Add(5)
-	r.Gauge("queue_depth").Set(7.5)
+	r.GaugeFunc("queue_depth", func() float64 { return 7.5 })
 	r.GaugeFunc("build_info", func() float64 { return 1 }, L("version", "v1"))
 	r.SetHelp("latency_seconds", "Request latency.")
 	h := r.Histogram("latency_seconds", LatencyBuckets, L("route", "submit"))

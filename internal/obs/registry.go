@@ -52,28 +52,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a float64 that can go up and down (stored as atomic bits).
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds delta (CAS loop; uncontended it succeeds first try).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Histogram is a fixed-bucket histogram: observations land in the first
 // bucket whose upper bound is >= the value, with an implicit +Inf overflow
 // bucket. Bounds are fixed at registration so Observe never allocates.
@@ -176,7 +154,6 @@ type kind int
 
 const (
 	kindCounter kind = iota
-	kindGauge
 	kindGaugeFunc
 	kindHistogram
 )
@@ -185,7 +162,7 @@ func (k kind) String() string {
 	switch k {
 	case kindCounter:
 		return "counter"
-	case kindGauge, kindGaugeFunc:
+	case kindGaugeFunc:
 		return "gauge"
 	case kindHistogram:
 		return "histogram"
@@ -200,7 +177,6 @@ type entry struct {
 	kind   kind
 
 	c  *Counter
-	g  *Gauge
 	gf func() float64
 	h  *Histogram
 }
@@ -269,7 +245,7 @@ func (r *Registry) get(name string, labels []Label, k kind, mk func() *entry) *e
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e, ok := r.byKey[key]; ok {
-		if e.kind != k && !(e.kind == kindGaugeFunc && k == kindGauge) {
+		if e.kind != k {
 			panic(fmt.Sprintf("obs: metric %q re-registered as %v (was %v)", name, k, e.kind))
 		}
 		return e
@@ -286,11 +262,6 @@ func (r *Registry) get(name string, labels []Label, k kind, mk func() *entry) *e
 // use.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	return r.get(name, labels, kindCounter, func() *entry { return &entry{c: &Counter{}} }).c
-}
-
-// Gauge returns the gauge series (name, labels), creating it on first use.
-func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	return r.get(name, labels, kindGauge, func() *entry { return &entry{g: &Gauge{}} }).g
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at exposition
@@ -342,8 +313,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch e.kind {
 		case kindCounter:
 			fmt.Fprintf(&b, "%s %d\n", series(e.name, e.labels), e.c.Value())
-		case kindGauge:
-			fmt.Fprintf(&b, "%s %s\n", series(e.name, e.labels), formatFloat(e.g.Value()))
 		case kindGaugeFunc:
 			v := math.NaN()
 			if e.gf != nil {

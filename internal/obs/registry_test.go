@@ -7,13 +7,12 @@ import (
 	"testing"
 )
 
-// TestRegistryRace hammers counters, gauges, and histograms from many
+// TestRegistryRace hammers counters and histograms from many
 // goroutines while concurrently rendering the registry; run under -race this
 // is the concurrency-safety proof for the whole toolkit.
 func TestRegistryRace(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("race_counter_total")
-	g := r.Gauge("race_gauge")
 	h := r.Histogram("race_hist", []float64{1, 2, 4, 8})
 
 	const workers = 8
@@ -25,7 +24,6 @@ func TestRegistryRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				g.Add(1)
 				h.Observe(float64(i % 10))
 				// Get-or-create from multiple goroutines too.
 				r.Counter("race_counter_total").Add(1)
@@ -43,9 +41,6 @@ func TestRegistryRace(t *testing.T) {
 
 	if got := c.Value(); got != workers*iters*2 {
 		t.Errorf("counter = %d, want %d", got, workers*iters*2)
-	}
-	if got := g.Value(); got != workers*iters {
-		t.Errorf("gauge = %v, want %v", got, float64(workers*iters))
 	}
 	if got := h.Count(); got != workers*iters {
 		t.Errorf("histogram count = %d, want %d", got, workers*iters)
@@ -101,7 +96,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("requests_total", L("route", "submit"), L("status", "202")).Add(3)
 	r.Counter("requests_total", L("route", "list"), L("status", "200")).Inc()
-	r.Gauge("queue_depth").Set(2.5)
+	r.GaugeFunc("queue_depth", func() float64 { return 2.5 })
 	h := r.Histogram("latency_seconds", []float64{0.1, 1}, L("route", "submit"))
 	h.Observe(0.05)
 	h.Observe(0.05)
@@ -140,7 +135,7 @@ func TestKindMismatchPanics(t *testing.T) {
 			t.Error("re-registering a counter as a gauge should panic")
 		}
 	}()
-	r.Gauge("x_total")
+	r.GaugeFunc("x_total", func() float64 { return 0 })
 }
 
 func TestGaugeFunc(t *testing.T) {

@@ -18,10 +18,13 @@ import (
 //
 // Counters are fed directly by the serving middleware (Record), not scraped
 // from the registry: one atomic add per request per matching objective.
-// Tick snapshots the cumulative counters on a schedule; window burn rates
-// diff the live counters against the newest snapshot at least window-old
-// (partial windows fall back to the oldest snapshot, so a freshly started
-// engine behaves like a short window until history accumulates).
+// Every read (Report, and each scrape-time gauge) first snapshots its
+// objective's cumulative counters, and so does Tick for all of them; window
+// burn rates diff the live counters against the newest snapshot at least
+// window-old (partial windows fall back to the oldest snapshot, so a freshly
+// started engine behaves like a short window until history accumulates).
+// Snapshots are as dense as the reads, so a process that is polled reads
+// its trailing windows, not its burn since start.
 
 // SLOKind discriminates objective types.
 type SLOKind string
@@ -72,12 +75,16 @@ const (
 	SlowBurn = 6.0  // 5% of a 30-day budget in 6h; degraded
 )
 
-// SLOConfig configures an engine; zero windows default to 5m/1h.
+// The burn-rate windows.
+const (
+	sloShortWindow = 5 * time.Minute
+	sloLongWindow  = time.Hour
+)
+
+// SLOConfig configures an engine.
 type SLOConfig struct {
-	Objectives  []Objective
-	ShortWindow time.Duration
-	LongWindow  time.Duration
-	Now         func() time.Time // injectable for tests
+	Objectives []Objective
+	Now        func() time.Time // injectable for tests
 }
 
 type sloSample struct {
@@ -95,36 +102,17 @@ type sloTracker struct {
 
 // SLOEngine evaluates a set of objectives against request outcomes.
 type SLOEngine struct {
-	shortWin time.Duration
-	longWin  time.Duration
-	now      func() time.Time
+	now func() time.Time
 
 	objs    []*sloTracker
 	byRoute map[string][]*sloTracker
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
 }
 
 // NewSLOEngine builds an engine. Invalid objectives error out up front.
 func NewSLOEngine(cfg SLOConfig) (*SLOEngine, error) {
 	e := &SLOEngine{
-		shortWin: cfg.ShortWindow,
-		longWin:  cfg.LongWindow,
-		now:      cfg.Now,
-		byRoute:  make(map[string][]*sloTracker),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	if e.shortWin <= 0 {
-		e.shortWin = 5 * time.Minute
-	}
-	if e.longWin <= 0 {
-		e.longWin = time.Hour
-	}
-	if e.longWin < e.shortWin {
-		return nil, fmt.Errorf("obs: long window %v < short window %v", e.longWin, e.shortWin)
+		now:     cfg.Now,
+		byRoute: make(map[string][]*sloTracker),
 	}
 	if e.now == nil {
 		e.now = time.Now
@@ -152,15 +140,6 @@ func NewSLOEngine(cfg SLOConfig) (*SLOEngine, error) {
 	return e, nil
 }
 
-// Objectives returns the configured objectives in registration order.
-func (e *SLOEngine) Objectives() []Objective {
-	out := make([]Objective, len(e.objs))
-	for i, tr := range e.objs {
-		out[i] = tr.obj
-	}
-	return out
-}
-
 // Record feeds one request outcome to every objective on route. It is one
 // atomic add per matching objective — safe and cheap on the serving path.
 func (e *SLOEngine) Record(route string, failed bool, latencyS float64) {
@@ -176,59 +155,41 @@ func (e *SLOEngine) Record(route string, failed bool, latencyS float64) {
 	}
 }
 
-// Tick snapshots cumulative counters for window arithmetic. Call it on a
-// schedule (Start) or manually in tests; staleness only widens the
-// effective windows, it never loses requests.
+// Tick snapshots every objective's cumulative counters for window
+// arithmetic. Reads snapshot their own objective, so nothing needs to call
+// it; staleness only widens the effective windows, it never loses requests.
 func (e *SLOEngine) Tick() {
 	now := e.now()
-	keepAfter := now.Add(-e.longWin - e.shortWin)
 	for _, tr := range e.objs {
 		good, total := tr.good.Load(), tr.total.Load()
 		tr.mu.Lock()
-		tr.samples = append(tr.samples, sloSample{t: now, good: good, total: total})
-		// Prune history, always retaining at least one sample older than the
-		// long window (or the oldest available) as the diff base.
-		i := 0
-		for i < len(tr.samples)-1 && tr.samples[i+1].t.Before(keepAfter) {
-			i++
-		}
-		if i > 0 {
-			tr.samples = append(tr.samples[:0], tr.samples[i:]...)
-		}
+		tr.addSampleLocked(sloSample{t: now, good: good, total: total})
 		tr.mu.Unlock()
 	}
 }
 
-// Start ticks the engine every interval until Close.
-func (e *SLOEngine) Start(interval time.Duration) {
-	if interval <= 0 {
-		interval = 15 * time.Second
+// addSampleLocked appends s to tr's history and prunes it, always retaining
+// at least one sample older than the long window (or the oldest available)
+// as the diff base. tr.mu must be held.
+func (tr *sloTracker) addSampleLocked(s sloSample) {
+	tr.samples = append(tr.samples, s)
+	keepAfter := s.t.Add(-sloLongWindow - sloShortWindow)
+	i := 0
+	for i < len(tr.samples)-1 && tr.samples[i+1].t.Before(keepAfter) {
+		i++
 	}
-	go func() {
-		defer close(e.done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				e.Tick()
-			case <-e.stop:
-				return
-			}
-		}
-	}()
+	if i > 0 {
+		tr.samples = append(tr.samples[:0], tr.samples[i:]...)
+	}
 }
 
-// Close stops the background ticker, if one was started.
-func (e *SLOEngine) Close() {
-	e.stopOnce.Do(func() { close(e.stop) })
-}
-
-// burn returns the burn rate of tr over the trailing window ending now.
+// burn snapshots tr's counters at now, as Tick does, and returns its burn
+// rate over the trailing window ending now.
 func (e *SLOEngine) burn(tr *sloTracker, window time.Duration, now time.Time) float64 {
 	good, total := tr.good.Load(), tr.total.Load()
 	cutoff := now.Add(-window)
 	tr.mu.Lock()
+	tr.addSampleLocked(sloSample{t: now, good: good, total: total})
 	base := tr.samples[0]
 	for _, s := range tr.samples[1:] {
 		if s.t.After(cutoff) {
@@ -275,13 +236,13 @@ func (e *SLOEngine) Report() SLOReport {
 	now := e.now()
 	rep := SLOReport{
 		Status:      "ok",
-		ShortWindow: fmtWindow(e.shortWin),
-		LongWindow:  fmtWindow(e.longWin),
+		ShortWindow: fmtWindow(sloShortWindow),
+		LongWindow:  fmtWindow(sloLongWindow),
 	}
 	worst := 0
 	for _, tr := range e.objs {
-		bs := e.burn(tr, e.shortWin, now)
-		bl := e.burn(tr, e.longWin, now)
+		bs := e.burn(tr, sloShortWindow, now)
+		bl := e.burn(tr, sloLongWindow, now)
 		remaining := 1 - bl
 		st := "ok"
 		rank := 0
@@ -316,25 +277,23 @@ func (e *SLOEngine) Report() SLOReport {
 	return rep
 }
 
-// Status returns just the overall status string.
-func (e *SLOEngine) Status() string { return e.Report().Status }
-
 // RegisterGauges exposes slo_error_budget_remaining{slo=} and
-// slo_burn_rate{slo=,window=} gauges on r, evaluated at scrape time.
+// slo_burn_rate{slo=,window=} gauges on r, evaluated at scrape time; each
+// evaluation snapshots its objective's counters first (see burn).
 func (e *SLOEngine) RegisterGauges(r *Registry) {
 	r.SetHelp("slo_error_budget_remaining", "Fraction of the long-window error budget not yet consumed (1 = untouched, <=0 = exhausted).")
 	r.SetHelp("slo_burn_rate", "Error budget burn rate over the trailing window (1 = budget-neutral).")
-	short, long := fmtWindow(e.shortWin), fmtWindow(e.longWin)
+	short, long := fmtWindow(sloShortWindow), fmtWindow(sloLongWindow)
 	for _, tr := range e.objs {
 		tr := tr
 		r.GaugeFunc("slo_error_budget_remaining", func() float64 {
-			return 1 - e.burn(tr, e.longWin, e.now())
+			return 1 - e.burn(tr, sloLongWindow, e.now())
 		}, L("slo", tr.obj.Name))
 		r.GaugeFunc("slo_burn_rate", func() float64 {
-			return e.burn(tr, e.shortWin, e.now())
+			return e.burn(tr, sloShortWindow, e.now())
 		}, L("slo", tr.obj.Name), L("window", short))
 		r.GaugeFunc("slo_burn_rate", func() float64 {
-			return e.burn(tr, e.longWin, e.now())
+			return e.burn(tr, sloLongWindow, e.now())
 		}, L("slo", tr.obj.Name), L("window", long))
 	}
 }

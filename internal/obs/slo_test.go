@@ -201,3 +201,61 @@ func TestSLOTickPrune(t *testing.T) {
 		t.Errorf("oldest sample only %v old; need a >= 1h diff base", clk.t.Sub(oldest))
 	}
 }
+
+// TestSLOScrapeSamplesWithoutTick: a process whose gauges are scraped but
+// that nothing ticks still reads its trailing windows. A 99% objective takes
+// an outage of 1,000 failed requests, is scraped every 15 s for two hours,
+// then serves 1,000 good requests: the 5m burn gauge must read 0, not the
+// burn since start (50), and the scrapes' snapshots must stay within Tick's
+// prune horizon.
+func TestSLOScrapeSamplesWithoutTick(t *testing.T) {
+	clk := &sloClock{t: time.Unix(1000, 0)}
+	e := testEngine(t, clk, Objective{
+		Name: "avail", Route: "submit", Kind: SLOAvailability, Target: 0.99,
+	})
+	r := NewRegistry()
+	e.RegisterGauges(r)
+	burn5m := func() string {
+		t.Helper()
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range checkExposition(t, sb.String()) {
+			if s.name == "slo_burn_rate" && s.labels["window"] == "5m" {
+				return s.value
+			}
+		}
+		t.Fatal("no 5m burn gauge")
+		return ""
+	}
+	for i := 0; i < 1000; i++ {
+		e.Record("submit", true, 0)
+	}
+	const every = 15 * time.Second
+	for elapsed := time.Duration(0); elapsed < 2*time.Hour; elapsed += every {
+		burn5m()
+		clk.advance(every)
+	}
+	for i := 0; i < 1000; i++ {
+		e.Record("submit", false, 0)
+	}
+	if got := burn5m(); got != "0" {
+		t.Errorf("5m burn two hours after the outage = %s, want 0", got)
+	}
+	tr := e.objs[0]
+	tr.mu.Lock()
+	samples := append([]sloSample(nil), tr.samples...)
+	tr.mu.Unlock()
+	horizon := clk.t.Add(-sloLongWindow - sloShortWindow)
+	for _, s := range samples[1:] {
+		if s.t.Before(horizon) {
+			t.Fatalf("snapshot at %v kept past the prune horizon %v", s.t, horizon)
+		}
+	}
+	// Three gauges per objective read at each scrape instant within the
+	// horizon, ends included, plus one diff base before it.
+	if max := 3*(int((sloLongWindow+sloShortWindow)/every)+1) + 1; len(samples) > max {
+		t.Errorf("history holds %d snapshots, want at most %d", len(samples), max)
+	}
+}

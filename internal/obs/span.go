@@ -74,11 +74,6 @@ type SpanEvent struct {
 	Links []SpanContext
 }
 
-// Context returns the span's own context (for propagation or linking).
-func (e *SpanEvent) Context() SpanContext {
-	return SpanContext{Trace: e.Trace, Span: e.ID, Sampled: true}
-}
-
 // Arg returns the value of the named annotation, if present.
 func (e *SpanEvent) Arg(key string) (string, bool) {
 	for _, a := range e.Args {

@@ -15,24 +15,23 @@ import (
 // carrying an `error`, `shed`, `quarantine`, or explicit `keep` annotation
 // is always kept, as is any trace whose root duration lands at or above the
 // running p99 (or an explicit SlowUS floor); the unremarkable rest is kept
-// with probability SampleRate. Keeping the decision at trace completion —
-// rather than at span start — is what lets a 429-then-retry trace or a p99
-// outlier survive a 1% sample rate.
+// with the constant probability storeSampleRate (1%). Keeping the decision
+// at trace completion — rather than at span start — is what lets a
+// 429-then-retry trace or a p99 outlier survive a 1% sample rate.
 //
 // A trace completes when its root span (zero parent) ends. Traces whose
 // root lives in another process (a server receiving a remote traceparent)
-// complete after IdleCutoff without new spans. Fold spans recorded by the
-// coalescer form their own single-span traces that link into request
-// traces; the store indexes those links so Trace(id) returns the request's
-// spans plus every fold span that folded one of its submissions.
+// complete after the constant storeIdleCutoff (2 s) without new spans. Fold
+// spans recorded by the coalescer form their own single-span traces that
+// link into request traces; the store indexes those links so Trace(id)
+// returns the request's spans plus every fold span that folded one of its
+// submissions.
 type TraceStore struct {
-	capacity   int
-	sampleRate float64
-	slowUS     float64
-	maxActive  int
-	idleCutoff time.Duration
-	rand       func() float64
-	now        func() time.Time
+	capacity  int
+	slowUS    float64
+	maxActive int
+	rand      func() float64
+	now       func() time.Time
 
 	mu        sync.Mutex
 	active    map[TraceID]*activeTrace
@@ -44,22 +43,25 @@ type TraceStore struct {
 	lastSweep time.Time
 }
 
-// StoreConfig configures a TraceStore; zero fields take defaults.
+// The keep probability for unremarkable traces, and how long a trace whose
+// root span ends in another process may go without new spans before it is
+// finalized.
+const (
+	storeSampleRate = 0.01
+	storeIdleCutoff = 2 * time.Second
+)
+
+// StoreConfig configures a TraceStore; zero fields take defaults. The 1%
+// sample of unremarkable traces and the 2 s idle cutoff are constants.
 type StoreConfig struct {
 	// Capacity bounds the kept-trace ring (default 256).
 	Capacity int
-	// SampleRate is the keep probability for unremarkable traces
-	// (default 0.01).
-	SampleRate float64
 	// SlowUS, when > 0, always keeps traces whose root duration is at least
 	// this many microseconds, in addition to the dynamic p99 rule.
 	SlowUS float64
 	// MaxActive bounds in-flight trace assembly (default 1024); beyond it
 	// the most idle active trace is finalized early.
 	MaxActive int
-	// IdleCutoff finalizes traces with no new spans for this long, for
-	// traces whose root span ends in another process (default 2s).
-	IdleCutoff time.Duration
 	// Rand and Now are injectable for tests.
 	Rand func() float64
 	Now  func() time.Time
@@ -115,29 +117,21 @@ var keepKeys = []string{"error", "quarantine", "shed", "keep"}
 // NewTraceStore returns a store ready to be installed as a Tracer sink.
 func NewTraceStore(cfg StoreConfig) *TraceStore {
 	st := &TraceStore{
-		capacity:   cfg.Capacity,
-		sampleRate: cfg.SampleRate,
-		slowUS:     cfg.SlowUS,
-		maxActive:  cfg.MaxActive,
-		idleCutoff: cfg.IdleCutoff,
-		rand:       cfg.Rand,
-		now:        cfg.Now,
-		active:     make(map[TraceID]*activeTrace),
-		byID:       make(map[TraceID]*keptTrace),
-		linkedBy:   make(map[TraceID][]*keptTrace),
-		rootDur:    newHistogram(rootDurBuckets),
+		capacity:  cfg.Capacity,
+		slowUS:    cfg.SlowUS,
+		maxActive: cfg.MaxActive,
+		rand:      cfg.Rand,
+		now:       cfg.Now,
+		active:    make(map[TraceID]*activeTrace),
+		byID:      make(map[TraceID]*keptTrace),
+		linkedBy:  make(map[TraceID][]*keptTrace),
+		rootDur:   newHistogram(rootDurBuckets),
 	}
 	if st.capacity <= 0 {
 		st.capacity = 256
 	}
-	if st.sampleRate <= 0 {
-		st.sampleRate = 0.01
-	}
 	if st.maxActive <= 0 {
 		st.maxActive = 1024
-	}
-	if st.idleCutoff <= 0 {
-		st.idleCutoff = 2 * time.Second
 	}
 	if st.rand == nil {
 		st.rand = randFloat
@@ -184,25 +178,25 @@ func (st *TraceStore) RecordSpan(ev SpanEvent) {
 	if ev.Parent.IsZero() {
 		st.finalizeLocked(ev.Trace, at)
 	}
-	if now.Sub(st.lastSweep) >= st.idleCutoff {
+	if now.Sub(st.lastSweep) >= storeIdleCutoff {
 		st.lastSweep = now
 		for id, a := range st.active {
-			if now.Sub(a.lastSeen) >= st.idleCutoff {
+			if now.Sub(a.lastSeen) >= storeIdleCutoff {
 				st.finalizeLocked(id, a)
 			}
 		}
 	}
 }
 
-// Sweep finalizes traces idle for at least IdleCutoff (and, with force, all
-// active traces). Servers call it on shutdown; tests call it to flush
-// boundary traces deterministically.
+// Sweep finalizes traces idle for at least the idle cutoff (and, with
+// force, all active traces). Tests call it to flush boundary traces
+// deterministically.
 func (st *TraceStore) Sweep(force bool) {
 	now := st.now()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for id, a := range st.active {
-		if force || now.Sub(a.lastSeen) >= st.idleCutoff {
+		if force || now.Sub(a.lastSeen) >= storeIdleCutoff {
 			st.finalizeLocked(id, a)
 		}
 	}
@@ -324,7 +318,7 @@ func (st *TraceStore) decide(spans []SpanEvent, root *SpanEvent) string {
 			return "slow"
 		}
 	}
-	if st.rand() < st.sampleRate {
+	if st.rand() < storeSampleRate {
 		return "sampled"
 	}
 	return ""

@@ -86,9 +86,6 @@ func (b *PathBuilder) push(p geo.ENU) {
 	b.pts = append(b.pts, p)
 }
 
-// Heading returns the current path heading.
-func (b *PathBuilder) Heading() float64 { return b.heading }
-
 // Length returns the accumulated path length so far.
 func (b *PathBuilder) Length() float64 {
 	var sum float64

@@ -147,13 +147,9 @@ type NetworkConfig struct {
 	// JitterFrac perturbs node positions by this fraction of BlockM
 	// (default 0.25) so streets bend like a real city.
 	JitterFrac float64
-	// Terrain provides elevations — the procedural field by default, or an
-	// imported GridTerrain for real topography. A default Terrain is
-	// derived from the seed when nil.
-	Terrain ElevationField
 }
 
-func (c NetworkConfig) withDefaults(seed int64) NetworkConfig {
+func (c NetworkConfig) withDefaults() NetworkConfig {
 	if c.TargetStreetKM <= 0 {
 		c.TargetStreetKM = 164.8
 	}
@@ -163,16 +159,13 @@ func (c NetworkConfig) withDefaults(seed int64) NetworkConfig {
 	if c.JitterFrac <= 0 {
 		c.JitterFrac = 0.25
 	}
-	if c.Terrain == nil {
-		c.Terrain = NewTerrain(seed, TerrainConfig{})
-	}
 	return c
 }
 
 // GenerateNetwork builds a deterministic synthetic city road network whose
 // total street length approximates cfg.TargetStreetKM. The layout is a
-// jittered grid with some diagonal connectors; profiles come from the
-// terrain field; classes are assigned so arterials form through-streets.
+// jittered grid with some diagonal connectors; profiles come from the seed's
+// Terrain; classes are assigned so arterials form through-streets.
 //
 // Determinism contract: the same (seed, cfg) pair always yields byte-
 // identical output — the same node slice order, node IDs and positions, the
@@ -183,13 +176,14 @@ func (c NetworkConfig) withDefaults(seed int64) NetworkConfig {
 // iteration), which is what makes the routescale benchmarks' cross-run
 // comparisons and the CCH node ordering reproducible. The terrain profiles
 // take no randomness: they are sampled after the draws, over GOMAXPROCS
-// goroutines, each street's from its own geometry, so cfg.Terrain's
+// goroutines, each street's from its own geometry, so the terrain's
 // ElevationAt is called from several goroutines at once. When streets fail
 // to build, the error is the first one's in edge order.
 // Construction streams: node and street storage is preallocated from the
 // grid dimensions and every pass is linear in the street count.
 func GenerateNetwork(seed int64, cfg NetworkConfig) (*Network, error) {
-	cfg = cfg.withDefaults(seed)
+	cfg = cfg.withDefaults()
+	terrain := NewTerrain(seed, TerrainConfig{})
 	rng := rand.New(rand.NewSource(seed))
 
 	// A w x h grid has w*(h-1) + h*(w-1) streets of ~BlockM each.
@@ -268,7 +262,7 @@ func GenerateNetwork(seed int64, cfg NetworkConfig) (*Network, error) {
 	errs := make([]error, len(streets))
 	par.Do(len(streets), func(_, i int) {
 		st := &streets[i]
-		r, err := st.build(cfg)
+		r, err := st.build(terrain)
 		edges[i], errs[i] = &Edge{From: st.from, To: st.to, Road: r}, err
 	})
 	for _, err := range errs {
@@ -329,10 +323,10 @@ func drawStreet(a, b Node, cls Class, rng *rand.Rand) (street, error) {
 	return street{id: id, from: a.ID, to: b.ID, cls: cls, line: line}, nil
 }
 
-// build samples the street's terrain profile and makes its road. It reads
-// cfg.Terrain only, so streets build in parallel.
-func (st *street) build(cfg NetworkConfig) (*Road, error) {
-	prof, err := ProfileAlongField(cfg.Terrain, st.line, 5)
+// build samples the street's terrain profile and makes its road. It only
+// reads the terrain, so streets build in parallel.
+func (st *street) build(terrain *Terrain) (*Road, error) {
+	prof, err := terrain.ProfileAlong(st.line, 5)
 	if err != nil {
 		return nil, fmt.Errorf("road: street %s profile: %w", st.id, err)
 	}

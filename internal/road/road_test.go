@@ -157,8 +157,8 @@ func TestPathBuilderArc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(b.Heading()-math.Pi/2) > 1e-9 {
-		t.Errorf("heading = %v", b.Heading())
+	if math.Abs(b.heading-math.Pi/2) > 1e-9 {
+		t.Errorf("heading = %v", b.heading)
 	}
 	end := line.At(line.Length())
 	if math.Abs(end.E-100) > 0.5 || math.Abs(end.N-100) > 0.5 {
@@ -187,8 +187,8 @@ func TestPathBuilderSCurveReturnsHeading(t *testing.T) {
 	if _, err := b.SCurve(60, Deg(35)).Build(); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(b.Heading()) > 1e-9 {
-		t.Errorf("S-curve should restore heading, got %v", b.Heading())
+	if math.Abs(b.heading) > 1e-9 {
+		t.Errorf("S-curve should restore heading, got %v", b.heading)
 	}
 }
 

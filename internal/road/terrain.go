@@ -84,7 +84,9 @@ func NewTerrain(seed int64, cfg TerrainConfig) *Terrain {
 	return t
 }
 
-// ElevationAt returns the terrain altitude at a planar position.
+// ElevationAt returns the terrain altitude at a planar position. It only
+// reads t, so it may be called from several goroutines at once:
+// GenerateNetwork samples its streets' profiles in parallel.
 func (t *Terrain) ElevationAt(p geo.ENU) float64 {
 	z := t.base
 	for _, w := range t.waves {

@@ -279,22 +279,26 @@ func TestGPSPositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, pts := tr.GPSPositions()
-	if len(ts) != len(pts) || len(ts) == 0 {
-		t.Fatalf("GPSPositions: %d times, %d points", len(ts), len(pts))
-	}
-	// Positions should be near the road (within ~5 sigma of GPS noise).
-	for i, p := range pts {
+	fixes := 0
+	// Valid fixes should be near the road (within ~5 sigma of GPS noise).
+	for i, r := range tr.Records {
+		if !r.GPSValid {
+			continue
+		}
+		fixes++
 		var closest float64 = math.Inf(1)
 		for _, st := range tr.Truth {
-			d := math.Hypot(st.Pos.E-p.E, st.Pos.N-p.N)
+			d := math.Hypot(st.Pos.E-r.GPSE, st.Pos.N-r.GPSN)
 			if d < closest {
 				closest = d
 			}
 		}
 		if closest > 15 {
-			t.Errorf("fix %d is %v m off the path", i, closest)
+			t.Errorf("fix at record %d is %v m off the path", i, closest)
 		}
+	}
+	if fixes == 0 {
+		t.Fatal("no valid GPS fix")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"roadgrade/internal/frame"
-	"roadgrade/internal/geo"
 	"roadgrade/internal/vehicle"
 )
 
@@ -351,17 +350,6 @@ func (tr *Trace) accelVelocity() []VelSample {
 }
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
-
-// GPSPositions returns the valid GPS fixes as planar points with their times.
-func (tr *Trace) GPSPositions() (ts []float64, pts []geo.ENU) {
-	for _, r := range tr.Records {
-		if r.GPSValid {
-			ts = append(ts, r.T)
-			pts = append(pts, geo.ENU{E: r.GPSE, N: r.GPSN})
-		}
-	}
-	return ts, pts
-}
 
 func clampF(x, lo, hi float64) float64 {
 	if x < lo {

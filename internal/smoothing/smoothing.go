@@ -2,8 +2,7 @@
 // detector. The paper (§III-B1) applies local regression [16] to filter
 // measuring noise and drift noise out of the steering-rate profile before
 // bump features are extracted; this package provides that LOESS smoother
-// along with simpler moving-average and exponential filters used elsewhere
-// in the pipeline.
+// along with a simpler moving average used elsewhere in the pipeline.
 package smoothing
 
 import (
@@ -67,18 +66,6 @@ func (l *Loess) Smooth(xs, ys []float64) ([]float64, error) {
 		out[i] = v
 	}
 	return out, nil
-}
-
-// At evaluates the smoother at an arbitrary x given the sample set.
-func (l *Loess) At(xs, ys []float64, x float64) (float64, error) {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return 0, errors.New("smoothing: invalid sample set")
-	}
-	window, err := l.window(len(xs))
-	if err != nil {
-		return 0, err
-	}
-	return l.fitAt(xs, ys, x, window)
 }
 
 // window returns the local window size over n samples. It also rejects a
@@ -263,21 +250,4 @@ func MovingAverage(ys []float64, halfWidth int) []float64 {
 		out[i] = s / float64(hi-lo)
 	}
 	return out
-}
-
-// Exponential applies a first-order IIR low-pass y'_i = α y_i + (1-α) y'_{i-1}.
-// α must be in (0, 1]; α = 1 returns the input unchanged.
-func Exponential(ys []float64, alpha float64) ([]float64, error) {
-	if alpha <= 0 || alpha > 1 {
-		return nil, fmt.Errorf("smoothing: alpha %v out of range (0,1]", alpha)
-	}
-	out := make([]float64, len(ys))
-	if len(ys) == 0 {
-		return out, nil
-	}
-	out[0] = ys[0]
-	for i := 1; i < len(ys); i++ {
-		out[i] = alpha*ys[i] + (1-alpha)*out[i-1]
-	}
-	return out, nil
 }

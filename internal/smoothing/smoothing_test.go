@@ -124,28 +124,6 @@ func TestLoessErrors(t *testing.T) {
 		if _, err := l.Smooth([]float64{1, 2, 3, 4, 5}, []float64{1, 2, 3, 4, 5}); err == nil {
 			t.Errorf("degree %d: Smooth should error", degree)
 		}
-		if _, err := l.At([]float64{1, 2, 3, 4, 5}, []float64{1, 2, 3, 4, 5}, 2.5); err == nil {
-			t.Errorf("degree %d: At should error", degree)
-		}
-	}
-}
-
-func TestLoessAt(t *testing.T) {
-	xs := linspace(0, 10, 50)
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 3 * x
-	}
-	l, _ := NewLoess(0.4, 1)
-	v, err := l.At(xs, ys, 5.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v-16.5) > 1e-8 {
-		t.Errorf("At(5.5) = %v, want 16.5", v)
-	}
-	if _, err := l.At(nil, nil, 0); err == nil {
-		t.Error("At with empty set should error")
 	}
 }
 
@@ -202,28 +180,6 @@ func TestMovingAverage(t *testing.T) {
 	same[0] = 99
 	if ys[0] != 1 {
 		t.Error("MovingAverage with halfWidth 0 aliases input")
-	}
-}
-
-func TestExponential(t *testing.T) {
-	got, err := Exponential([]float64{1, 2, 3}, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 1.5, 2.25}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("Exponential[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if _, err := Exponential([]float64{1}, 0); err == nil {
-		t.Error("alpha 0 should error")
-	}
-	if _, err := Exponential([]float64{1}, 1.1); err == nil {
-		t.Error("alpha > 1 should error")
-	}
-	if out, err := Exponential(nil, 0.5); err != nil || len(out) != 0 {
-		t.Errorf("Exponential(nil) = %v, %v", out, err)
 	}
 }
 

@@ -1,7 +1,6 @@
 // Package stats provides the summary statistics and empirical distributions
-// used by the evaluation harness: mean/median/percentiles, error metrics
-// (MAE, RMSE, MRE as defined in DESIGN.md §1.3), empirical CDFs for the
-// Figure 8(b)/9(b) comparisons, and histograms for the map figures.
+// used by the evaluation harness: mean/median/percentiles and empirical CDFs
+// for the Figure 8(b)/9(b) comparisons.
 package stats
 
 import (
@@ -98,72 +97,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
 
-// MAE returns the mean absolute error between estimates and truth.
-func MAE(est, truth []float64) (float64, error) {
-	if err := checkPair(est, truth); err != nil {
-		return 0, err
-	}
-	var s float64
-	for i := range est {
-		s += math.Abs(est[i] - truth[i])
-	}
-	return s / float64(len(est)), nil
-}
-
-// RMSE returns the root mean squared error between estimates and truth.
-func RMSE(est, truth []float64) (float64, error) {
-	if err := checkPair(est, truth); err != nil {
-		return 0, err
-	}
-	var s float64
-	for i := range est {
-		d := est[i] - truth[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(est))), nil
-}
-
-// MRE returns the Mean Relative Error used throughout the evaluation:
-// Σ|est_i − truth_i| / Σ|truth_i|. This normalised form matches the paper's
-// percentage scale while remaining stable where the true gradient crosses
-// zero (see DESIGN.md interpretation choice 3).
-func MRE(est, truth []float64) (float64, error) {
-	if err := checkPair(est, truth); err != nil {
-		return 0, err
-	}
-	var num, den float64
-	for i := range est {
-		num += math.Abs(est[i] - truth[i])
-		den += math.Abs(truth[i])
-	}
-	if den == 0 {
-		return 0, errors.New("stats: MRE undefined for all-zero truth")
-	}
-	return num / den, nil
-}
-
-// AbsErrors returns the element-wise absolute errors |est_i - truth_i|.
-func AbsErrors(est, truth []float64) ([]float64, error) {
-	if err := checkPair(est, truth); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(est))
-	for i := range est {
-		out[i] = math.Abs(est[i] - truth[i])
-	}
-	return out, nil
-}
-
-func checkPair(est, truth []float64) error {
-	if len(est) == 0 {
-		return ErrEmpty
-	}
-	if len(est) != len(truth) {
-		return fmt.Errorf("stats: length mismatch %d vs %d", len(est), len(truth))
-	}
-	return nil
-}
-
 // CDF is an empirical cumulative distribution function over a sample set.
 type CDF struct {
 	sorted []float64
@@ -200,66 +133,6 @@ func (c *CDF) Quantile(q float64) (float64, error) {
 	return c.sorted[idx], nil
 }
 
-// Len returns the number of samples backing the CDF.
-func (c *CDF) Len() int { return len(c.sorted) }
-
-// Points renders the CDF as n evenly spaced (x, P(X<=x)) pairs spanning the
-// sample range, suitable for plotting the paper's CDF figures.
-func (c *CDF) Points(n int) []Point {
-	if n < 2 {
-		n = 2
-	}
-	lo, hi := c.sorted[0], c.sorted[len(c.sorted)-1]
-	out := make([]Point, n)
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		out[i] = Point{X: x, Y: c.At(x)}
-	}
-	return out
-}
-
-// Point is a generic (x, y) pair for rendered series.
-type Point struct {
-	X float64
-	Y float64
-}
-
-// Histogram bins samples into equal-width buckets over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	N        int
-}
-
-// NewHistogram bins samples into the given number of buckets. Samples outside
-// [min, max] are clamped into the edge buckets.
-func NewHistogram(samples []float64, min, max float64, buckets int) (*Histogram, error) {
-	if len(samples) == 0 {
-		return nil, ErrEmpty
-	}
-	if buckets <= 0 || max <= min {
-		return nil, fmt.Errorf("stats: invalid histogram spec [%v,%v] x%d", min, max, buckets)
-	}
-	h := &Histogram{Min: min, Max: max, Counts: make([]int, buckets), N: len(samples)}
-	width := (max - min) / float64(buckets)
-	for _, s := range samples {
-		idx := int((s - min) / width)
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= buckets {
-			idx = buckets - 1
-		}
-		h.Counts[idx]++
-	}
-	return h, nil
-}
-
-// Fraction returns the fraction of samples in bucket i.
-func (h *Histogram) Fraction(i int) float64 {
-	return float64(h.Counts[i]) / float64(h.N)
-}
-
 // Summary bundles the descriptive statistics most experiments report.
 type Summary struct {
 	N      int
@@ -289,60 +162,4 @@ func Summarize(xs []float64) (Summary, error) {
 		P90:    p90,
 		Max:    max,
 	}, nil
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g med=%.4g p90=%.4g max=%.4g",
-		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.P90, s.Max)
-}
-
-// Online accumulates mean and variance incrementally (Welford's algorithm) —
-// for streaming consumers that cannot hold the sample set.
-type Online struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds one sample into the accumulator.
-func (o *Online) Add(x float64) {
-	o.n++
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
-}
-
-// N returns the number of samples seen.
-func (o *Online) N() int { return o.n }
-
-// Mean returns the running mean (0 before any samples).
-func (o *Online) Mean() float64 { return o.mean }
-
-// Variance returns the unbiased running variance (0 with fewer than two
-// samples).
-func (o *Online) Variance() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// StdDev returns the running standard deviation.
-func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
-
-// Merge combines another accumulator into this one (parallel Welford).
-func (o *Online) Merge(other Online) {
-	if other.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = other
-		return
-	}
-	total := o.n + other.n
-	d := other.mean - o.mean
-	o.m2 += other.m2 + d*d*float64(o.n)*float64(other.n)/float64(total)
-	o.mean += d * float64(other.n) / float64(total)
-	o.n = total
 }

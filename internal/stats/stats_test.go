@@ -88,36 +88,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestErrorMetrics(t *testing.T) {
-	est := []float64{1, 2, 3}
-	truth := []float64{1, 1, 5}
-	mae, err := MAE(est, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (0 + 1 + 2) / 3.0; math.Abs(mae-want) > 1e-12 {
-		t.Errorf("MAE = %v, want %v", mae, want)
-	}
-	rmse, _ := RMSE(est, truth)
-	if want := math.Sqrt((0 + 1 + 4) / 3.0); math.Abs(rmse-want) > 1e-12 {
-		t.Errorf("RMSE = %v, want %v", rmse, want)
-	}
-	mre, _ := MRE(est, truth)
-	if want := 3.0 / 7.0; math.Abs(mre-want) > 1e-12 {
-		t.Errorf("MRE = %v, want %v", mre, want)
-	}
-	if _, err := MRE(est, []float64{0, 0, 0}); err == nil {
-		t.Error("MRE with zero truth should error")
-	}
-	if _, err := MAE(est, []float64{1}); err == nil {
-		t.Error("MAE length mismatch should error")
-	}
-	abs, _ := AbsErrors(est, truth)
-	if abs[2] != 2 {
-		t.Errorf("AbsErrors = %v", abs)
-	}
-}
-
 func TestCDF(t *testing.T) {
 	c, err := NewCDF([]float64{1, 2, 3, 4})
 	if err != nil {
@@ -145,28 +115,6 @@ func TestCDF(t *testing.T) {
 	}
 	if _, err := NewCDF(nil); !errors.Is(err, ErrEmpty) {
 		t.Error("NewCDF(nil) should return ErrEmpty")
-	}
-	if c.Len() != 4 {
-		t.Errorf("Len = %d", c.Len())
-	}
-}
-
-func TestCDFPoints(t *testing.T) {
-	c, _ := NewCDF([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
-	pts := c.Points(11)
-	if len(pts) != 11 {
-		t.Fatalf("Points len = %d", len(pts))
-	}
-	if pts[0].X != 0 || pts[len(pts)-1].X != 9 {
-		t.Errorf("Points range [%v, %v]", pts[0].X, pts[len(pts)-1].X)
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Y < pts[i-1].Y {
-			t.Fatalf("CDF points not monotone at %d", i)
-		}
-	}
-	if got := c.Points(1); len(got) != 2 {
-		t.Errorf("Points(1) len = %d, want clamped to 2", len(got))
 	}
 }
 
@@ -232,29 +180,6 @@ func TestQuantileInverseProperty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{0.1, 0.9, 1.5, 2.5, -5, 99}, 0, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Buckets: [0,1): 0.1, 0.9, -5(clamped) => 3; [1,2): 1.5 => 1; [2,3]: 2.5, 99(clamped) => 2.
-	want := []int{3, 1, 2}
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Errorf("bucket %d = %d, want %d", i, h.Counts[i], w)
-		}
-	}
-	if got := h.Fraction(0); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Fraction(0) = %v", got)
-	}
-	if _, err := NewHistogram(nil, 0, 1, 2); !errors.Is(err, ErrEmpty) {
-		t.Error("NewHistogram(nil) should return ErrEmpty")
-	}
-	if _, err := NewHistogram([]float64{1}, 1, 0, 2); err == nil {
-		t.Error("invalid range should error")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s, err := Summarize([]float64{1, 2, 3, 4, 5})
 	if err != nil {
@@ -262,9 +187,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
 		t.Errorf("Summarize = %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("Summary.String empty")
 	}
 	if _, err := Summarize(nil); !errors.Is(err, ErrEmpty) {
 		t.Error("Summarize(nil) should return ErrEmpty")
@@ -281,74 +203,5 @@ func BenchmarkCDFAt(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.At(0.5)
-	}
-}
-
-func TestOnlineMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	xs := make([]float64, 500)
-	var o Online
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*3 + 7
-		o.Add(xs[i])
-	}
-	if o.N() != len(xs) {
-		t.Fatalf("N = %d", o.N())
-	}
-	if math.Abs(o.Mean()-Mean(xs)) > 1e-12 {
-		t.Errorf("online mean %v vs batch %v", o.Mean(), Mean(xs))
-	}
-	if math.Abs(o.Variance()-Variance(xs)) > 1e-9 {
-		t.Errorf("online var %v vs batch %v", o.Variance(), Variance(xs))
-	}
-	if math.Abs(o.StdDev()-StdDev(xs)) > 1e-9 {
-		t.Errorf("online sd %v vs batch %v", o.StdDev(), StdDev(xs))
-	}
-}
-
-func TestOnlineEdgeCases(t *testing.T) {
-	var o Online
-	if o.Mean() != 0 || o.Variance() != 0 {
-		t.Error("empty accumulator should report zeros")
-	}
-	o.Add(5)
-	if o.Mean() != 5 || o.Variance() != 0 {
-		t.Errorf("single sample: mean %v var %v", o.Mean(), o.Variance())
-	}
-}
-
-func TestOnlineMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	var a, b, all Online
-	for i := 0; i < 300; i++ {
-		x := rng.ExpFloat64()
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-12 {
-		t.Errorf("merged mean %v vs %v", a.Mean(), all.Mean())
-	}
-	if math.Abs(a.Variance()-all.Variance()) > 1e-9 {
-		t.Errorf("merged var %v vs %v", a.Variance(), all.Variance())
-	}
-	// Merging into empty adopts the other side.
-	var empty Online
-	empty.Merge(all)
-	if empty.N() != all.N() || empty.Mean() != all.Mean() {
-		t.Error("merge into empty wrong")
-	}
-	// Merging empty is a no-op.
-	before := all
-	all.Merge(Online{})
-	if all != before {
-		t.Error("merge of empty changed state")
 	}
 }

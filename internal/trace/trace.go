@@ -1,12 +1,10 @@
-// Package trace serializes sensor traces so real phone logs can be plugged
-// into the pipeline and simulated traces can be archived: CSV (one row per
-// tick, spreadsheet-friendly) and JSON (full fidelity including ground truth
-// when present).
+// Package trace serializes sensor traces as CSV (one row per tick,
+// spreadsheet-friendly), so real phone logs can be plugged into the pipeline
+// and simulated traces can be archived.
 package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -133,43 +131,4 @@ func parseRow(row []string) (sensors.Record, error) {
 		*dst = v
 	}
 	return rec, nil
-}
-
-// jsonTrace is the JSON wire form.
-type jsonTrace struct {
-	DT      float64          `json:"dt"`
-	Records []sensors.Record `json:"records"`
-}
-
-// WriteJSON writes the trace as JSON (records only; ground truth is a
-// simulator artifact and is not serialized). A nil trace returns ErrNilTrace;
-// an empty (zero-record) trace is valid and encodes an empty records array.
-func WriteJSON(w io.Writer, tr *sensors.Trace) error {
-	if tr == nil {
-		return ErrNilTrace
-	}
-	records := tr.Records
-	if records == nil {
-		records = []sensors.Record{}
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(jsonTrace{DT: tr.DT, Records: records}); err != nil {
-		return fmt.Errorf("trace: encoding JSON: %w", err)
-	}
-	return nil
-}
-
-// ReadJSON parses a JSON trace.
-func ReadJSON(r io.Reader) (*sensors.Trace, error) {
-	var jt jsonTrace
-	if err := json.NewDecoder(r).Decode(&jt); err != nil {
-		return nil, fmt.Errorf("trace: decoding JSON: %w", err)
-	}
-	if len(jt.Records) == 0 {
-		return nil, errors.New("trace: JSON trace has no records")
-	}
-	if jt.DT <= 0 {
-		return nil, fmt.Errorf("trace: invalid dt %v", jt.DT)
-	}
-	return &sensors.Trace{DT: jt.DT, Records: jt.Records}, nil
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"math/rand"
 	"strings"
@@ -57,41 +56,17 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	tr := sampleTrace(t)
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.DT != tr.DT || len(got.Records) != len(tr.Records) {
-		t.Fatalf("shape mismatch")
-	}
-	for i := range tr.Records {
-		if got.Records[i] != tr.Records[i] {
-			t.Fatalf("record %d differs", i)
-		}
-	}
-}
-
-// TestWriteNilTrace: nil is a programmer error, reported as ErrNilTrace by
-// both writers.
+// TestWriteNilTrace: nil is a programmer error, reported as ErrNilTrace.
 func TestWriteNilTrace(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, nil); !errors.Is(err, ErrNilTrace) {
 		t.Errorf("WriteCSV(nil) = %v, want ErrNilTrace", err)
 	}
-	if err := WriteJSON(&buf, nil); !errors.Is(err, ErrNilTrace) {
-		t.Errorf("WriteJSON(nil) = %v, want ErrNilTrace", err)
-	}
 }
 
 // TestWriteEmptyTrace: a trace with zero records is a valid no-op — CSV
-// writes the header row only, JSON an empty records array — so an archiving
-// job that captured nothing still produces well-formed output.
+// writes the header row only — so an archiving job that captured nothing
+// still produces well-formed output.
 func TestWriteEmptyTrace(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, &sensors.Trace{}); err != nil {
@@ -99,21 +74,6 @@ func TestWriteEmptyTrace(t *testing.T) {
 	}
 	if got, want := buf.String(), strings.Join(csvHeader, ",")+"\n"; got != want {
 		t.Errorf("empty CSV = %q, want header only %q", got, want)
-	}
-
-	buf.Reset()
-	if err := WriteJSON(&buf, &sensors.Trace{DT: 0.05}); err != nil {
-		t.Fatalf("WriteJSON(empty) = %v, want success", err)
-	}
-	var round struct {
-		DT      float64           `json:"dt"`
-		Records []json.RawMessage `json:"records"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &round); err != nil {
-		t.Fatalf("re-parsing empty JSON trace: %v", err)
-	}
-	if round.DT != 0.05 || round.Records == nil || len(round.Records) != 0 {
-		t.Errorf("empty JSON trace = %+v, want dt preserved and records []", round)
 	}
 }
 
@@ -138,24 +98,6 @@ func TestReadCSVErrors(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := ReadCSV(strings.NewReader(tt.in)); err == nil {
-				t.Error("expected error")
-			}
-		})
-	}
-}
-
-func TestReadJSONErrors(t *testing.T) {
-	tests := []struct {
-		name string
-		in   string
-	}{
-		{"garbage", "not json"},
-		{"no-records", `{"dt":0.05,"records":[]}`},
-		{"bad-dt", `{"dt":0,"records":[{"t":0}]}`},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ReadJSON(strings.NewReader(tt.in)); err == nil {
 				t.Error("expected error")
 			}
 		})

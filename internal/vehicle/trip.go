@@ -33,12 +33,6 @@ type State struct {
 	InChange  bool    // true while a lane change is in progress
 }
 
-// LongitudinalSpeed returns the along-road velocity v·cos(α), the quantity
-// the paper's Eq. (2) recovers from the measured speed.
-func (s State) LongitudinalSpeed() float64 {
-	return s.Speed * math.Cos(s.SteerAngle)
-}
-
 // LaneChangeEvent records one completed lane-change maneuver.
 type LaneChangeEvent struct {
 	StartT float64

@@ -356,14 +356,6 @@ func TestSimulateTripDeterministic(t *testing.T) {
 	}
 }
 
-func TestLongitudinalSpeed(t *testing.T) {
-	st := State{Speed: 10, SteerAngle: 0.1}
-	want := 10 * math.Cos(0.1)
-	if got := st.LongitudinalSpeed(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("LongitudinalSpeed = %v, want %v", got, want)
-	}
-}
-
 func TestLaneChangeDuration(t *testing.T) {
 	d := DefaultDriver(12)
 	dur := LaneChangeDuration(d, 12)

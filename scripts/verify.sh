@@ -20,11 +20,12 @@ go build ./...
 
 echo "== examples and CLI runs =="
 # The examples have no tests, so the steps above only compile them. Run each
-# once, with the journey drive and a small route panel, so a program that
+# once, with the journey drive, a small route panel and a lane-change
+# detection over a trace written to CSV and read back, so a program that
 # fails at run time fails here.
 bin="$(mktemp -d)"
 trap 'rm -rf "$bin"' EXIT
-go build -o "$bin/" ./examples/... ./cmd/gradesim ./cmd/ecoroute
+go build -o "$bin/" ./examples/... ./cmd/gradesim ./cmd/ecoroute ./cmd/lanedetect
 for dir in examples/*/; do
     name="$(basename "$dir")"
     echo "-- $name"
@@ -34,6 +35,11 @@ echo "-- gradesim -road journey"
 "$bin/gradesim" -road journey > /dev/null
 echo "-- ecoroute -km 20 -pairs 3"
 "$bin/ecoroute" -km 20 -pairs 3 > /dev/null
+echo "-- gradesim -out red.csv, lanedetect -in red.csv -map red"
+"$bin/gradesim" -out "$bin/red.csv" > /dev/null
+"$bin/lanedetect" -in "$bin/red.csv" -map red > /dev/null
+echo "-- lanedetect -demo"
+"$bin/lanedetect" -demo > /dev/null
 
 echo "== go test -race =="
 # One uncached pass over every package under the race detector.
