@@ -35,6 +35,13 @@ type cch struct {
 	arcLo []int32 // per arc: lower-rank endpoint
 	arcHi []int32 // per arc: higher-rank endpoint
 
+	// Downward adjacency: the arcs {x, v} with x < v lie, for each node v,
+	// in dnArc[dnOff[v]:dnOff[v+1]] by ascending x, and dnLo holds each
+	// entry's x so that intersecting two lists reads the lists alone.
+	dnOff []int32
+	dnArc []int32
+	dnLo  []int32
+
 	// Original directed edges folded onto arcs: upEdge lists edges traveling
 	// lo→hi, dnEdge lists hi→lo (CSR per arc). edgeArc maps each engine edge
 	// to its arc (-1 for a same-rank self loop, which cannot occur for
@@ -44,35 +51,29 @@ type cch struct {
 	dnEdgeOff []int32
 	dnEdge    []int32
 	edgeArc   []int32
-
-	// Lower triangles per arc a = {u, v}, in tri[triOff[a]:triOff[a+1]]:
-	// every x with rank(x) < rank(u) adjacent to both endpoints contributes
-	// one. Both referenced arcs have lo == x < u = lo(a), so they sit at
-	// strictly smaller arc indices — customization is one ascending pass and
-	// incremental dirt only ever propagates upward.
-	triOff []int32
-	tri    []cchTri
-
-	// Dependents: depTri lists, for each arc, the triangles (of
-	// higher-indexed arcs) that reference it — the fan-out set incremental
-	// re-customization walks when a weight actually changes.
-	depOff []int32
-	depTri []int32
 }
 
-// cchTri is one lower triangle {x, u, v} of arc = {u, v}: lo is arc {x, u}
-// and hi is arc {x, v}. Its upward value is dn[lo] + up[hi] (u→x→v), its
-// downward value dn[hi] + up[lo] (v→x→u). The owning arc rides along so the
-// re-customization fan-out reaches a triangle's two arcs and its owner in
-// one record.
-type cchTri struct {
-	lo, hi, arc int32
+// Lower triangles are enumerated, not stored. Arc d = {u, v} has one for
+// every x < u adjacent to both endpoints: its sides are the arcs {x, u}, the
+// lower side, and {x, v}, the upper side, and it is named by its lower
+// side's index. The upward value is dn[lower] + up[upper] (u→x→v), the
+// downward value dn[upper] + up[lower] (v→x→u). Both sides have lo == x < u
+// = lo(d), so they sit at strictly smaller arc indices, and for a fixed d a
+// larger lower side means a larger x. The triangles of d are the x common to
+// the downward lists of u and v; seen from x, every pair U[i] < U[j] of its
+// upward set names one, of arc {U[i], U[j]}.
+
+// hiSide returns the upper side of the triangle of an arc {u, v} whose lower
+// side is arc lo = {x, u}: v follows u in x's sorted upward range.
+func (g *cch) hiSide(lo, v int32) int32 {
+	k, _ := slices.BinarySearch(g.arcHi[lo+1:g.upOff[g.arcLo[lo]+1]], v)
+	return lo + 1 + int32(k)
 }
 
 // buildCCH contracts the engine's graph: nested-dissection order, the
-// symbolic elimination over the elimination tree, then the flat
-// arc/triangle/dependent indices. Everything is deterministic — sorted
-// upward sets, index-ordered loops.
+// symbolic elimination over the elimination tree, then the flat arc and
+// edge indices and the downward adjacency. Everything is deterministic —
+// sorted upward sets, index-ordered loops.
 func buildCCH(e *Engine) *cch {
 	n := len(e.ids)
 	g := &cch{}
@@ -206,52 +207,21 @@ func buildCCH(e *Engine) *cch {
 		}
 	}
 
-	// Lower triangles: each node x and pair i < j of its upward set U give
-	// arc {U[i], U[j]} the triangle whose sides are x's arcs upOff[x]+i and
-	// upOff[x]+j. The owning arc sits in U[i]'s upward range, which holds
-	// every U[j] with j > i (the clique property) in ascending order, so
-	// one forward walk per i finds them all. Walking x in ascending order
-	// lists each arc's triangles by ascending x.
-	eachTri := func(fn func(x int32, i, j int, arc int32)) {
-		for x := range int32(n) {
-			set := g.arcHi[g.upOff[x]:g.upOff[x+1]]
-			for i, u := range set {
-				at := g.upOff[u]
-				for j := i + 1; j < len(set); j++ {
-					for g.arcHi[at] != set[j] {
-						at++
-					}
-					fn(x, i, j, at)
-				}
-			}
-		}
+	// Downward lists: walking the arcs in (lo, hi) order lists each node's
+	// lower neighbours by ascending x.
+	cur := make([]int32, n)
+	for _, v := range g.arcHi {
+		cur[v]++
 	}
-	triCnt := make([]int32, nArcs)
-	eachTri(func(_ int32, _, _ int, arc int32) { triCnt[arc]++ })
-	g.triOff = prefixSum(triCnt)
-	g.tri = make([]cchTri, g.triOff[nArcs])
-
-	// Dependents, filled in the same pass: x's arc upOff[x]+i is a side of
-	// exactly x's triangles that pair U[i] with another member U[j], one
-	// per j != i. Their owning arcs, and so the triangles, ascend with j.
-	depCnt := make([]int32, nArcs)
-	for x := range n {
-		for a := g.upOff[x]; a < g.upOff[x+1]; a++ {
-			depCnt[a] = g.upOff[x+1] - g.upOff[x] - 1
-		}
+	g.dnOff = prefixSum(cur)
+	copy(cur, g.dnOff[:n])
+	g.dnArc = make([]int32, nArcs)
+	g.dnLo = make([]int32, nArcs)
+	for a, v := range g.arcHi {
+		k := cur[v]
+		g.dnArc[k], g.dnLo[k] = int32(a), g.arcLo[a]
+		cur[v]++
 	}
-	g.depOff = prefixSum(depCnt)
-	g.depTri = make([]int32, g.depOff[nArcs])
-	triCur := triCnt
-	clear(triCur)
-	eachTri(func(x int32, i, j int, arc int32) {
-		t := g.triOff[arc] + triCur[arc]
-		triCur[arc]++
-		lo, hi := g.upOff[x]+int32(i), g.upOff[x]+int32(j)
-		g.tri[t] = cchTri{lo: lo, hi: hi, arc: arc}
-		g.depTri[g.depOff[lo]+int32(j-1)] = t
-		g.depTri[g.depOff[hi]+int32(i)] = t
-	})
 	return g
 }
 

@@ -15,17 +15,31 @@ import (
 )
 
 // The contraction built from the elimination tree must equal, field by
-// field, the one the elimination game builds: the game stays here as the
-// reference, with a tier-1 test on fixed networks and a differential fuzz
-// target on small networks built from bytes.
+// field, the one the elimination game builds, and customizing it, which
+// enumerates the triangles, must equal the basic customization over a
+// stored triangle list: the game and the list stay here as the reference,
+// with a tier-1 test on fixed networks and a differential fuzz target on
+// small networks built from bytes.
+
+// refTri is one lower triangle {x, u, v} of an arc {u, v} as the engine
+// once stored it: lo is arc {x, u} and hi is arc {x, v}.
+type refTri struct{ lo, hi int32 }
+
+// refTriangles lists the lower triangles of every arc a in
+// tri[off[a]:off[a+1]], by ascending x; a triangle's flat index is its
+// position in tri.
+type refTriangles struct {
+	off []int32
+	tri []refTri
+}
 
 // buildCCHReference is the contraction as the engine first built it: the
 // elimination game over one Go map per node, inserting each contracted
-// node's clique fill-in, then arcs, triangles and dependents located by
-// binary search (refArcIndex) in separate passes. buildCCH must return a
-// contraction equal to it field by field (TestContractionMatchesReference,
-// FuzzCCHContract).
-func buildCCHReference(e *Engine) *cch {
+// node's clique fill-in, then arcs and triangles located by binary search
+// (refArcIndex) in separate passes, and the downward lists sorted out of
+// the arcs. buildCCH must return a contraction equal to it field by field
+// (TestContractionMatchesReference, FuzzCCHContract).
+func buildCCHReference(e *Engine) (*cch, *refTriangles) {
 	n := len(e.ids)
 	g := &cch{}
 	g.order = ndOrder(e)
@@ -134,10 +148,34 @@ func buildCCHReference(e *Engine) *cch {
 		}
 	}
 
+	// Downward lists: every arc by (hi, lo), cut at each node.
+	byHi := make([]int32, nArcs)
+	for a := range byHi {
+		byHi[a] = int32(a)
+	}
+	sort.Slice(byHi, func(i, j int) bool {
+		a, b := byHi[i], byHi[j]
+		if g.arcHi[a] != g.arcHi[b] {
+			return g.arcHi[a] < g.arcHi[b]
+		}
+		return g.arcLo[a] < g.arcLo[b]
+	})
+	g.dnOff = make([]int32, n+1)
+	g.dnArc = byHi
+	g.dnLo = make([]int32, nArcs)
+	for k, a := range byHi {
+		g.dnOff[g.arcHi[a]+1]++
+		g.dnLo[k] = g.arcLo[a]
+	}
+	for v := range n {
+		g.dnOff[v+1] += g.dnOff[v]
+	}
+
 	// Lower triangles: for every node x and ordered pair (u, v) of its upward
 	// neighbors, the clique fill guarantees arc {u, v} exists and gains the
 	// triangle ({x,u}, {x,v}). Counted then filled, both in the same
 	// deterministic enumeration order.
+	rt := &refTriangles{}
 	triCnt := make([]int32, nArcs)
 	for x := 0; x < n; x++ {
 		list := upNbrs[x]
@@ -147,9 +185,8 @@ func buildCCHReference(e *Engine) *cch {
 			}
 		}
 	}
-	g.triOff = prefixSum(triCnt)
-	nTri := int(g.triOff[nArcs])
-	g.tri = make([]cchTri, nTri)
+	rt.off = prefixSum(triCnt)
+	rt.tri = make([]refTri, rt.off[nArcs])
 	triCur := make([]int32, nArcs)
 	for x := 0; x < n; x++ {
 		list := upNbrs[x]
@@ -157,28 +194,87 @@ func buildCCHReference(e *Engine) *cch {
 			aLo := refArcIndex(g, int32(x), list[i])
 			for j := i + 1; j < len(list); j++ {
 				a := refArcIndex(g, list[i], list[j])
-				g.tri[g.triOff[a]+triCur[a]] = cchTri{lo: aLo, hi: refArcIndex(g, int32(x), list[j]), arc: a}
+				rt.tri[rt.off[a]+triCur[a]] = refTri{lo: aLo, hi: refArcIndex(g, int32(x), list[j])}
 				triCur[a]++
 			}
 		}
 	}
+	return g, rt
+}
 
-	// Invert the triangle references into the dependents index.
-	depCnt := make([]int32, nArcs)
-	for _, tr := range g.tri {
-		depCnt[tr.lo]++
-		depCnt[tr.hi]++
+// customize is the basic customization as the engine once ran it over
+// stored triangles: every arc in ascending order takes its cheapest edge in
+// each direction, then its triangles by ascending flat index, a later
+// candidate winning only when strictly less. A triangle via is the flat
+// index.
+func (rt *refTriangles) customize(g *cch, cost pagedRow[float64]) *cchWeights {
+	w := newCCHWeights(len(g.arcLo))
+	for a := range int32(len(g.arcLo)) {
+		up, dn := math.Inf(1), math.Inf(1)
+		vUp, vDn := int32(-1), int32(-1)
+		for _, ei := range g.upEdge[g.upEdgeOff[a]:g.upEdgeOff[a+1]] {
+			if c := cost.at(ei); c < up {
+				up, vUp = c, -2-ei
+			}
+		}
+		for _, ei := range g.dnEdge[g.dnEdgeOff[a]:g.dnEdgeOff[a+1]] {
+			if c := cost.at(ei); c < dn {
+				dn, vDn = c, -2-ei
+			}
+		}
+		for t := rt.off[a]; t < rt.off[a+1]; t++ {
+			tr := rt.tri[t]
+			if c := w.dn[tr.lo] + w.up[tr.hi]; c < up {
+				up, vUp = c, t
+			}
+			if c := w.dn[tr.hi] + w.up[tr.lo]; c < dn {
+				dn, vDn = c, t
+			}
+		}
+		w.up[a], w.dn[a], w.viaUp[a], w.viaDn[a] = up, dn, vUp, vDn
 	}
-	g.depOff = prefixSum(depCnt)
-	g.depTri = make([]int32, g.depOff[nArcs])
-	depCur := make([]int32, nArcs)
-	for t, tr := range g.tri {
-		for _, b := range [2]int32{tr.lo, tr.hi} {
-			g.depTri[g.depOff[b]+depCur[b]] = int32(t)
-			depCur[b]++
+	return w
+}
+
+// sameCustomization requires g.customize to equal the stored-triangle
+// customization on cost: weights by Float64bits and vias exactly once a
+// triangle's flat index is mapped to its lower side.
+func sameCustomization(t *testing.T, what string, g *cch, rt *refTriangles, cost pagedRow[float64]) {
+	t.Helper()
+	got := newCCHWeights(len(g.arcLo))
+	g.customize(got, cost)
+	want := rt.customize(g, cost)
+	sameBits(t, what+" up", got.up, want.up)
+	sameBits(t, what+" dn", got.dn, want.dn)
+	lower := func(via int32) int32 {
+		if via >= 0 {
+			return rt.tri[via].lo
+		}
+		return via
+	}
+	for a := range got.viaUp {
+		if wu, wd := lower(want.viaUp[a]), lower(want.viaDn[a]); got.viaUp[a] != wu || got.viaDn[a] != wd {
+			t.Errorf("%s: arc %d via %d/%d, stored triangles %d/%d", what, a, got.viaUp[a], got.viaDn[a], wu, wd)
+			return
 		}
 	}
-	return g
+}
+
+// checkCustomizations compares the engine's customization with the
+// stored-triangle one on the first fuel row and on a row of small integer
+// costs, whose equal triangle sums exercise the tie-breaks.
+func checkCustomizations(t *testing.T, what string, eng *Engine, g *cch, rt *refTriangles) {
+	t.Helper()
+	tb, err := eng.fresh()
+	if err != nil {
+		t.Fatalf("%s: tables: %v", what, err)
+	}
+	sameCustomization(t, what+" fuel", g, rt, eng.costRow(Fuel, 0, tb))
+	levels := newPagedRow[float64](len(g.edgeArc))
+	for i := range int32(len(g.edgeArc)) {
+		levels.set(i, cchLevels[i%4])
+	}
+	sameCustomization(t, what+" levels", g, rt, levels)
 }
 
 // refArcIndex locates arc {lo, hi} by binary search in lo's sorted upward
@@ -209,9 +305,10 @@ func sameContraction(t *testing.T, what string, got, want *cch) {
 	}
 }
 
-// TestContractionMatchesReference pins buildCCH to the elimination game on
-// the paper's 1× network, the 800 km network at 300 m blocks (where nested
-// dissection gives a branching elimination tree) and two islands.
+// TestContractionMatchesReference pins buildCCH to the elimination game,
+// and customize to the stored-triangle customization, on the paper's 1×
+// network, the 800 km network at 300 m blocks (where nested dissection gives
+// a branching elimination tree) and two islands.
 func TestContractionMatchesReference(t *testing.T) {
 	city, err := road.Charlottesville()
 	if err != nil {
@@ -229,7 +326,44 @@ func TestContractionMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: engine: %v", tc.name, err)
 		}
-		sameContraction(t, tc.name, buildCCH(eng), buildCCHReference(eng))
+		g := buildCCH(eng)
+		ref, rt := buildCCHReference(eng)
+		sameContraction(t, tc.name, g, ref)
+		checkCustomizations(t, tc.name, eng, g, rt)
+	}
+}
+
+// TestContractionFootprint bounds the contraction's memory per arc on the
+// 1× and 25× country networks. It sums the bytes of every slice field by
+// reflection, so that a new per-arc or per-triangle array counts without
+// being named here. Per-arc and per-node arrays take 26–28 B per arc; one
+// stored record per triangle would take several hundred at 25×, where an
+// arc averages 23 triangles.
+func TestContractionFootprint(t *testing.T) {
+	for _, scale := range []float64{1, 25} {
+		net, err := road.GenerateNetwork(1827, road.CountryConfig(scale))
+		if err != nil {
+			t.Fatalf("%g×: network: %v", scale, err)
+		}
+		eng, err := NewEngine(net, TruthSource{}, Config{})
+		if err != nil {
+			t.Fatalf("%g×: engine: %v", scale, err)
+		}
+		g := buildCCH(eng)
+		v := reflect.ValueOf(g).Elem()
+		bytes := 0
+		for f := range v.NumField() {
+			fv := v.Field(f)
+			if fv.Kind() != reflect.Slice {
+				t.Fatalf("field %s is a %s; count its bytes here", v.Type().Field(f).Name, fv.Kind())
+			}
+			bytes += fv.Len() * int(fv.Type().Elem().Size())
+		}
+		perArc := float64(bytes) / float64(len(g.arcLo))
+		t.Logf("%g×: %d arcs, %.2f MB, %.1f B per arc", scale, len(g.arcLo), float64(bytes)/1e6, perArc)
+		if perArc >= 32 {
+			t.Errorf("%g×: the contraction takes %.1f B per arc, want under 32", scale, perArc)
+		}
 	}
 }
 
@@ -338,8 +472,9 @@ func cchContractNet(t *testing.T, input []byte) *road.Network {
 }
 
 // checkContract builds the network an input encodes, requires its
-// contraction to equal the reference, and routes a few pairs through the
-// hierarchy and through Dijkstra, whose costs must agree bit for bit.
+// contraction and customizations to equal the reference's, and routes a few
+// pairs through the hierarchy and through Dijkstra, whose costs must agree
+// bit for bit.
 func checkContract(t *testing.T, input []byte) {
 	net := cchContractNet(t, input)
 	if net == nil {
@@ -349,7 +484,9 @@ func checkContract(t *testing.T, input []byte) {
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
-	sameContraction(t, "contraction", eng.cchGraph(), buildCCHReference(eng))
+	ref, rt := buildCCHReference(eng)
+	sameContraction(t, "contraction", eng.cchGraph(), ref)
+	checkCustomizations(t, "customization", eng, eng.cchGraph(), rt)
 	if t.Failed() {
 		return
 	}
@@ -448,7 +585,8 @@ func TestCCHContractCorpus(t *testing.T) {
 // of up to 64 nodes built from bytes (jittered positions, one-way and
 // two-way roads, parallel roads between one node pair, isolated nodes,
 // several components) must contract to exactly the elimination game's
-// hierarchy, and route a few pairs at Dijkstra's costs bit for bit. Up to
+// hierarchy, customize to exactly the stored-triangle weights and vias, and
+// route a few pairs at Dijkstra's costs bit for bit. Up to
 // 64 nodes is one nested-dissection leaf, so the elimination order is the
 // node order and the bytes choose the graph it eliminates.
 func FuzzCCHContract(f *testing.F) {

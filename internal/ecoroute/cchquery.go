@@ -147,26 +147,26 @@ func (g *cch) unpackChains(w *cchWeights, sc *cchScratch, su, tu, meet int32) []
 }
 
 // unpackUp expands arc a traveled lo→hi into original edges: either the one
-// edge the weight came from, or the triangle legs lo→x (down) then x→hi (up).
+// edge the weight came from, or the triangle legs lo→x (down the via, its
+// lower side) then x→hi (up its upper side).
 func (g *cch) unpackUp(w *cchWeights, a int32, out *[]int32) {
 	via := w.viaUp[a]
 	if via <= -2 {
 		*out = append(*out, -2-via)
 		return
 	}
-	tr := g.tri[via]
-	g.unpackDown(w, tr.lo, out)
-	g.unpackUp(w, tr.hi, out)
+	g.unpackDown(w, via, out)
+	g.unpackUp(w, g.hiSide(via, g.arcHi[a]), out)
 }
 
-// unpackDown expands arc a traveled hi→lo: hi→x (down) then x→lo (up).
+// unpackDown expands arc a traveled hi→lo: hi→x (down the upper side) then
+// x→lo (up the via, the lower side).
 func (g *cch) unpackDown(w *cchWeights, a int32, out *[]int32) {
 	via := w.viaDn[a]
 	if via <= -2 {
 		*out = append(*out, -2-via)
 		return
 	}
-	tr := g.tri[via]
-	g.unpackDown(w, tr.hi, out)
-	g.unpackUp(w, tr.lo, out)
+	g.unpackDown(w, g.hiSide(via, g.arcHi[a]), out)
+	g.unpackUp(w, via, out)
 }

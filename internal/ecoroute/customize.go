@@ -8,15 +8,16 @@ import (
 
 // This file is phase 2 of the CCH (DESIGN.md §13): customization. It maps one
 // per-edge cost row onto the contracted topology, producing the upward and
-// downward weight of every arc by the basic customization — one ascending
-// pass of lower-triangle relaxations. Because fusion ticks stamp exactly the
-// edges whose grades changed (tables.edgeGen, the PR 5 invalidation signal),
-// re-customization after a tick is incremental: only arcs carrying a stamped
-// edge are re-derived in full, and weight changes propagate through the
-// dependents index to just the triangles that can move an arc, which are all
-// that arc then re-evaluates. Each table records the arcs it
-// changed, so the next tick can bring the table before it up to date by
-// replaying that delta instead of copying every arc.
+// downward weight of every arc by the basic customization — lower-triangle
+// relaxations in ascending order of the triangles' bottom node. Because
+// fusion ticks stamp exactly the edges whose grades changed (tables.edgeGen,
+// the invalidation signal), re-customization after a tick is incremental:
+// only arcs carrying a stamped edge are re-derived in full, and weight
+// changes propagate, through the triangles enumerated around each changed
+// arc, to just the triangles that can move an arc, which are all that arc
+// then re-evaluates. Each table records the arcs it changed, so the
+// next tick can bring the table before it up to date by replaying that delta
+// instead of copying every arc.
 
 var (
 	obsCCHCustFull = obs.Default.Counter("ecoroute_cch_customizations_total", obs.L("kind", "full"))
@@ -31,8 +32,8 @@ var (
 // derives a successor (incrementally) for the next snapshot.
 //
 // via values: -1 = unreachable in that direction; v <= -2 = the original
-// edge with index -2-v; v >= 0 = the flat triangle index whose two arcs the
-// weight decomposes into.
+// edge with index -2-v; v >= 0 = the lower side of the triangle whose two
+// arcs the weight decomposes into (the upper side is hiSide's).
 type cchWeights struct {
 	up, dn       []float64
 	viaUp, viaDn []int32
@@ -91,39 +92,53 @@ func (e *Engine) LastCustomization() CustStats {
 }
 
 // computeArc derives arc a's weights from scratch: the cheapest original edge
-// in each direction, then every lower triangle (both referenced arcs have
-// smaller indices, so in an ascending pass their weights are final). Each
-// direction keeps the first minimum of that scan — edges before triangles,
-// triangles by ascending index, a later candidate winning only when strictly
-// less — which is the choice updateArc reproduces. Reports whether anything
-// changed versus what w currently holds.
+// in each direction, then every lower triangle (both sides have smaller
+// indices, so in an ascending pass their weights are final), found by
+// intersecting the downward lists of a's endpoints, each list seeking ahead
+// to the other's entry. Each direction keeps the
+// first minimum of that scan — edges before triangles, triangles by
+// ascending lower side, a later candidate winning only when strictly less —
+// which is the choice customize makes and updateArc reproduces. Reports
+// whether anything changed versus what w currently holds.
 func (g *cch) computeArc(w *cchWeights, cost pagedRow[float64], a int32) bool {
-	up, dn := math.Inf(1), math.Inf(1)
-	vUp, vDn := int32(-1), int32(-1)
-	for k := g.upEdgeOff[a]; k < g.upEdgeOff[a+1]; k++ {
-		ei := g.upEdge[k]
-		if c := cost.at(ei); c < up {
-			up, vUp = c, -2-ei
-		}
-	}
-	for k := g.dnEdgeOff[a]; k < g.dnEdgeOff[a+1]; k++ {
-		ei := g.dnEdge[k]
-		if c := cost.at(ei); c < dn {
-			dn, vDn = c, -2-ei
-		}
-	}
-	for t := g.triOff[a]; t < g.triOff[a+1]; t++ {
-		tr := &g.tri[t]
-		// Arc {u,v} via x: u→x→v uses dn of {x,u} then up of {x,v};
-		// v→x→u uses dn of {x,v} then up of {x,u}.
-		if c := w.dn[tr.lo] + w.up[tr.hi]; c < up {
-			up, vUp = c, t
-		}
-		if c := w.dn[tr.hi] + w.up[tr.lo]; c < dn {
-			dn, vDn = c, t
+	up, vUp := cheapestEdge(cost, g.upEdge[g.upEdgeOff[a]:g.upEdgeOff[a+1]])
+	dn, vDn := cheapestEdge(cost, g.dnEdge[g.dnEdgeOff[a]:g.dnEdgeOff[a+1]])
+	u, v := g.arcLo[a], g.arcHi[a]
+	i, iEnd := g.dnOff[u], g.dnOff[u+1]
+	j, jEnd := g.dnOff[v], g.dnOff[v+1]
+	for i < iEnd && j < jEnd {
+		switch xi, xj := g.dnLo[i], g.dnLo[j]; {
+		case xi < xj:
+			i = seek(g.dnLo[:iEnd], i+1, xj)
+		case xi > xj:
+			j = seek(g.dnLo[:jEnd], j+1, xi)
+		default:
+			// Arc {u,v} via x: u→x→v uses dn of {x,u} then up of {x,v};
+			// v→x→u uses dn of {x,v} then up of {x,u}.
+			lo, hi := g.dnArc[i], g.dnArc[j]
+			if c := w.dn[lo] + w.up[hi]; c < up {
+				up, vUp = c, lo
+			}
+			if c := w.dn[hi] + w.up[lo]; c < dn {
+				dn, vDn = c, lo
+			}
+			i++
+			j++
 		}
 	}
 	return w.set(a, up, dn, vUp, vDn)
+}
+
+// cheapestEdge returns the first minimum cost among edges and its via, or
+// +Inf and -1 when there are none.
+func cheapestEdge(cost pagedRow[float64], edges []int32) (float64, int32) {
+	best, via := math.Inf(1), int32(-1)
+	for _, ei := range edges {
+		if c := cost.at(ei); c < best {
+			best, via = c, -2-ei
+		}
+	}
+	return best, via
 }
 
 // set stores arc a's weights and vias and reports whether any of them
@@ -137,26 +152,54 @@ func (w *cchWeights) set(a int32, up, dn float64, vUp, vDn int32) bool {
 	return changed
 }
 
-// customize runs the full basic customization into w: every arc, ascending.
+// customize runs the full basic customization into w, node by node in
+// ascending rank. Node u's upward arcs start at their cheapest original
+// edges; then each x of u's downward list, ascending, gives them the
+// triangles whose lower side is its arc {x, u}: one of arc {u, v} for every
+// v after u in x's upward set, all of which u's upward set holds (the
+// clique property). Those sides belong to lower nodes, so their weights are
+// final, and each arc meets its triangles by ascending x with a strict
+// comparison: computeArc's first minimum.
 func (g *cch) customize(w *cchWeights, cost pagedRow[float64]) {
-	for a := int32(0); a < int32(len(g.arcLo)); a++ {
-		g.computeArc(w, cost, a)
+	arcTo := make([]int32, len(g.parent)) // v → the current u's arc {u, v}
+	for u := range int32(len(g.parent)) {
+		for a := g.upOff[u]; a < g.upOff[u+1]; a++ {
+			up, vUp := cheapestEdge(cost, g.upEdge[g.upEdgeOff[a]:g.upEdgeOff[a+1]])
+			dn, vDn := cheapestEdge(cost, g.dnEdge[g.dnEdgeOff[a]:g.dnEdgeOff[a+1]])
+			w.up[a], w.dn[a], w.viaUp[a], w.viaDn[a] = up, dn, vUp, vDn
+			arcTo[g.arcHi[a]] = a
+		}
+		for k := g.dnOff[u]; k < g.dnOff[u+1]; k++ {
+			lo, end := g.dnArc[k], g.upOff[g.dnLo[k]+1]
+			dnLo, upLo := w.dn[lo], w.up[lo]
+			// The upper sides lo+1..end-1, sliced to spare bounds checks.
+			ups, dns := w.up[lo+1:end], w.dn[lo+1:end]
+			for i, v := range g.arcHi[lo+1 : end] {
+				d := arcTo[v]
+				if c := dnLo + ups[i]; c < w.up[d] {
+					w.up[d], w.viaUp[d] = c, lo
+				}
+				if c := dns[i] + upLo; c < w.dn[d] {
+					w.dn[d], w.viaDn[d] = c, lo
+				}
+			}
+		}
 	}
 	w.changed = w.changed[:0]
 }
 
 // recustomize derives a successor weight table from old after a generation
 // tick: diff the stamp rows for dirty edges, re-derive their arcs in full,
-// and fan weight changes out through the dependents index to just the
-// triangles that can move an arc. Arc indices only grow along dependency
-// edges, so popping the worklist in ascending order settles each arc once.
-// old is never mutated — in-flight queries keep reading it.
+// and fan weight changes out, through the triangles each changed arc is a
+// side of, to just the triangles that can move an arc. Arc indices only grow
+// along dependency edges, so popping the worklist in ascending order settles
+// each arc once. old is never mutated — in-flight queries keep reading it.
 //
 // The fan-out is the CCH partial update. When arc c's weights change, a
 // triangle t through c can alter its arc d's result only if t is d's via in
 // a direction, or if t's value now beats d's weight there: strictly less,
-// or equal with a lower index than d's via triangle (an original-edge via,
-// or none, keeps a tie — edges precede triangles in computeArc's scan).
+// or equal with a smaller lower side than d's via triangle (an original-edge
+// via, or none, keeps a tie — edges precede triangles in computeArc's scan).
 // Only then is t queued for d. Both of t's arcs precede d, so whichever of
 // them changes last tests t on final weights. updateArc re-derives d from
 // its queued triangles alone.
@@ -206,32 +249,77 @@ func (g *cch) recustomize(old, spare *cchWeights, cost pagedRow[float64], edgeGe
 		if math.Float64bits(up) == math.Float64bits(w.up[a]) && math.Float64bits(dn) == math.Float64bits(w.dn[a]) {
 			continue // only a via moved; no triangle value did
 		}
-		for k := g.depOff[a]; k < g.depOff[a+1]; k++ {
-			if t := g.depTri[k]; g.mayMove(w, t) {
-				work.push(g.tri[t].arc, t)
-			}
-		}
+		g.fanOut(w, a, work)
 	}
 	w.changed = changed
 	return w, recomputed
 }
 
-// mayMove is the push-time test of the partial update: whether triangle t,
-// on the current weights, can change its arc's result (see recustomize).
-func (g *cch) mayMove(w *cchWeights, t int32) bool {
-	tr := &g.tri[t]
-	d := tr.arc
-	if w.viaUp[d] == t || w.viaDn[d] == t {
+// fanOut queues, for each triangle that changed arc c = {x, u} is a side of,
+// its owner if the triangle may move it (mayMove). With c at position i of
+// x's upward set U, every other member U[j] gives one triangle, whose other
+// side is x's arc to U[j]: for j > i, c is the lower side of owner
+// {u, U[j]}, found by a forward walk in u's upward range; for j < i, c is the
+// upper side of owner {U[j], u}, found by seeking forward in u's downward
+// list. Both ranges hold their U[j] in ascending order, among other nodes.
+func (g *cch) fanOut(w *cchWeights, c int32, work *arcWorklist) {
+	x, u := g.arcLo[c], g.arcHi[c]
+	down, at := g.dnLo[:g.dnOff[u+1]], g.dnOff[u]
+	for lo := g.upOff[x]; lo < c; lo++ {
+		at = seek(down, at, g.arcHi[lo])
+		if d := g.dnArc[at]; g.mayMove(w, d, lo, c) {
+			work.push(d, lo)
+		}
+	}
+	d := g.upOff[u]
+	for hi := c + 1; hi < g.upOff[x+1]; hi++ {
+		for g.arcHi[d] != g.arcHi[hi] {
+			d++
+		}
+		if g.mayMove(w, d, c, hi) {
+			work.push(d, c)
+		}
+	}
+}
+
+// seek returns the first position at or after from whose entry in the
+// sorted s is at least x. It steps ahead by doubling strides, then bisects
+// the last stride, so a short gap costs about what a linear walk does and a
+// long one a logarithm.
+func seek(s []int32, from, x int32) int32 {
+	lo, hi, step := from, from, int32(1)
+	for hi < int32(len(s)) && s[hi] < x {
+		lo = hi + 1
+		hi += step
+		step *= 2
+	}
+	hi = min(hi, int32(len(s)))
+	for lo < hi {
+		if m := int32(uint32(lo+hi) >> 1); s[m] < x {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// mayMove is the push-time test of the partial update: whether the triangle
+// of arc d with sides lo and hi, on the current weights, can change d's
+// result (see recustomize).
+func (g *cch) mayMove(w *cchWeights, d, lo, hi int32) bool {
+	if w.viaUp[d] == lo || w.viaDn[d] == lo {
 		return true
 	}
-	up := w.dn[tr.lo] + w.up[tr.hi]
-	dn := w.dn[tr.hi] + w.up[tr.lo]
-	return up < w.up[d] || up == w.up[d] && t < w.viaUp[d] ||
-		dn < w.dn[d] || dn == w.dn[d] && t < w.viaDn[d]
+	up := w.dn[lo] + w.up[hi]
+	dn := w.dn[hi] + w.up[lo]
+	return up < w.up[d] || up == w.up[d] && lo < w.viaUp[d] ||
+		dn < w.dn[d] || dn == w.dn[d] && lo < w.viaDn[d]
 }
 
 // updateArc re-derives arc a, which carries no dirty edge, from the
-// triangles queued for it: t, just popped, and the rest of a's entries.
+// triangles queued for it: lower side lo, just popped, and the rest of a's
+// entries.
 // Every element of computeArc's scan that nobody queued either kept its
 // value or failed the push-time test on its final one, so it sits at or
 // above a's old weight and ties only behind the old via. Unless a via's own
@@ -239,40 +327,40 @@ func (g *cch) mayMove(w *cchWeights, t int32) bool {
 // its new value or a queued triangle that beats it. After a rise the new
 // weight may come from an element nobody queued, and the full computeArc
 // runs instead.
-func (g *cch) updateArc(w *cchWeights, cost pagedRow[float64], a, t int32, work *arcWorklist) bool {
+func (g *cch) updateArc(w *cchWeights, cost pagedRow[float64], a, lo int32, work *arcWorklist) bool {
 	up, dn := w.up[a], w.dn[a]
 	vUp, vDn := w.viaUp[a], w.viaDn[a]
+	v := g.arcHi[a]
 	if vUp >= 0 {
-		tr := &g.tri[vUp]
-		up = w.dn[tr.lo] + w.up[tr.hi]
+		up = w.dn[vUp] + w.up[g.hiSide(vUp, v)]
 	}
 	if vDn >= 0 {
-		tr := &g.tri[vDn]
-		dn = w.dn[tr.hi] + w.up[tr.lo]
+		dn = w.dn[g.hiSide(vDn, v)] + w.up[vDn]
 	}
 	if !(up <= w.up[a] && dn <= w.dn[a]) {
 		work.drop(a)
 		return g.computeArc(w, cost, a)
 	}
 	for {
-		tr := &g.tri[t]
-		if c := w.dn[tr.lo] + w.up[tr.hi]; c < up || c == up && t < vUp {
-			up, vUp = c, t
+		hi := g.hiSide(lo, v)
+		if c := w.dn[lo] + w.up[hi]; c < up || c == up && lo < vUp {
+			up, vUp = c, lo
 		}
-		if c := w.dn[tr.hi] + w.up[tr.lo]; c < dn || c == dn && t < vDn {
-			dn, vDn = c, t
+		if c := w.dn[hi] + w.up[lo]; c < dn || c == dn && lo < vDn {
+			dn, vDn = c, lo
 		}
 		if work.next() != a {
 			break
 		}
-		_, t = work.pop()
+		_, lo = work.pop()
 	}
 	return w.set(a, up, dn, vUp, vDn)
 }
 
 // arcWorklist is the sparse worklist of re-customization: a binary min-heap
-// of (arc, triangle) entries ordered by arc, then by triangle index, with an
-// arc's full re-derivation (triangle -1) ahead of its triangles. An arc's
+// of (arc, triangle) entries ordered by arc, then by the triangle's lower
+// side, with an arc's full re-derivation (triangle -1) ahead of its
+// triangles. An arc's
 // entries pop together, so popping settles arcs in ascending order and the
 // work a tick costs follows the triangles it moves, not the graph. The heap
 // is empty between uses.
@@ -280,7 +368,8 @@ type arcWorklist struct {
 	heap []uint64
 }
 
-// push queues triangle t for arc a, or a's full re-derivation when t is -1.
+// push queues the triangle with lower side t for arc a, or a's full
+// re-derivation when t is -1.
 // A triangle both of whose arcs change is queued twice; evaluating it twice
 // is harmless.
 func (q *arcWorklist) push(a, t int32) {

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,8 +24,10 @@ import (
 // burn rates diff the live counters against the newest snapshot at least
 // window-old (partial windows fall back to the oldest snapshot, so a freshly
 // started engine behaves like a short window until history accumulates).
-// Snapshots are as dense as the reads, so a process that is polled reads
-// its trailing windows, not its burn since start.
+// Snapshots are as dense as the reads, up to one a second, so a process
+// that is polled reads its trailing windows, not its burn since start, and
+// however tight the poll the history holds at most the prune horizon's
+// seconds.
 
 // SLOKind discriminates objective types.
 type SLOKind string
@@ -75,10 +78,12 @@ const (
 	SlowBurn = 6.0  // 5% of a 30-day budget in 6h; degraded
 )
 
-// The burn-rate windows.
+// The burn-rate windows, and the history's resolution: a snapshot taken in
+// the same second as the newest one replaces it.
 const (
 	sloShortWindow = 5 * time.Minute
 	sloLongWindow  = time.Hour
+	sloSampleEvery = time.Second
 )
 
 // SLOConfig configures an engine.
@@ -168,11 +173,17 @@ func (e *SLOEngine) Tick() {
 	}
 }
 
-// addSampleLocked appends s to tr's history and prunes it, always retaining
-// at least one sample older than the long window (or the oldest available)
-// as the diff base. tr.mu must be held.
+// addSampleLocked appends s to tr's history, or overwrites the newest
+// sample when s falls in its second (never the first sample, the diff base
+// of partial windows), and prunes it, always retaining at least one sample
+// older than the long window (or the oldest available) as the diff base.
+// tr.mu must be held.
 func (tr *sloTracker) addSampleLocked(s sloSample) {
-	tr.samples = append(tr.samples, s)
+	if n := len(tr.samples); n > 1 && s.t.Truncate(sloSampleEvery).Equal(tr.samples[n-1].t.Truncate(sloSampleEvery)) {
+		tr.samples[n-1] = s
+	} else {
+		tr.samples = append(tr.samples, s)
+	}
 	keepAfter := s.t.Add(-sloLongWindow - sloShortWindow)
 	i := 0
 	for i < len(tr.samples)-1 && tr.samples[i+1].t.Before(keepAfter) {
@@ -190,13 +201,9 @@ func (e *SLOEngine) burn(tr *sloTracker, window time.Duration, now time.Time) fl
 	cutoff := now.Add(-window)
 	tr.mu.Lock()
 	tr.addSampleLocked(sloSample{t: now, good: good, total: total})
-	base := tr.samples[0]
-	for _, s := range tr.samples[1:] {
-		if s.t.After(cutoff) {
-			break
-		}
-		base = s
-	}
+	// The base is the newest sample at or before the cutoff, else the oldest.
+	k := sort.Search(len(tr.samples)-1, func(i int) bool { return tr.samples[i+1].t.After(cutoff) })
+	base := tr.samples[k]
 	tr.mu.Unlock()
 	dTotal := total - base.total
 	if dTotal == 0 {

@@ -259,3 +259,25 @@ func TestSLOScrapeSamplesWithoutTick(t *testing.T) {
 		t.Errorf("history holds %d snapshots, want at most %d", len(samples), max)
 	}
 }
+
+// TestSLOHistoryBoundedByTime: a burn gauge read every 250 ms for 70
+// minutes keeps at most one snapshot a second within the prune horizon,
+// plus the diff base before it and the newest.
+func TestSLOHistoryBoundedByTime(t *testing.T) {
+	clk := &sloClock{t: time.Unix(1000, 0)}
+	e := testEngine(t, clk, Objective{
+		Name: "avail", Route: "submit", Kind: SLOAvailability, Target: 0.99,
+	})
+	tr := e.objs[0]
+	for elapsed := time.Duration(0); elapsed < 70*time.Minute; elapsed += 250 * time.Millisecond {
+		e.Record("submit", elapsed%time.Minute == 0, 0)
+		e.burn(tr, sloShortWindow, e.now()) // what the 5m gauge reads
+		clk.advance(250 * time.Millisecond)
+	}
+	tr.mu.Lock()
+	n := len(tr.samples)
+	tr.mu.Unlock()
+	if max := int((sloLongWindow+sloShortWindow)/time.Second) + 2; n > max {
+		t.Errorf("history holds %d snapshots, want at most %d", n, max)
+	}
+}
