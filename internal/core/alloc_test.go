@@ -56,7 +56,7 @@ func TestPhoneAllocations(t *testing.T) {
 	})
 
 	t.Run("loess-smooth", func(t *testing.T) {
-		l, err := smoothing.NewLoess(0.1, 2)
+		l, err := smoothing.NewLoess(0.1)
 		if err != nil {
 			t.Fatal(err)
 		}

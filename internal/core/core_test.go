@@ -34,29 +34,34 @@ func TestGradeModelPredictConsistency(t *testing.T) {
 	m := &GradeModel{Params: vehicle.DefaultParams(), DT: 0.05}
 	theta := road.Deg(3)
 	m.Accel = vehicle.Gravity * math.Sin(theta)
-	x, _ := m.transition([2]float64{15, theta})
-	if math.Abs(x[0]-15) > 1e-9 {
-		t.Errorf("v drifted to %v at steady state", x[0])
+	v, _, _, _, _, _ := m.transition(15, theta)
+	if math.Abs(v-15) > 1e-9 {
+		t.Errorf("v drifted to %v at steady state", v)
 	}
 	// Uphill with â = 0 (coasting): v must fall.
 	m.Accel = 0
-	x, _ = m.transition([2]float64{15, theta})
-	if x[0] >= 15 {
-		t.Errorf("coasting uphill should slow down, got %v", x[0])
+	v, _, _, _, _, _ = m.transition(15, theta)
+	if v >= 15 {
+		t.Errorf("coasting uphill should slow down, got %v", v)
 	}
 }
 
 func TestGradeModelJacobianMatchesFiniteDifference(t *testing.T) {
 	m := &GradeModel{Params: vehicle.DefaultParams(), DT: 0.05, Accel: 1.2}
+	// transition's next state and Jacobian at x, as arrays.
+	step := func(x [2]float64) (next [2]float64, jac [4]float64) {
+		next[0], next[1], jac[0], jac[1], jac[2], jac[3] = m.transition(x[0], x[1])
+		return next, jac
+	}
 	x := [2]float64{12, road.Deg(2)}
-	_, jac := m.transition(x)
+	_, jac := step(x)
 	const h = 1e-7
 	for j := 0; j < 2; j++ {
 		xp, xm := x, x
 		xp[j] += h
 		xm[j] -= h
-		fp, _ := m.transition(xp)
-		fm, _ := m.transition(xm)
+		fp, _ := step(xp)
+		fm, _ := step(xm)
 		for i := 0; i < 2; i++ {
 			fd := (fp[i] - fm[i]) / (2 * h)
 			if math.Abs(fd-jac[2*i+j]) > 1e-5 {

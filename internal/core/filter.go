@@ -16,9 +16,10 @@ var obsNIS = obs.Default.Histogram("kalman_nis", obs.NISBuckets)
 var errSingularInnovation = errors.New("core: innovation covariance singular")
 
 // gradeFilter is the EKF of §III-C2 over GradeModel's state [v, θ], with
-// the measured velocity as its measurement (H = [1 0]), on fixed-size
-// arrays: the predict/update pair runs up to nine times per sensor record on
-// the phone, and the generic matrix layer's calls dominated its cost.
+// the measured velocity as its measurement (H = [1 0]). The predict/update
+// pair runs up to nine times per sensor record on the phone, so each step
+// works on x, P and F as scalars and stores x and P once: no 2×2 array is
+// copied through memory.
 //
 // It performs every floating-point operation of the generic kalman.Filter
 // running GradeModel (a Joseph-form covariance update), in the same order.
@@ -68,14 +69,21 @@ func (f *gradeFilter) reset(v0 float64) {
 // x = f(x), P = F P Fᵀ + Q.
 func (f *gradeFilter) predict(accel float64) {
 	f.model.Accel = accel
-	next, jac := f.model.transition(f.x)
-	f.x = next
-	fp := mul2(jac, f.p)
-	b := mul2(fp, transpose2(jac))
-	for i := range b {
-		b[i] += f.q[i]
-	}
-	f.p = symmetrize2(b)
+	v, theta, f00, f01, f10, f11 := f.model.transition(f.x[0], f.x[1])
+	f.x[0], f.x[1] = v, theta
+	p00, p01, p10, p11 := f.p[0], f.p[1], f.p[2], f.p[3]
+	// F·P.
+	a00 := mulAdd(mulAdd(0, f00, p00), f01, p10)
+	a01 := mulAdd(mulAdd(0, f00, p01), f01, p11)
+	a10 := mulAdd(mulAdd(0, f10, p00), f11, p10)
+	a11 := mulAdd(mulAdd(0, f10, p01), f11, p11)
+	// (F·P)·Fᵀ + Q.
+	f.setSymmetric(
+		mulAdd(mulAdd(0, a00, f00), a01, f01)+f.q[0],
+		mulAdd(mulAdd(0, a00, f10), a01, f11)+f.q[1],
+		mulAdd(mulAdd(0, a10, f00), a11, f01)+f.q[2],
+		mulAdd(mulAdd(0, a10, f10), a11, f11)+f.q[3],
+	)
 }
 
 // update folds in the velocity measurement z and returns the innovation
@@ -87,11 +95,12 @@ func (f *gradeFilter) update(z, gate float64) (innov float64, accepted bool, err
 	if !isFinite(z) {
 		return 0, false, nil
 	}
+	p00, p01, p10, p11 := f.p[0], f.p[1], f.p[2], f.p[3]
 	innov = z - f.x[0]
 	// H·P, then S = H·P·Hᵀ + R. H's zero entry contributes nothing to H·P,
 	// while Hᵀ's is a right-hand factor, so its term stays.
-	hp := [2]float64{mulAdd(0, 1, f.p[0]), mulAdd(0, 1, f.p[1])}
-	s := mulAdd(mulAdd(0, hp[0], 1), hp[1], 0) + f.r
+	hp0, hp1 := mulAdd(0, 1, p00), mulAdd(0, 1, p01)
+	s := mulAdd(mulAdd(0, hp0, 1), hp1, 0) + f.r
 	if s == 0 || math.IsNaN(s) {
 		return 0, false, errSingularInnovation
 	}
@@ -104,36 +113,43 @@ func (f *gradeFilter) update(z, gate float64) (innov float64, accepted bool, err
 		}
 	}
 	// K = P·Hᵀ·S⁻¹, then x += K·innov.
-	var k [2]float64
-	for i := range k {
-		pht := mulAdd(mulAdd(0, f.p[2*i], 1), f.p[2*i+1], 0)
-		k[i] = mulAdd(0, pht, sInv)
-		f.x[i] += 0 + k[i]*innov
-	}
-	// Joseph form: P = (I − K·H) P (I − K·H)ᵀ + K·R·Kᵀ.
-	ikh := [4]float64{
-		1 - mulAdd(0, k[0], 1), 0 - mulAdd(0, k[0], 0),
-		0 - mulAdd(0, k[1], 1), 1 - mulAdd(0, k[1], 0),
-	}
-	d := mul2(mul2(ikh, f.p), transpose2(ikh))
-	kr := [2]float64{mulAdd(0, k[0], f.r), mulAdd(0, k[1], f.r)}
-	for i := range d {
-		d[i] += mulAdd(0, kr[i/2], k[i%2])
-	}
-	f.p = symmetrize2(d)
+	k0 := mulAdd(0, mulAdd(mulAdd(0, p00, 1), p01, 0), sInv)
+	k1 := mulAdd(0, mulAdd(mulAdd(0, p10, 1), p11, 0), sInv)
+	f.x[0] += 0 + k0*innov
+	f.x[1] += 0 + k1*innov
+	// Joseph form: P = (I − K·H) P (I − K·H)ᵀ + K·R·Kᵀ, with I − K·H as m.
+	m00, m01 := 1-mulAdd(0, k0, 1), 0-mulAdd(0, k0, 0)
+	m10, m11 := 0-mulAdd(0, k1, 1), 1-mulAdd(0, k1, 0)
+	a00 := mulAdd(mulAdd(0, m00, p00), m01, p10)
+	a01 := mulAdd(mulAdd(0, m00, p01), m01, p11)
+	a10 := mulAdd(mulAdd(0, m10, p00), m11, p10)
+	a11 := mulAdd(mulAdd(0, m10, p01), m11, p11)
+	kr0, kr1 := mulAdd(0, k0, f.r), mulAdd(0, k1, f.r)
+	f.setSymmetric(
+		mulAdd(mulAdd(0, a00, m00), a01, m01)+mulAdd(0, kr0, k0),
+		mulAdd(mulAdd(0, a00, m10), a01, m11)+mulAdd(0, kr0, k1),
+		mulAdd(mulAdd(0, a10, m00), a11, m01)+mulAdd(0, kr1, k0),
+		mulAdd(mulAdd(0, a10, m10), a11, m11)+mulAdd(0, kr1, k1),
+	)
 	return innov, true, nil
+}
+
+// setSymmetric stores (B + Bᵀ)/2 as P, entry by entry as mat.SymmetrizeInto
+// forms it: the diagonal is 0.5·(b + b), which overflows where b alone
+// would not.
+func (f *gradeFilter) setSymmetric(b00, b01, b10, b11 float64) {
+	f.p[0], f.p[1], f.p[2], f.p[3] = 0.5*(b00+b00), 0.5*(b01+b10), 0.5*(b10+b01), 0.5*(b11+b11)
 }
 
 // resetIfDiverged runs the divergence test — a non-finite state or
 // covariance, an implausibly steep grade or an impossible speed — and on
 // failure resets the filter to speed v0, reporting that it did.
 func (f *gradeFilter) resetIfDiverged(v0 float64) bool {
-	healthy := isFinite(f.x[0]) && isFinite(f.x[1])
-	for _, v := range f.p {
-		healthy = healthy && isFinite(v)
-	}
-	if !healthy || math.Abs(f.x[1]) > f.maxGrade ||
-		math.Abs(f.x[0]) > 150 { // m/s; no road vehicle goes there
+	v, theta := f.x[0], f.x[1]
+	healthy := isFinite(v) && isFinite(theta) &&
+		isFinite(f.p[0]) && isFinite(f.p[1]) && isFinite(f.p[2]) && isFinite(f.p[3])
+	if !healthy || math.Abs(theta) > f.maxGrade ||
+		math.Abs(v) > 150 { // m/s; no road vehicle goes there
 		f.reset(v0)
 		return true
 	}
@@ -148,23 +164,4 @@ func mulAdd(acc, a, b float64) float64 {
 		return acc
 	}
 	return acc + a*b
-}
-
-// mul2 returns the row-major 2×2 product a·b.
-func mul2(a, b [4]float64) [4]float64 {
-	return [4]float64{
-		mulAdd(mulAdd(0, a[0], b[0]), a[1], b[2]), mulAdd(mulAdd(0, a[0], b[1]), a[1], b[3]),
-		mulAdd(mulAdd(0, a[2], b[0]), a[3], b[2]), mulAdd(mulAdd(0, a[2], b[1]), a[3], b[3]),
-	}
-}
-
-func transpose2(a [4]float64) [4]float64 { return [4]float64{a[0], a[2], a[1], a[3]} }
-
-// symmetrize2 returns (a + aᵀ)/2, entry by entry as mat.SymmetrizeInto
-// forms it.
-func symmetrize2(a [4]float64) [4]float64 {
-	return [4]float64{
-		0.5 * (a[0] + a[0]), 0.5 * (a[1] + a[2]),
-		0.5 * (a[2] + a[1]), 0.5 * (a[3] + a[3]),
-	}
 }

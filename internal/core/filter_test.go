@@ -231,6 +231,16 @@ var gradeStepCases = []struct {
 	{"negative-zero", gradeStepCase{negZero, negZero, 0.01, negZero, negZero, 1e-3, negZero, false, negZero, 0.0625, 25}, "accepted"},
 	// A finite 1e5 m/s² spike drives v past 150 m/s.
 	{"diverges", gradeStepCase{140, 0.02, 0.01, 1e-4, 1e-4, 1e-3, 1e5, false, 140, 0.0625, 25}, "reset"},
+	// θ at clampGrade's bounds, one ulp past them (clamped), subnormal and
+	// NaN: math.Sincos on the clamped θ must give the bits the reference's
+	// separate math.Sin and math.Cos give.
+	{"theta-at-clamp", gradeStepCase{12, math.Pi / 6, 0.01, 1e-4, 1e-4, 1e-3, 0.3, false, 12.1, 0.0625, 25}, "accepted"},
+	{"theta-past-clamp", gradeStepCase{12, math.Nextafter(math.Pi/6, 1), 0.01, 1e-4, 1e-4, 1e-3, 0.3, false, 12.1, 0.0625, 25}, "accepted"},
+	{"theta-at-neg-clamp", gradeStepCase{12, -math.Pi / 6, 0.01, 1e-4, 1e-4, 1e-3, 0.3, true, 12.1, 0.0625, 25}, "accepted"},
+	{"theta-past-neg-clamp", gradeStepCase{12, math.Nextafter(-math.Pi/6, -1), 0.01, 1e-4, 1e-4, 1e-3, 0.3, true, 12.1, 0.0625, 25}, "accepted"},
+	{"subnormal-theta", gradeStepCase{12, math.SmallestNonzeroFloat64, 0.01, 1e-4, 1e-4, 1e-3, 0.3, false, 12.1, 0.0625, 25}, "accepted"},
+	// A NaN θ makes cos θ NaN, so F and P₀₀ are NaN and S is singular.
+	{"nan-theta", gradeStepCase{12, math.NaN(), 0.01, 1e-4, 1e-4, 1e-3, 0.3, false, 12.1, 0.0625, 25}, "singular"},
 }
 
 // TestGradeFilterStepCases runs the seed table through both filters and

@@ -32,24 +32,25 @@ type GradeModel struct {
 	Accel float64
 }
 
-// transition evaluates Eq. (5) at x together with its Jacobian F = ∂f/∂x
-// (row-major). Both read one sin θ and one cos θ; the arithmetic is
-// otherwise exactly the model's, term by term, so it matches the generic
-// EKF adapter the tests keep as a reference bit for bit.
-func (g *GradeModel) transition(x [2]float64) (next [2]float64, jac [4]float64) {
-	v, theta := x[0], clampGrade(x[1])
-	sin, cos := math.Sin(theta), math.Cos(theta)
+// transition evaluates Eq. (5) at the state [v, θ] together with its
+// Jacobian F = ∂f/∂x, returning the next v and θ and F's entries row by
+// row. Both read one sin θ and one cos θ; the arithmetic is otherwise exactly
+// the model's, term by term, so it matches the generic EKF adapter the tests
+// keep as a reference bit for bit. math.Sincos runs math.Sin's and
+// math.Cos's reduction and polynomials, so it returns their bits for every θ
+// but a NaN whose payload is not math.NaN()'s.
+func (g *GradeModel) transition(v, theta float64) (vNext, thetaNext, f00, f01, f10, f11 float64) {
+	theta = clampGrade(theta)
+	sin, cos := math.Sincos(theta)
 	drag := g.Params.AirDensity * g.Params.FrontalAreaM2 * g.Params.DragCoeff
 	mg := g.Params.MassKg * vehicle.Gravity
 	k := drag / mg
-	jac = [4]float64{
-		1, -vehicle.Gravity * cos * g.DT,
-		k * g.Accel * g.DT / cos, 1 + k*v*g.Accel*g.DT*sin/(cos*cos),
-	}
-	vNext := v + (g.Accel-vehicle.Gravity*sin)*g.DT
+	f00, f01 = 1, -vehicle.Gravity*cos*g.DT
+	f10, f11 = k*g.Accel*g.DT/cos, 1+k*v*g.Accel*g.DT*sin/(cos*cos)
+	vNext = math.Max(0, v+(g.Accel-vehicle.Gravity*sin)*g.DT)
 	// Eq. (4), vehicle.Params.GradeDrift, on the shared cos θ.
-	thetaNext := theta + drag*v*g.Accel/(mg*cos)*g.DT
-	return [2]float64{math.Max(0, vNext), clampGrade(thetaNext)}, jac
+	thetaNext = clampGrade(theta + drag*v*g.Accel/(mg*cos)*g.DT)
+	return vNext, thetaNext, f00, f01, f10, f11
 }
 
 // clampGrade keeps θ in a physically plausible band (±30°) so cosθ stays

@@ -170,14 +170,14 @@ func SmoothProfile(dt float64, steer []float64, windowS float64) ([]float64, err
 	if span > 1 {
 		span = 1
 	}
-	// LOESS needs at least degree+1 points in the window.
+	// The local quadratic needs at least three points in the window.
 	if span*float64(len(steer)) < 4 {
 		span = 4 / float64(len(steer))
 		if span > 1 {
 			span = 1
 		}
 	}
-	l, err := smoothing.NewLoess(span, 2)
+	l, err := smoothing.NewLoess(span)
 	if err != nil {
 		return nil, fmt.Errorf("lanechange: building smoother: %w", err)
 	}

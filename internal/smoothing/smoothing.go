@@ -12,30 +12,25 @@ import (
 	"sort"
 )
 
-// ErrBadSpan is returned when a LOESS span yields fewer points than the
-// polynomial degree requires.
+// ErrBadSpan is returned when a LOESS span yields fewer than the three
+// points a local quadratic needs.
 var ErrBadSpan = errors.New("smoothing: span too small for polynomial degree")
 
-// Loess is a local-regression smoother (Cleveland's LOWESS/LOESS family):
-// for every evaluation point it fits a weighted least-squares polynomial to
-// the nearest Span fraction of samples, with tricube weights, and returns the
-// local fit value.
+// Loess is a local-regression smoother (Cleveland's LOESS): for every
+// evaluation point it fits a weighted least-squares quadratic to the nearest
+// Span fraction of samples, with tricube weights, and returns the local fit
+// value.
 type Loess struct {
 	// Span is the fraction of samples in each local window, in (0, 1].
 	Span float64
-	// Degree is the local polynomial degree (1 or 2).
-	Degree int
 }
 
-// NewLoess returns a Loess smoother with validated parameters.
-func NewLoess(span float64, degree int) (*Loess, error) {
+// NewLoess returns a Loess smoother with a validated span.
+func NewLoess(span float64) (*Loess, error) {
 	if span <= 0 || span > 1 {
 		return nil, fmt.Errorf("smoothing: span %v out of range (0,1]", span)
 	}
-	if degree < 1 || degree > 2 {
-		return nil, fmt.Errorf("smoothing: degree %d unsupported (want 1 or 2)", degree)
-	}
-	return &Loess{Span: span, Degree: degree}, nil
+	return &Loess{Span: span}, nil
 }
 
 // Smooth fits the smoother at every sample location and returns the smoothed
@@ -53,42 +48,32 @@ func (l *Loess) Smooth(xs, ys []float64) ([]float64, error) {
 		}
 	}
 	n := len(xs)
-	window, err := l.window(n)
-	if err != nil {
-		return nil, err
+	window := int(math.Ceil(l.Span * float64(n)))
+	if window < 3 {
+		return nil, ErrBadSpan
 	}
+	window = min(window, n)
 	out := make([]float64, n)
 	for i := range xs {
-		v, err := l.fitAt(xs, ys, xs[i], window)
-		if err != nil {
-			return nil, fmt.Errorf("smoothing: fit at index %d: %w", i, err)
-		}
-		out[i] = v
+		out[i], _ = fitAt(xs, ys, xs[i], window)
 	}
 	return out, nil
 }
 
-// window returns the local window size over n samples. It also rejects a
-// Degree outside NewLoess's range, which a struct literal can set and the
-// fixed-size fit cannot hold.
-func (l *Loess) window(n int) (int, error) {
-	if l.Degree < 1 || l.Degree > maxTerms-1 {
-		return 0, fmt.Errorf("smoothing: degree %d unsupported (want 1 or 2)", l.Degree)
-	}
-	window := int(math.Ceil(l.Span * float64(n)))
-	if window < l.Degree+1 {
-		return 0, ErrBadSpan
-	}
-	return min(window, n), nil
-}
+// fitPath names how fitAt found its value.
+type fitPath string
 
-// maxTerms bounds the local polynomial's coefficient count: Degree ≤ 2.
-const maxTerms = 3
+const (
+	pathFit      fitPath = "fit"      // the normal equations were solved
+	pathFallback fitPath = "fallback" // they were singular; the weighted mean answered
+	pathMean     fitPath = "mean"     // every window sample sits at x; their mean answered
+)
 
-// fitAt performs one weighted polynomial fit centred at x over the nearest
-// window samples. Its normal equations are at most 3×3, so they live in
-// fixed-size arrays and no sample allocates.
-func (l *Loess) fitAt(xs, ys []float64, x float64, window int) (float64, error) {
+// fitAt performs one weighted quadratic fit centred at x over the nearest
+// window samples and reports which path answered. The normal equations'
+// nine entries and three right-hand terms are scalars, so no sample touches
+// memory beyond its x and y.
+func fitAt(xs, ys []float64, x float64, window int) (float64, fitPath) {
 	lo, hi := nearestWindow(xs, x, window)
 	// Maximum distance in the window defines the tricube scale.
 	maxDist := math.Max(math.Abs(xs[lo]-x), math.Abs(xs[hi-1]-x))
@@ -98,32 +83,38 @@ func (l *Loess) fitAt(xs, ys []float64, x float64, window int) (float64, error) 
 		for i := lo; i < hi; i++ {
 			s += ys[i]
 		}
-		return s / float64(hi-lo), nil
+		return s / float64(hi-lo), pathMean
 	}
 
-	// Weighted normal equations for a degree-d polynomial in (t = xi - x):
-	// minimize Σ w_i (y_i - Σ_k c_k t^k)^2. The smoothed value is c_0.
-	p := l.Degree + 1
-	var ata [maxTerms][maxTerms]float64
-	var atb, basis [maxTerms]float64
+	// Weighted normal equations for c_0 + c_1·t + c_2·t² in t = xi − x:
+	// minimize Σ w_i (y_i − Σ_k c_k t^k)². The smoothed value is c_0. Each
+	// entry sums (w·basis[r])·basis[c] over the basis 1, t, t², as the
+	// generic fit formed it; w·1 is w exactly. Mirror entries are summed on
+	// their own, not copied: (w·t)·t² and (w·t²)·t round differently, and
+	// so do (w·t)·t and w·t².
+	var a00, a01, a02, a10, a11, a12, a20, a21, a22, b0, b1, b2 float64
 	for i := lo; i < hi; i++ {
 		t := xs[i] - x
 		w := tricube(math.Abs(t) / maxDist)
 		if w == 0 {
 			continue
 		}
-		basis[0] = 1
-		for k := 1; k < p; k++ {
-			basis[k] = basis[k-1] * t
-		}
-		for r := 0; r < p; r++ {
-			atb[r] += w * basis[r] * ys[i]
-			for c := 0; c < p; c++ {
-				ata[r][c] += w * basis[r] * basis[c]
-			}
-		}
+		t2 := t * t
+		wt, wt2, y := w*t, w*t2, ys[i]
+		a00 += w
+		a01 += wt
+		a02 += wt2
+		a10 += wt
+		a11 += wt * t
+		a12 += wt * t2
+		a20 += wt2
+		a21 += wt2 * t
+		a22 += wt2 * t2
+		b0 += w * y
+		b1 += wt * y
+		b2 += wt2 * y
 	}
-	c0, ok := solveFirst(ata, atb, p)
+	c0, ok := solveFirst([3][3]float64{{a00, a01, a02}, {a10, a11, a12}, {a20, a21, a22}}, [3]float64{b0, b1, b2})
 	if !ok {
 		// Degenerate window (e.g. duplicate weights concentrated at edges):
 		// fall back to the weighted mean, which is always defined.
@@ -134,23 +125,20 @@ func (l *Loess) fitAt(xs, ys []float64, x float64, window int) (float64, error) 
 			swy += w * ys[i]
 		}
 		if sw == 0 {
-			return ys[(lo+hi)/2], nil
+			return ys[(lo+hi)/2], pathFallback
 		}
-		return swy / sw, nil
+		return swy / sw, pathFallback
 	}
-	return c0, nil
+	return c0, pathFit
 }
 
-// solveFirst solves the n×n system a·c = b (n ≤ maxTerms) by LU
-// factorization with partial pivoting and returns c_0, or false if a is
-// singular to working precision. It performs mat.SolveVec's factorization
-// and substitutions step for step, so c_0 is bit-identical to the generic
-// solver's.
-func solveFirst(a [maxTerms][maxTerms]float64, b [maxTerms]float64, n int) (float64, bool) {
-	var perm [maxTerms]int
-	for i := range perm {
-		perm[i] = i
-	}
+// solveFirst solves the 3×3 system a·c = b by LU factorization with partial
+// pivoting and returns c_0, or false if a is singular to working precision.
+// It performs mat.SolveVec's factorization and substitutions step for step,
+// so c_0 is bit-identical to the generic solver's.
+func solveFirst(a [3][3]float64, b [3]float64) (float64, bool) {
+	const n = 3
+	perm := [n]int{0, 1, 2}
 	for k := 0; k < n; k++ {
 		// Partial pivot: largest magnitude in column k at/below the diagonal.
 		p, big := k, math.Abs(a[k][k])
@@ -175,7 +163,7 @@ func solveFirst(a [maxTerms][maxTerms]float64, b [maxTerms]float64, n int) (floa
 			}
 		}
 	}
-	var x [maxTerms]float64
+	var x [n]float64
 	for i := 0; i < n; i++ {
 		x[i] = b[perm[i]]
 	}

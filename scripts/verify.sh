@@ -131,10 +131,17 @@ go test -run '^$' -fuzz '^FuzzParseRetryAfter$' -fuzztime=10s ./internal/cloud
 
 echo "== fuzz (grade filter step) =="
 # One predict, gated update and divergence check from arbitrary state,
-# covariance, input, measurement, noise and gate, through the fixed-size
-# grade filter and its generic kalman.Filter reference, which must agree bit
+# covariance, input, measurement, noise and gate, through the scalar grade
+# filter and its generic kalman.Filter reference, which must agree bit
 # for bit; seeded from internal/core/testdata/fuzz/FuzzGradeFilterStep.
 go test -run '^$' -fuzz '^FuzzGradeFilterStep$' -fuzztime=10s ./internal/core
+
+echo "== fuzz (LOESS fit) =="
+# Strictly increasing samples, a window size and an evaluation point built
+# from bytes, through the scalar quadratic fit and its generic mat.SolveVec
+# reference, which must return the same bits by the same path (fit, fallback
+# or mean); seeded from internal/smoothing/testdata/fuzz/FuzzLoessFit.
+go test -run '^$' -fuzz '^FuzzLoessFit$' -fuzztime=10s ./internal/smoothing
 
 echo "== fuzz (CCH re-customization) =="
 # Ticks of per-edge cost edits, drawn from a few levels so that ties are
