@@ -1,8 +1,11 @@
 package ecoroute
 
 import (
+	"cmp"
 	"slices"
 	"sort"
+
+	"roadgrade/internal/par"
 )
 
 // This file is phase 1 of the customizable contraction hierarchy (DESIGN.md
@@ -51,6 +54,14 @@ type cch struct {
 	dnEdgeOff []int32
 	dnEdge    []int32
 	edgeArc   []int32
+
+	// The split of the elimination tree that full customization runs in
+	// parallel (splitTree): splitNodes lists every node once, bin by bin,
+	// then the top. Bin k, whole subtrees in ascending rank, is
+	// splitNodes[splitOff[k]:splitOff[k+1]]; the last range is the top,
+	// every node above the bins' subtrees, in ascending rank.
+	splitOff   []int32
+	splitNodes []int32
 }
 
 // Lower triangles are enumerated, not stored. Arc d = {u, v} has one for
@@ -222,7 +233,134 @@ func buildCCH(e *Engine) *cch {
 		g.dnArc[k], g.dnLo[k] = int32(a), g.arcLo[a]
 		cur[v]++
 	}
+	g.splitTree(par.Workers(n))
 	return g
+}
+
+// splitTree splits the elimination tree into up to bins bins of whole
+// subtrees plus a serial top, for customize. A node's work is what
+// customize does there: one arc start per upward arc, and one relaxation
+// for every arc after {x, u} in x's upward range, for each x of its
+// downward list. Starting from the roots, it repeatedly moves the heaviest
+// exposed subtree's root into the top, exposing its children, and keeps the
+// step at which the top's work plus the largest bin of a
+// longest-processing-time packing of the exposed subtrees is least. It
+// stops once the top and an even share of the rest cannot beat that.
+// Deterministic: ties go to the lower rank and the lower bin.
+func (g *cch) splitTree(bins int) {
+	n := int32(len(g.parent))
+	work := make([]int64, n)
+	sub := make([]int64, n) // subtree work
+	childCnt := make([]int32, n)
+	var total int64
+	for u := range n {
+		// u's relaxations as the lower end x of its upward arcs: arc {u, v}
+		// at a is the lower side of one triangle per arc after it. Every
+		// such x precedes v, so work[u] is complete here.
+		end := g.upOff[u+1]
+		work[u] += int64(end - g.upOff[u])
+		for a := g.upOff[u]; a < end; a++ {
+			work[g.arcHi[a]] += int64(end - a - 1)
+		}
+		total += work[u]
+		sub[u] += work[u]
+		if p := g.parent[u]; p >= 0 {
+			sub[p] += sub[u]
+			childCnt[p]++
+		}
+	}
+	childOff := prefixSum(childCnt)
+	children := make([]int32, n)
+	for u := range n {
+		if p := g.parent[u]; p >= 0 {
+			children[childOff[p+1]-childCnt[p]] = u
+			childCnt[p]--
+		}
+	}
+
+	// Exposed subtrees are kept heaviest first; pack deals them out in that
+	// order, each to the least loaded bin, records each one's bin in binOf
+	// when given, and returns the largest load.
+	heavier := func(a, b int32) int {
+		if c := cmp.Compare(sub[b], sub[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+	load := make([]int64, bins)
+	pack := func(roots, binOf []int32) int64 {
+		clear(load)
+		var most int64
+		for _, r := range roots {
+			k := 0
+			for j := range load {
+				if load[j] < load[k] {
+					k = j
+				}
+			}
+			load[k] += sub[r]
+			most = max(most, load[k])
+			if binOf != nil {
+				binOf[r] = int32(k)
+			}
+		}
+		return most
+	}
+	var exposed, expanded []int32
+	for u := range n {
+		if g.parent[u] < 0 {
+			exposed = append(exposed, u)
+		}
+	}
+	slices.SortFunc(exposed, heavier)
+	var top int64
+	best, bestK := pack(exposed, nil), 0
+	for len(exposed) > 0 && top+(total-top)/int64(bins) < best {
+		r := exposed[0]
+		exposed = slices.Delete(exposed, 0, 1)
+		for _, c := range children[childOff[r]:childOff[r+1]] {
+			at, _ := slices.BinarySearchFunc(exposed, c, heavier)
+			exposed = slices.Insert(exposed, at, c)
+		}
+		expanded = append(expanded, r)
+		top += work[r]
+		if c := top + pack(exposed, nil); c < best {
+			best, bestK = c, len(expanded)
+		}
+	}
+
+	// Replay the best step: its expanded nodes form the top, and every
+	// other node joins the bin of its nearest exposed ancestor.
+	topBin := int32(bins)
+	binOf := make([]int32, n)
+	for u := range binOf {
+		binOf[u] = -1
+	}
+	for _, r := range expanded[:bestK] {
+		binOf[r] = topBin
+	}
+	exposed = exposed[:0]
+	for u := range n {
+		if p := g.parent[u]; binOf[u] < 0 && (p < 0 || binOf[p] == topBin) {
+			exposed = append(exposed, u)
+		}
+	}
+	slices.SortFunc(exposed, heavier)
+	pack(exposed, binOf)
+	cnt := make([]int32, bins+1)
+	for u := n - 1; u >= 0; u-- {
+		if binOf[u] < 0 {
+			binOf[u] = binOf[g.parent[u]]
+		}
+		cnt[binOf[u]]++
+	}
+	g.splitOff = prefixSum(cnt)
+	g.splitNodes = make([]int32, n)
+	at := slices.Clone(g.splitOff[:bins+1])
+	for u := range n {
+		g.splitNodes[at[binOf[u]]] = u
+		at[binOf[u]]++
+	}
 }
 
 // prefixSum turns per-item counts into CSR offsets (len(counts)+1 entries).

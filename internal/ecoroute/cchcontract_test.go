@@ -9,8 +9,10 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"roadgrade/internal/geo"
+	"roadgrade/internal/par"
 	"roadgrade/internal/road"
 )
 
@@ -199,6 +201,9 @@ func buildCCHReference(e *Engine) (*cch, *refTriangles) {
 			}
 		}
 	}
+	// The split is a function of the tree and the arc ranges compared
+	// above; TestCustomizeSplit checks it on its own terms.
+	g.splitTree(par.Workers(n))
 	return g, rt
 }
 
@@ -297,9 +302,15 @@ func sameContraction(t *testing.T, what string, got, want *cch) {
 	if reflect.DeepEqual(got, want) {
 		return
 	}
+	// The fields are unexported, so reflect reads them through their
+	// addresses.
+	field := func(v reflect.Value, f int) any {
+		fv := v.Field(f)
+		return reflect.NewAt(fv.Type(), unsafe.Pointer(fv.UnsafeAddr())).Elem().Interface()
+	}
 	gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
 	for f := range gv.NumField() {
-		if !reflect.DeepEqual(gv.Field(f).Interface(), wv.Field(f).Interface()) {
+		if !reflect.DeepEqual(field(gv, f), field(wv, f)) {
 			t.Errorf("%s: field %s differs from the reference", what, gv.Type().Field(f).Name)
 		}
 	}

@@ -4,7 +4,8 @@ import "testing"
 
 // The cold-start rows, a BENCH.json family with BenchmarkGenerateNetwork25x
 // (internal/road): what a 25× country server computes before it answers
-// its first routes.
+// its first routes, and one of the eight full customizations its first
+// routes run.
 
 // cchSink keeps BenchmarkCCHContract25x's result live.
 var cchSink *cch
@@ -45,5 +46,28 @@ func BenchmarkEngineFirstRoutes25x(b *testing.B) {
 				b.Fatalf("%s route: %v", obj, err)
 			}
 		}
+	}
+}
+
+// BenchmarkCCHCustomizeFull25x is one full customization of the fuel table
+// at 40 km/h over the 25× network: the bins of the contraction's split on
+// their own goroutines, then the top. Every op writes into the same table,
+// so it times the pass over already-faulted memory.
+func BenchmarkCCHCustomizeFull25x(b *testing.B) {
+	eng, err := NewEngine(rsNet(b, 25), TruthSource{}, Config{})
+	if err != nil {
+		b.Fatalf("engine: %v", err)
+	}
+	g := eng.cchGraph()
+	tb, err := eng.fresh()
+	if err != nil {
+		b.Fatalf("tables: %v", err)
+	}
+	cost := eng.costRow(Fuel, 1, tb)
+	w := newCCHWeights(len(g.arcLo))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.customize(w, cost)
 	}
 }

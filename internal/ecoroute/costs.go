@@ -1,6 +1,7 @@
 package ecoroute
 
 import (
+	"math"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -210,13 +211,18 @@ func (e *Engine) rebuild(prev *tables, gen uint64) (*tables, bool) {
 }
 
 // recost integrates the fuel rows of next, every bucket, at the listed
-// edges from the grade closures rebuild recorded.
+// edges from the grade closures rebuild recorded: one pass per edge.
 func (e *Engine) recost(next *tables, edges []int32) {
+	at := make([]fuelAt, len(next.fuel))
 	for _, i := range edges {
 		factor := e.cfg.classFactor(e.edges[i].Road.Class())
-		for b := range next.fuel {
+		for b := range at {
 			v := e.cfg.SpeedsKmh[b] / 3.6 * factor
-			next.fuel[b].set(i, edgeFuelGallons(next.gradeAt.at(i), e.lengthM.at(i), v))
+			at[b] = fuelAt{v: v, terms: fuelModel.AtSpeed(v, 0)}
+		}
+		integrate(next.gradeAt.at(i), e.lengthM.at(i), at, nil)
+		for b := range at {
+			next.fuel[b].set(i, at[b].gallons)
 		}
 	}
 }
@@ -258,20 +264,47 @@ var (
 	emissionModel = emission.ForVehicle(emission.Car)
 )
 
-// edgeFuelGallons integrates the Eq. (7) rate along one edge at a constant
-// cruise speed: grade is sampled at the midpoint of each 5 m cell and the
-// per-cell gallons accumulate exactly like fuel.TripFuel's per-sample terms
-// (rate × dt / 3600), so a cost equals TripFuel over the same samples
-// bit-for-bit.
-func edgeFuelGallons(grade func(float64) float64, lengthM, speedMS float64) float64 {
-	var gallons float64
+// fuelAt is one speed an integration pass prices an edge's fuel at: the
+// speed (m/s), Eq. (7)'s grade-free terms there, and the running sum.
+type fuelAt struct {
+	v       float64
+	terms   fuel.SpeedTerms
+	gallons float64
+}
+
+// gramsAt is one speed an integration pass prices an edge's pollutants at.
+type gramsAt struct {
+	v     float64
+	terms emission.SpeedTerms
+	grams emission.Grams
+}
+
+// integrate walks one edge's 5 m cells (emission.CellStepM) once and adds
+// each cell's share to every speed asked, fuel and pollutant alike. Each
+// cell's grade is read once, at its midpoint, and its sine taken once; per
+// speed, a cell adds rate × dt / 3600 with dt = ds / v, so every sum is, term
+// for term and bit for bit, the one a walk at that speed alone forms:
+// fuel.TripFuel's per-sample terms over the cells for fuel, and
+// emission.CellGrams for pollutants.
+func integrate(grade func(float64) float64, lengthM float64, fuels []fuelAt, grams []gramsAt) {
 	for s := 0.0; s < lengthM; s += emission.CellStepM {
 		ds := emission.CellStepM
 		if s+ds > lengthM {
 			ds = lengthM - s
 		}
-		dt := ds / speedMS
-		gallons += fuelModel.RateGPH(speedMS, 0, grade(s+ds/2)) * dt / 3600
+		sin := math.Sin(grade(s + ds/2))
+		for k := range fuels {
+			f := &fuels[k]
+			dt := ds / f.v
+			f.gallons += f.terms.RateGPH(sin) * dt / 3600
+		}
+		for k := range grams {
+			g := &grams[k]
+			row := g.terms.GramsPerHour(sin)
+			dt := ds / g.v
+			for sp := range g.grams {
+				g.grams[sp] += row[sp] * dt / 3600
+			}
+		}
 	}
-	return gallons
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"roadgrade/internal/obs"
+	"roadgrade/internal/par"
 )
 
 // This file is phase 2 of the CCH (DESIGN.md §13): customization. It maps one
@@ -152,17 +153,34 @@ func (w *cchWeights) set(a int32, up, dn float64, vUp, vDn int32) bool {
 	return changed
 }
 
-// customize runs the full basic customization into w, node by node in
-// ascending rank. Node u's upward arcs start at their cheapest original
-// edges; then each x of u's downward list, ascending, gives them the
-// triangles whose lower side is its arc {x, u}: one of arc {u, v} for every
-// v after u in x's upward set, all of which u's upward set holds (the
-// clique property). Those sides belong to lower nodes, so their weights are
-// final, and each arc meets its triangles by ascending x with a strict
-// comparison: computeArc's first minimum.
+// customize runs the full basic customization into w: the bins of the
+// contraction's split (splitTree) in parallel, each on its own goroutine
+// with its own node-to-arc scatter array, then the top. A node's pass
+// (customizeNodes) reads only arcs of its own subtree and writes only its
+// own upward arcs, so bins share nothing they write, and each arc meets its
+// triangles in the order a serial pass over every node in ascending rank
+// gives it: the same weights and vias.
 func (g *cch) customize(w *cchWeights, cost pagedRow[float64]) {
-	arcTo := make([]int32, len(g.parent)) // v → the current u's arc {u, v}
-	for u := range int32(len(g.parent)) {
+	n, top := len(g.parent), len(g.splitOff)-2
+	par.Do(top, func(_, k int) {
+		g.customizeNodes(w, cost, g.splitNodes[g.splitOff[k]:g.splitOff[k+1]], make([]int32, n))
+	})
+	g.customizeNodes(w, cost, g.splitNodes[g.splitOff[top]:], make([]int32, n))
+	w.changed = w.changed[:0]
+}
+
+// customizeNodes runs the basic customization at each listed node, in list
+// order, which must put every node after its elimination-tree descendants.
+// Node u's upward arcs start at their cheapest original edges; then each x
+// of u's downward list, ascending, gives them the triangles whose lower
+// side is its arc {x, u}: one of arc {u, v} for every v after u in x's
+// upward set, all of which u's upward set holds (the clique property).
+// Those sides belong to x, a descendant, so their weights are final, and
+// each arc meets its triangles by ascending x with a strict comparison:
+// computeArc's first minimum. arcTo is the scatter array, one entry per
+// node.
+func (g *cch) customizeNodes(w *cchWeights, cost pagedRow[float64], nodes, arcTo []int32) {
+	for _, u := range nodes {
 		for a := g.upOff[u]; a < g.upOff[u+1]; a++ {
 			up, vUp := cheapestEdge(cost, g.upEdge[g.upEdgeOff[a]:g.upEdgeOff[a+1]])
 			dn, vDn := cheapestEdge(cost, g.dnEdge[g.dnEdgeOff[a]:g.dnEdgeOff[a+1]])
@@ -185,7 +203,6 @@ func (g *cch) customize(w *cchWeights, cost pagedRow[float64]) {
 			}
 		}
 	}
-	w.changed = w.changed[:0]
 }
 
 // recustomize derives a successor weight table from old after a generation

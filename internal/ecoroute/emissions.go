@@ -8,10 +8,11 @@ import (
 // This file wires the operating-mode pollutant model (internal/emission)
 // into the cost-table machinery. Pollutant rows live inside the same
 // immutable snapshots as the fuel rows. The publisher builds a bucket's rows
-// once a query has asked for them, one integration pass filling all four
-// species, and incrementally: the next snapshot shares the pages of its
-// predecessor's rows and re-integrates only the edges whose stamp differs,
-// found by diffing the two stamp rows page by page. An edge's values are a
+// once a query has asked for them, one integration pass per edge filling
+// all four species at every asked bucket, and incrementally: the next
+// snapshot shares the pages of its predecessor's rows and re-integrates
+// only the edges whose stamp differs, found by diffing the two stamp rows
+// page by page. An edge's values are a
 // deterministic function of the grade data its stamp names, so the carried
 // entries are bit-identical to re-integrating.
 
@@ -46,51 +47,65 @@ func gradeDependent(metric Objective) bool {
 	return ok
 }
 
-// buildRows fills bucket b's pollutant rows of next, the snapshot under
-// construction: from prev's rows, re-integrating the edges whose stamp
-// moved, or from scratch when prev has none. A build from scratch
-// integrates page by page over GOMAXPROCS goroutines (byPage), also when it
-// runs as one of a publish's parallel jobs.
-func (e *Engine) buildRows(prev, next *tables, bucket int) {
+// buildRows fills the pollutant rows of next, the snapshot under
+// construction, at every listed bucket, in one integration pass per edge.
+// A bucket prev holds rows for starts from them and re-integrates the edges
+// whose stamp moved; the others are built from scratch, integrating page by
+// page over GOMAXPROCS goroutines (byPage).
+func (e *Engine) buildRows(prev, next *tables, buckets []int) {
 	nEdges := len(e.edges)
-	rows := make([]pagedRow[float64], emission.NumPollutants)
-	recomputed := 0
-	if prev != nil && prev.emis[bucket] != nil {
-		for p := range rows {
-			rows[p] = prev.emis[bucket][p].clone()
+	var carried, fresh []int
+	for _, b := range buckets {
+		rows := make([]pagedRow[float64], emission.NumPollutants)
+		if prev != nil && prev.emis[b] != nil {
+			for p := range rows {
+				rows[p] = prev.emis[b][p].clone()
+			}
+			carried = append(carried, b)
+		} else {
+			for p := range rows {
+				rows[p] = newPagedRow[float64](nEdges)
+			}
+			fresh = append(fresh, b)
 		}
-		diffRows(prev.edgeGen, next.edgeGen, func(i int32) {
-			e.integrateGrams(next, rows, bucket, i)
-			recomputed++
-		})
-	} else {
-		for p := range rows {
-			rows[p] = newPagedRow[float64](nEdges)
-		}
+		next.emis[b] = rows
+	}
+	var moved []int32
+	if len(carried) > 0 {
+		diffRows(prev.edgeGen, next.edgeGen, func(i int32) { moved = append(moved, i) })
+		byPage(moved, func(run []int32) { e.integrateGrams(next, carried, run) })
+	}
+	if len(fresh) > 0 {
 		all := make([]int32, nEdges)
 		for i := range all {
 			all[i] = int32(i)
 		}
-		byPage(all, func(run []int32) {
-			for _, i := range run {
-				e.integrateGrams(next, rows, bucket, i)
-			}
-		})
-		recomputed = nEdges
+		byPage(all, func(run []int32) { e.integrateGrams(next, fresh, run) })
 	}
+	recomputed := len(carried)*len(moved) + len(fresh)*nEdges
 	obsEmisRecomp.Add(uint64(recomputed))
-	obsEmisReused.Add(uint64(nEdges - recomputed))
-	obsEmisBuilds.Inc()
-	next.emis[bucket] = rows
+	obsEmisReused.Add(uint64(len(buckets)*nEdges - recomputed))
+	obsEmisBuilds.Add(uint64(len(buckets)))
 }
 
-// integrateGrams writes edge i's grams of every pollutant at bucket b into
-// rows, integrated on the grade closure next recorded for it.
-func (e *Engine) integrateGrams(next *tables, rows []pagedRow[float64], bucket int, i int32) {
-	v := e.cfg.SpeedsKmh[bucket] / 3.6 * e.cfg.classFactor(e.edges[i].Road.Class())
-	g, _ := emission.CellGrams(emissionModel, next.gradeAt.at(i), e.lengthM.at(i), v)
-	for p := range rows {
-		rows[p].set(i, g[p])
+// integrateGrams writes the listed edges' grams of every pollutant at each
+// of buckets into next's rows, integrated in one pass per edge on the grade
+// closure next recorded for it.
+func (e *Engine) integrateGrams(next *tables, buckets []int, edges []int32) {
+	at := make([]gramsAt, len(buckets))
+	for _, i := range edges {
+		factor := e.cfg.classFactor(e.edges[i].Road.Class())
+		for k, b := range buckets {
+			v := e.cfg.SpeedsKmh[b] / 3.6 * factor
+			at[k] = gramsAt{v: v, terms: emissionModel.AtSpeed(v, 0)}
+		}
+		integrate(next.gradeAt.at(i), e.lengthM.at(i), nil, at)
+		for k, b := range buckets {
+			rows := next.emis[b]
+			for p := range rows {
+				rows[p].set(i, at[k].grams[p])
+			}
+		}
 	}
 }
 

@@ -121,6 +121,74 @@ func TestFirstBuildParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestFirstBuildCostBits pins the first build's one integration pass per
+// edge: on the 1× and 25× country networks, over TruthSource and over a
+// CloudSource whose store holds a noisy profile for six roads in seven
+// (the rest read their sibling's reversed profile or flat), every fuel row,
+// all four buckets, and every bucket's pollutant rows must equal the
+// integration at that bucket's speed alone by Float64bits. Two profiles
+// carry a NaN and an infinite cell, which price as 0 gallons and idle.
+func TestFirstBuildCostBits(t *testing.T) {
+	for _, scale := range []float64{1, 25} {
+		net, err := road.GenerateNetwork(1827, road.CountryConfig(scale))
+		if err != nil {
+			t.Fatalf("%g×: network: %v", scale, err)
+		}
+		rng := rand.New(rand.NewSource(1827))
+		store := newFakeStore()
+		var roads []*road.Road
+		var profiles []*fusion.Profile
+		for i, ed := range net.Edges {
+			if i%7 == 0 {
+				continue
+			}
+			p := noisyProfile(ed.Road, 0.003, rng)
+			switch len(roads) {
+			case 1:
+				p.GradeRad[len(p.GradeRad)/2] = math.NaN()
+			case 2:
+				p.GradeRad[1] = math.Inf(1)
+			}
+			roads = append(roads, ed.Road)
+			profiles = append(profiles, p)
+		}
+		store.fold(roads, profiles)
+		for _, src := range []struct {
+			name string
+			src  GradeSource
+		}{{"truth", TruthSource{}}, {"cloud", CloudSource{Store: store}}} {
+			eng, err := NewEngine(net, src.src, Config{})
+			if err != nil {
+				t.Fatalf("%g× %s: engine: %v", scale, src.name, err)
+			}
+			var tb *tables
+			for b := range eng.cfg.SpeedsKmh {
+				tb = eng.snapshot(need{rows: b, w: -1})
+				tb.release()
+			}
+			for b := range eng.cfg.SpeedsKmh {
+				if tb.emis[b] == nil {
+					t.Fatalf("%g× %s: bucket %d has no pollutant rows", scale, src.name, b)
+				}
+			}
+			checkRowsDirect(t, fmt.Sprintf("%g× %s", scale, src.name), eng, tb)
+		}
+	}
+}
+
+// noisyProfile is a fused profile of r's own grade at 5 m cells plus
+// Gaussian noise of sigma radians.
+func noisyProfile(r *road.Road, sigma float64, rng *rand.Rand) *fusion.Profile {
+	n := int(r.Length()/5) + 1
+	p := &fusion.Profile{SpacingM: 5, S: make([]float64, n), GradeRad: make([]float64, n), Var: make([]float64, n)}
+	for i := range p.S {
+		p.S[i] = 5 * float64(i)
+		p.GradeRad[i] = r.GradeAt(math.Min(p.S[i], r.Length())) + sigma*rng.NormFloat64()
+		p.Var[i] = sigma * sigma
+	}
+	return p
+}
+
 // checkRowsDirect compares every fuel and pollutant row of tb with the
 // edge-by-edge integration on the snapshot's own grade closures, by
 // Float64bits.
@@ -153,4 +221,23 @@ func floatBits(row []float64) []uint64 {
 		out[i] = math.Float64bits(v)
 	}
 	return out
+}
+
+// edgeFuelGallons is the oracle of the fuel rows: the Eq. (7) rate
+// integrated along one edge at one cruise speed, grade sampled at the
+// midpoint of each 5 m cell and the per-cell gallons accumulated exactly
+// like fuel.TripFuel's per-sample terms (rate × dt / 3600). The engine
+// walks an edge once for all its buckets (integrate); each bucket's sum must
+// equal this walk at its speed bit for bit.
+func edgeFuelGallons(grade func(float64) float64, lengthM, speedMS float64) float64 {
+	var gallons float64
+	for s := 0.0; s < lengthM; s += emission.CellStepM {
+		ds := emission.CellStepM
+		if s+ds > lengthM {
+			ds = lengthM - s
+		}
+		dt := ds / speedMS
+		gallons += fuelModel.RateGPH(speedMS, 0, grade(s+ds/2)) * dt / 3600
+	}
+	return gallons
 }

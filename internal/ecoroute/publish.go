@@ -229,10 +229,10 @@ func (e *Engine) publish(askRows, askW []bool, onQuery bool) {
 	if refreshed {
 		next, moved = e.rebuild(prev, gen)
 	}
-	var rowJobs, wJobs []int
+	var rowBuckets, wJobs []int
 	for b, ok := range askRows {
 		if ok && (moved || next.emis[b] == nil) {
-			rowJobs = append(rowJobs, b)
+			rowBuckets = append(rowBuckets, b)
 		}
 	}
 	for s, ok := range askW {
@@ -241,7 +241,7 @@ func (e *Engine) publish(askRows, askW []bool, onQuery bool) {
 		}
 	}
 	if !refreshed {
-		if len(rowJobs)+len(wJobs) == 0 {
+		if len(rowBuckets)+len(wJobs) == 0 {
 			return
 		}
 		// A published snapshot never changes: the asks go into a copy.
@@ -251,7 +251,9 @@ func (e *Engine) publish(askRows, askW []bool, onQuery bool) {
 
 	// A replaced snapshot whose count has drained stays unread for good.
 	e.retired = slices.DeleteFunc(e.retired, func(r *tables) bool { return r.refs.Load() == 0 })
-	e.parallel(len(rowJobs), func(_, j int) { e.buildRows(prev, next, rowJobs[j]) })
+	if len(rowBuckets) > 0 {
+		e.buildRows(prev, next, rowBuckets)
+	}
 	stats := make([]cchCustStats, len(wJobs))
 	e.parallel(len(wJobs), func(worker, j int) {
 		stats[j] = e.customizeSlot(next, wJobs[j], &e.work[worker])
@@ -269,7 +271,7 @@ func (e *Engine) publish(askRows, askW []bool, onQuery bool) {
 		obsRefreshSecs.Observe(time.Since(start).Seconds())
 	}
 	if onQuery {
-		builds := len(rowJobs) + len(wJobs)
+		builds := len(rowBuckets) + len(wJobs)
 		if refreshed {
 			builds++
 		}

@@ -188,8 +188,62 @@ func (p Params) WithDefaults() Params {
 // climb at cruise demands the same specific power as a ~0.5 m/s² surge on
 // the flat, which is why gradient-blind emission maps are wrong on hills.
 func (p Params) VSPKWPerTon(vMS, aMS2, gradeRad float64) float64 {
-	road := (p.RollingKW*vMS + p.RotatingKW*vMS*vMS + p.DragKW*vMS*vMS*vMS) / p.MassTon
-	return road + (aMS2+gravityMS2*math.Sin(gradeRad))*vMS
+	return p.AtSpeed(vMS, aMS2).vsp(math.Sin(gradeRad))
+}
+
+// SpeedTerms are the parts of VSP and of the operating-mode choice that do
+// not depend on grade, formed once at one speed and acceleration, so that a
+// caller classifying many grades there (every 5 m cell of an edge, at every
+// speed bucket) takes one sine per grade and repeats no road-load product.
+// VSPKWPerTon, OpModeFor and CellGrams all evaluate through them.
+type SpeedTerms struct {
+	v, a float64
+	road float64 // (A·v + B·v² + C·v³)/m
+	// fixed is the bin that speed and acceleration decide alone — idle for
+	// a non-physical input or a crawl, braking for a hard deceleration —
+	// or -1 when VSP decides.
+	fixed OpMode
+	rates *RateTable
+}
+
+// AtSpeed forms the grade-free terms at speed v (m/s) and acceleration a
+// (m/s²), each from the operands, and in the order, VSPKWPerTon and
+// OpModeFor have always used.
+func (p Params) AtSpeed(vMS, aMS2 float64) SpeedTerms {
+	t := SpeedTerms{
+		v: vMS, a: aMS2,
+		road:  (p.RollingKW*vMS + p.RotatingKW*vMS*vMS + p.DragKW*vMS*vMS*vMS) / p.MassTon,
+		fixed: -1,
+		rates: p.rateTable(),
+	}
+	// Non-physical inputs classify as idle: a negative or non-finite speed
+	// is sensor garbage, and idle is the lowest-emitting running bin — the
+	// conservative floor, mirroring fuel.RateGPH's 0-below-idle guard.
+	// Braking comes next (hard deceleration dominates everything), then
+	// idle.
+	switch {
+	case vMS < 0 || math.IsNaN(vMS) || math.IsInf(vMS, 0) ||
+		math.IsNaN(aMS2) || math.IsInf(aMS2, 0):
+		t.fixed = OpIdle
+	case aMS2 <= brakeDecelMS2:
+		t.fixed = OpBraking
+	case vMS < idleSpeedMS:
+		t.fixed = OpIdle
+	}
+	return t
+}
+
+// vsp evaluates VSPKWPerTon at the terms' speed and acceleration on the
+// grade whose sine is sinGrade.
+func (t SpeedTerms) vsp(sinGrade float64) float64 {
+	return t.road + (t.a+gravityMS2*sinGrade)*t.v
+}
+
+// GramsPerHour returns the per-pollutant rates (g/hr) of the bin OpModeFor
+// picks at the terms' speed and acceleration on the grade whose sine is
+// sinGrade.
+func (t SpeedTerms) GramsPerHour(sinGrade float64) *Grams {
+	return &t.rates[opModeIndex[t.opMode(sinGrade)]]
 }
 
 const gravityMS2 = 9.81
@@ -233,46 +287,50 @@ var opModes = []OpMode{
 // NumOpModes is the number of operating-mode bins.
 const NumOpModes = 23
 
-// opModeIndex maps a bin ID to its position in opModes.
-var opModeIndex = func() map[OpMode]int {
-	m := make(map[OpMode]int, len(opModes))
-	for i, op := range opModes {
-		m[op] = i
+// opModeIndex maps a bin ID to its position in opModes, -1 for an ID
+// MOVES skips.
+var opModeIndex = func() (idx [41]int8) {
+	for op := range idx {
+		idx[op] = -1
 	}
-	return m
+	for i, op := range opModes {
+		idx[op] = int8(i)
+	}
+	return idx
 }()
 
 // Index returns the bin's position in opModes (the rate-table row), or
 // -1 for an unknown ID.
 func (op OpMode) Index() int {
-	if i, ok := opModeIndex[op]; ok {
-		return i
+	if op < 0 || int(op) >= len(opModeIndex) {
+		return -1
 	}
-	return -1
+	return int(opModeIndex[op])
 }
 
 // OpModeFor classifies one instant of operation. Precedence follows MOVES:
 // braking first (hard deceleration dominates everything), then idle, then
 // the speed class picks a VSP bin family. Every interval is half-open
-// [lo, hi): an exact boundary value lands in the upper bin, always.
+// [lo, hi): an exact boundary value lands in the upper bin, always. A
+// non-finite or negative speed, or a non-finite acceleration or grade,
+// classifies as idle.
 func (p Params) OpModeFor(vMS, aMS2, gradeRad float64) OpMode {
-	// Non-physical inputs classify as idle: a negative or non-finite speed
-	// is sensor garbage, and idle is the lowest-emitting running bin — the
-	// conservative floor, mirroring fuel.RateGPH's 0-below-idle guard.
-	if vMS < 0 || math.IsNaN(vMS) || math.IsInf(vMS, 0) ||
-		math.IsNaN(aMS2) || math.IsInf(aMS2, 0) ||
-		math.IsNaN(gradeRad) || math.IsInf(gradeRad, 0) {
+	return p.AtSpeed(vMS, aMS2).opMode(math.Sin(gradeRad))
+}
+
+// opMode classifies one instant at the terms' speed and acceleration on the
+// grade whose sine is sinGrade, as OpModeFor documents. A NaN sine — the
+// sine of a non-finite grade — classifies as idle.
+func (t SpeedTerms) opMode(sinGrade float64) OpMode {
+	if math.IsNaN(sinGrade) {
 		return OpIdle
 	}
-	if aMS2 <= brakeDecelMS2 {
-		return OpBraking
+	if t.fixed >= 0 {
+		return t.fixed
 	}
-	if vMS < idleSpeedMS {
-		return OpIdle
-	}
-	vsp := p.VSPKWPerTon(vMS, aMS2, gradeRad)
+	vsp := t.vsp(sinGrade)
 	switch {
-	case vMS < midSpeedMS:
+	case t.v < midSpeedMS:
 		switch {
 		case vsp < 0:
 			return 11
@@ -287,7 +345,7 @@ func (p Params) OpModeFor(vMS, aMS2, gradeRad float64) OpMode {
 		default:
 			return 16
 		}
-	case vMS < highSpeedMS:
+	case t.v < highSpeedMS:
 		switch {
 		case vsp < 0:
 			return 21

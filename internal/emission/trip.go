@@ -56,10 +56,12 @@ const CellStepM = 5.0
 // mean of the sampled grades (radians). Both are zero when lengthM is not
 // positive. p must be complete (ForVehicle, or WithDefaults applied).
 //
-// This is the one cell loop behind the city map's rows (RoadEmissionsAt) and
-// the routing engine's pollutant costs, so the two agree bit for bit.
+// The city map's rows (RoadEmissionsAt) come from this loop. The routing
+// engine walks an edge's cells once for all its speed buckets instead, with
+// the same per-cell terms (SpeedTerms) in the same order, so the two agree
+// bit for bit.
 func CellGrams(p Params, grade func(s float64) float64, lengthM, speedMS float64) (total Grams, meanGrade float64) {
-	rates := p.rateTable()
+	at := p.AtSpeed(speedMS, 0)
 	var sumGrade float64
 	var n int
 	for s := 0.0; s < lengthM; s += CellStepM {
@@ -68,7 +70,7 @@ func CellGrams(p Params, grade func(s float64) float64, lengthM, speedMS float64
 			ds = lengthM - s
 		}
 		g := grade(s + ds/2)
-		row := rates[p.OpModeFor(speedMS, 0, g).Index()]
+		row := at.GramsPerHour(math.Sin(g))
 		dt := ds / speedMS
 		for sp := range total {
 			total[sp] += row[sp] * dt / 3600

@@ -100,22 +100,60 @@ func (p VSPParams) Validate() error {
 // with NaN or a huge negative "rate". Valid inputs are evaluated on the
 // unchanged arithmetic path, bit-identical to the unguarded form.
 func (p VSPParams) RateGPH(vMS, aMS2, gradeRad float64) float64 {
+	return p.AtSpeed(vMS, aMS2).RateGPH(math.Sin(gradeRad))
+}
+
+// SpeedTerms are the terms of Eq. (7) that do not depend on grade, formed
+// once at one speed and acceleration, so that a caller pricing many grades
+// there (every 5 m cell of an edge, at every speed bucket) takes one sine
+// per grade and repeats no product. VSPParams.RateGPH evaluates through
+// them: it is AtSpeed followed by SpeedTerms.RateGPH.
+type SpeedTerms struct {
+	base    float64 // BaseWatts + A·v³
+	climb   float64 // B·m·v, the factor of sinθ
+	roll    float64 // C·m·v
+	surge   float64 // 1000·m·a·v
+	inertia float64 // D·m·a
+	energy  float64 // GGE·η
+	idle    float64
+	// invalid marks a negative or non-finite speed or a non-finite
+	// acceleration: every grade then prices at exactly 0.
+	invalid bool
+}
+
+// AtSpeed forms the grade-free terms of Eq. (7) at speed v (m/s) and
+// acceleration a (m/s²), each from the operands, and in the order, RateGPH
+// has always used.
+func (p VSPParams) AtSpeed(vMS, aMS2 float64) SpeedTerms {
 	if vMS < 0 ||
 		math.IsNaN(vMS) || math.IsInf(vMS, 0) ||
-		math.IsNaN(aMS2) || math.IsInf(aMS2, 0) ||
-		math.IsNaN(gradeRad) || math.IsInf(gradeRad, 0) {
-		return 0
+		math.IsNaN(aMS2) || math.IsInf(aMS2, 0) {
+		return SpeedTerms{invalid: true}
 	}
 	m := p.MassTon
-	watts := p.BaseWatts +
-		p.A*vMS*vMS*vMS +
-		p.B*m*vMS*math.Sin(gradeRad) +
-		p.C*m*vMS +
-		1000*m*aMS2*vMS +
-		p.D*m*aMS2
-	gph := watts / (p.GGEWhPerGallon * p.Efficiency)
-	if gph < p.IdleGPH {
-		return p.IdleGPH
+	return SpeedTerms{
+		base:    p.BaseWatts + p.A*vMS*vMS*vMS,
+		climb:   p.B * m * vMS,
+		roll:    p.C * m * vMS,
+		surge:   1000 * m * aMS2 * vMS,
+		inertia: p.D * m * aMS2,
+		energy:  p.GGEWhPerGallon * p.Efficiency,
+		idle:    p.IdleGPH,
+	}
+}
+
+// RateGPH evaluates Eq. (7) at the terms' speed and acceleration on the
+// grade whose sine is sinGrade, floored at idle: the sum of the six terms
+// left to right, as VSPParams.RateGPH documents. A NaN sine — the sine of a
+// non-finite grade — returns exactly 0, as do invalid terms.
+func (t SpeedTerms) RateGPH(sinGrade float64) float64 {
+	if t.invalid || math.IsNaN(sinGrade) {
+		return 0
+	}
+	watts := t.base + t.climb*sinGrade + t.roll + t.surge + t.inertia
+	gph := watts / t.energy
+	if gph < t.idle {
+		return t.idle
 	}
 	return gph
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -92,11 +93,18 @@ func (p *Polyline) locate(s float64) (int, float64) {
 
 // Resample returns positions every spacing meters from 0 to Length inclusive.
 func (p *Polyline) Resample(spacing float64) ([]ENU, error) {
+	return p.AppendResample(nil, spacing)
+}
+
+// AppendResample appends Resample's positions to dst and returns the
+// extended slice, so a caller that resamples many polylines can reuse one
+// buffer.
+func (p *Polyline) AppendResample(dst []ENU, spacing float64) ([]ENU, error) {
 	if spacing <= 0 {
 		return nil, fmt.Errorf("geo: invalid resample spacing %v", spacing)
 	}
 	n := int(math.Floor(p.Length()/spacing)) + 1
-	out := make([]ENU, 0, n+1)
+	out := slices.Grow(dst, n+1)
 	hint := 0 // sample positions are monotone, so the hinted locate is O(1)
 	for i := 0; i < n; i++ {
 		out = append(out, p.AtHint(float64(i)*spacing, &hint))

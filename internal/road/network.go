@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"roadgrade/internal/geo"
 	"roadgrade/internal/par"
@@ -216,21 +217,25 @@ func GenerateNetwork(seed int64, cfg NetworkConfig) (*Network, error) {
 	// draws every street's class and bow from rng in order and lays out
 	// its geometry; the terrain profiles, which take no randomness, are
 	// sampled after it over GOMAXPROCS goroutines.
+	// Both passes reuse scratch for the points they only read (the curve a
+	// polyline copies, the positions a profile samples), so what a network
+	// keeps is allocated without transients interleaved among it.
 	streets := make([]street, 0, 2*(w*(h-1)+h*(w-1))+w*h/8)
 	var builtM float64
 	var drawErr error // the first geometry error; no street after it is drawn
+	var curve []geo.ENU
 	addStreet := func(a, b Node) {
 		if builtM >= targetM || drawErr != nil {
 			return
 		}
 		cls := classify(a, b, w, h, cfg.BlockM, rng)
-		fwd, err := drawStreet(a, b, cls, rng)
+		fwd, err := drawStreet(a, b, cls, rng, &curve)
 		if err != nil {
 			drawErr = err
 			return
 		}
 		streets = append(streets, fwd)
-		rev, err := drawStreet(b, a, cls, rng)
+		rev, err := drawStreet(b, a, cls, rng, &curve)
 		if err != nil {
 			drawErr = err
 			return
@@ -260,9 +265,10 @@ func GenerateNetwork(seed int64, cfg NetworkConfig) (*Network, error) {
 	// a street-by-street build would have met it first.
 	edges := make([]*Edge, len(streets))
 	errs := make([]error, len(streets))
-	par.Do(len(streets), func(_, i int) {
+	samples := make([][]geo.ENU, par.Workers(len(streets)))
+	par.Do(len(streets), func(worker, i int) {
 		st := &streets[i]
-		r, err := st.build(terrain)
+		r, err := st.build(terrain, &samples[worker])
 		edges[i], errs[i] = &Edge{From: st.from, To: st.to, Road: r}, err
 	})
 	for _, err := range errs {
@@ -303,8 +309,9 @@ func classify(a, b Node, w, h int, blockM float64, rng *rand.Rand) Class {
 }
 
 // drawStreet lays out a single directed road between two junctions with a
-// gentle midpoint bend, drawn from rng.
-func drawStreet(a, b Node, cls Class, rng *rand.Rand) (street, error) {
+// gentle midpoint bend, drawn from rng. curve is scratch for the bend's
+// points, which the polyline copies.
+func drawStreet(a, b Node, cls Class, rng *rand.Rand, curve *[]geo.ENU) (street, error) {
 	id := fmt.Sprintf("st-%d-%d", a.ID, b.ID)
 	from, to := a.Pos, b.Pos
 	heading := math.Atan2(to.N-from.N, to.E-from.E)
@@ -315,18 +322,20 @@ func drawStreet(a, b Node, cls Class, rng *rand.Rand) (street, error) {
 		E: (from.E+to.E)/2 - bow*math.Sin(heading),
 		N: (from.N+to.N)/2 + bow*math.Cos(heading),
 	}
-	pts := interpolateQuadratic(from, mid, to, int(math.Max(8, length/25)))
-	line, err := geo.NewPolyline(pts)
+	*curve = interpolateQuadratic((*curve)[:0], from, mid, to, int(math.Max(8, length/25)))
+	line, err := geo.NewPolyline(*curve)
 	if err != nil {
 		return street{}, fmt.Errorf("road: street %s geometry: %w", id, err)
 	}
 	return street{id: id, from: a.ID, to: b.ID, cls: cls, line: line}, nil
 }
 
-// build samples the street's terrain profile and makes its road. It only
-// reads the terrain, so streets build in parallel.
-func (st *street) build(terrain *Terrain) (*Road, error) {
-	prof, err := terrain.ProfileAlong(st.line, 5)
+// build samples the street's terrain profile and makes its road, with
+// samples as scratch for the sampled positions. It only reads the terrain,
+// so streets build in parallel.
+func (st *street) build(terrain *Terrain, samples *[]geo.ENU) (*Road, error) {
+	prof, buf, err := terrain.profileAlong(st.line, 5, *samples)
+	*samples = buf
 	if err != nil {
 		return nil, fmt.Errorf("road: street %s profile: %w", st.id, err)
 	}
@@ -338,12 +347,13 @@ func (st *street) build(terrain *Terrain) (*Road, error) {
 	return NewRoad(st.id, st.line, prof, sections, st.cls)
 }
 
-// interpolateQuadratic samples a quadratic Bezier through (a, ctrl, b).
-func interpolateQuadratic(a, ctrl, b geo.ENU, n int) []geo.ENU {
+// interpolateQuadratic appends n+1 samples of a quadratic Bezier through
+// (a, ctrl, b) to dst.
+func interpolateQuadratic(dst []geo.ENU, a, ctrl, b geo.ENU, n int) []geo.ENU {
 	if n < 2 {
 		n = 2
 	}
-	out := make([]geo.ENU, 0, n+1)
+	out := slices.Grow(dst, n+1)
 	for i := 0; i <= n; i++ {
 		t := float64(i) / float64(n)
 		u := 1 - t

@@ -22,15 +22,23 @@ type Profile struct {
 // NewProfile builds a profile from altitude samples (meters) at the given
 // spacing (meters). At least two samples are required.
 func NewProfile(spacing float64, alts []float64) (*Profile, error) {
+	if len(alts) < 2 {
+		return ownProfile(spacing, alts)
+	}
+	cp := make([]float64, len(alts))
+	copy(cp, alts)
+	return ownProfile(spacing, cp)
+}
+
+// ownProfile is NewProfile keeping alts itself instead of a copy.
+func ownProfile(spacing float64, alts []float64) (*Profile, error) {
 	if spacing <= 0 {
 		return nil, fmt.Errorf("road: invalid profile spacing %v", spacing)
 	}
 	if len(alts) < 2 {
 		return nil, errors.New("road: profile needs at least two altitude samples")
 	}
-	cp := make([]float64, len(alts))
-	copy(cp, alts)
-	return &Profile{spacing: spacing, alts: cp}, nil
+	return &Profile{spacing: spacing, alts: alts}, nil
 }
 
 // NewProfileFromGrades integrates a grade series (radians, one value per

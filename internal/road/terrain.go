@@ -98,13 +98,22 @@ func (t *Terrain) ElevationAt(p geo.ENU) float64 {
 // ProfileAlong samples the terrain along a polyline every spacing meters and
 // returns the resulting road profile.
 func (t *Terrain) ProfileAlong(line *geo.Polyline, spacing float64) (*Profile, error) {
-	pts, err := line.Resample(spacing)
+	prof, _, err := t.profileAlong(line, spacing, nil)
+	return prof, err
+}
+
+// profileAlong is ProfileAlong resampling the line into buf, which it
+// returns for the next call: the profile's altitudes are then the only
+// allocation, made once at their final size.
+func (t *Terrain) profileAlong(line *geo.Polyline, spacing float64, buf []geo.ENU) (*Profile, []geo.ENU, error) {
+	pts, err := line.AppendResample(buf[:0], spacing)
 	if err != nil {
-		return nil, err
+		return nil, buf, err
 	}
 	alts := make([]float64, len(pts))
 	for i, p := range pts {
 		alts[i] = t.ElevationAt(p)
 	}
-	return NewProfile(spacing, alts)
+	prof, err := ownProfile(spacing, alts)
+	return prof, pts, err
 }

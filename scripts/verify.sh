@@ -68,14 +68,17 @@ go test -race -count=10 -run 'TestPublisherNoQueryBuilds|TestPublisherGoroutineE
 go test -race -count=2 -run 'TestTrace|TestSLO|TestExemplar|TestExposition|TestHealthz' ./internal/obs ./internal/cloud ./cmd/cloudfuse
 # The cold start splits its work over GOMAXPROCS goroutines: the terrain
 # profiles of a generated network, the page runs of a first row build or a
-# full rescan (nested inside the publisher's row jobs), and the first
-# emission table. What they build must not depend on how the work fell
-# across goroutines, so the tests that pin it to a serial build or a
-# committed value run at one P, where every loop is inline, and at four,
-# where the goroutines race; the contraction's own reference check rides
-# along at both.
-go test -race -count=1 -cpu 1,4 -run 'TestContractionMatchesReference|TestFirstBuildParallelMatchesSerial' ./internal/ecoroute
+# full rescan, and the first emission table. What they build must not depend on how the work fell
+# across goroutines, so the tests that pin it to a serial build, to the
+# integration at one bucket's speed, or to a committed value run at one P,
+# where every loop is inline, and at four, where the goroutines race; the
+# contraction's own reference check rides along at both.
+go test -race -count=1 -cpu 1,4 -run 'TestContractionMatchesReference|TestFirstBuildParallelMatchesSerial|TestFirstBuildCostBits' ./internal/ecoroute
 go test -race -count=1 -cpu 1,4 -run 'TestGenerateNetworkFingerprint' ./internal/road
+# A full customization runs the contraction's split — one bin of whole
+# elimination-tree subtrees per P, then the top — on as many goroutines;
+# at one, two and four P it must equal the serial pass.
+go test -race -count=1 -cpu 1,2,4 -run 'TestCustomizeSplit' ./internal/ecoroute
 # Each city emission table is refreshed in place from the routing engine's
 # snapshot and served to clients as deltas merged into their own copies;
 # two clients' fetchers, a folder, EmissionTable readers and a /v1/route
