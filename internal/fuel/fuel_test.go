@@ -1,6 +1,7 @@
 package fuel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -103,15 +104,26 @@ func TestRateGPHGuards(t *testing.T) {
 		})
 	}
 	// Valid inputs: bit-identical to the raw Eq. (7) evaluation with the
-	// idle floor — the guard must not perturb the arithmetic path.
-	good := []struct {
+	// idle floor — the guard must not perturb the arithmetic path, nor may
+	// the grade-free terms RateGPH forms first (AtSpeed) regroup it. A grid
+	// of speeds, accelerations and grades follows the named cases, so that
+	// a regrouping which rounds the same on a few inputs still shows.
+	type input struct {
 		name    string
 		v, a, g float64
-	}{
+	}
+	good := []input{
 		{"flat-cruise", 40.0 / 3.6, 0, 0},
 		{"zero-speed", 0, 0, 0},
 		{"uphill", 11.11, 0.3, 0.05},
 		{"downhill", 25, -1, -0.08},
+	}
+	for _, v := range []float64{3.3, 8.35, 13.9, 19.45, 27.8} {
+		for _, a := range []float64{-1.2, -0.35, 0.4, 1.15} {
+			for _, g := range []float64{-0.09, -0.021, 0.013, 0.07} {
+				good = append(good, input{fmt.Sprintf("grid-%g-%g-%g", v, a, g), v, a, g})
+			}
+		}
 	}
 	for _, tt := range good {
 		t.Run(tt.name, func(t *testing.T) {

@@ -1,7 +1,8 @@
 // Package par is the one GOMAXPROCS fan-out loop of the program: the
-// routing engine's publish jobs and first row builds, the network
-// generator's terrain profiles, the cloud's emission tables and the
-// experiment suite's independent runs all spread their items with Do.
+// routing engine's publish jobs, first row builds and full customizations'
+// bins, the network generator's terrain profiles, the cloud's emission
+// tables and the experiment suite's independent runs all spread their
+// items with Do.
 package par
 
 import (
